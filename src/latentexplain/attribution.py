@@ -13,8 +13,8 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import DimensionError
-from .codec import CodecConfig, LatentGrid, encode_tensor, pad_for_encode
-from .classifier import _wrap, logits_from_latent
+from .codec import CodecConfig, LatentGrid, encode_batch, encode_tensor, pad_for_encode
+from .classifier import _head_from_preact, _logits_np, _pool_gate, _wrap, logits_from_latent
 
 DEFAULT_IG_STEPS = 64
 
@@ -44,7 +44,14 @@ def integrated_gradients_latent(
     target: int,
     steps: int = DEFAULT_IG_STEPS,
 ) -> AttributionMap:
-    """IG of the target logit w.r.t. the T x L latent grid."""
+    """IG of the target logit w.r.t. the T x L latent grid.
+
+    The path ``base + a * delta`` is linear and the head's first layer is a
+    per-frame affine map, so the pre-activations at every step are
+    ``P0 + a * dP`` and the forward needs two (T, H) matmuls. The backward is
+    written out for the target logit; the per-step gradients are summed over
+    the steps before the one product with ``w0.T``.
+    """
     if z.values.shape != baseline.values.shape:
         raise DimensionError(
             f"latent/baseline shape mismatch: {z.values.shape} vs {baseline.values.shape}"
@@ -53,14 +60,28 @@ def integrated_gradients_latent(
         raise ValueError("steps must be >= 1")
     delta = z.values - baseline.values
     alphas = _midpoints(steps)
-    path = baseline.values[None, :, :] + alphas[:, None, None] * delta[None, :, :]
-    zt = ad.Tensor(path, requires_grad=True)
-    pt = _wrap(params, False)
-    logits = logits_from_latent(zt, pt)
-    onehot = np.zeros((params["w2"].shape[1], 1), dtype=np.float32)
-    onehot[target, 0] = 1.0
-    ad.tsum(ad.matmul(logits, ad.Tensor(onehot))).backward()
-    avg_grad = zt.grad.mean(axis=0)
+    w0t = params["w0"].T
+    p0 = w0t @ baseline.values.T + params["b0"][:, None]  # (H, T)
+    dp = w0t @ delta.T
+    h, t = p0.shape
+    # (S, H, T) in memory, so that the head's reductions over time run along rows
+    pre = (alphas[:, None, None] * dp + p0).transpose(0, 2, 1)
+    emb, hidden, _ = _head_from_preact(pre, params)
+    # elu'(x) = exp(min(x, 0)); d logit / d pooled, one row per step
+    d_pooled = (params["w2"][:, target] * np.exp(np.minimum(hidden, 0.0))) @ params["w1"].T
+    # elu'(pre) = min(elu(pre), 0) + 1, with no second exp over (S, T, H)
+    d_emb = np.minimum(emb, 0.0)
+    d_emb += 1.0
+    # sum over steps of d logit / d pre, divided by S: the time mean spreads each
+    # step's d_pooled over all T frames ...
+    g_pre = np.einsum("sh,sth->th", d_pooled / np.float32(t * steps), d_emb)
+    gate = _pool_gate(params)
+    if gate:
+        # ... and the max pool adds it at each step's first-argmax frame
+        arg = emb.argmax(axis=1)  # (S, H)
+        at_max = np.take_along_axis(d_emb, arg[:, None, :], axis=1)[:, 0]
+        np.add.at(g_pre, (arg, np.arange(h)), (gate / steps) * d_pooled * at_max)
+    avg_grad = g_pre @ w0t
     return AttributionMap(
         scores=(delta * avg_grad).astype(np.float32),
         target_class=int(target),
@@ -125,8 +146,6 @@ def random_attribution(shape, seed: int, method: str = RANDOM_LATENT) -> Attribu
 
 def target_logit_latent(values: np.ndarray, params: dict, target: int) -> float:
     """Target-class logit of the head at one (T, L) latent; completeness oracle hook."""
-    from .classifier import _logits_np
-
     return float(_logits_np(values[None, :, :].astype(np.float32), params)[0, target])
 
 
@@ -134,8 +153,5 @@ def target_logit_input(
     x: np.ndarray, codec_params: dict, codec_config: CodecConfig, cls_params: dict, target: int
 ) -> float:
     """Target-class logit of head(encoder(x)); completeness oracle hook."""
-    from .codec import encode_batch
-    from .classifier import _logits_np
-
     z = encode_batch(np.asarray(x, dtype=np.float32)[None, :], codec_params, codec_config)
     return float(_logits_np(z, cls_params)[0, target])

@@ -57,22 +57,40 @@ def read_checkpoint(path) -> Checkpoint:
         raw = f.read()
     if raw[:4] != MAGIC:
         raise CheckpointError(f"bad magic {raw[:4]!r}")
+    if len(raw) < 8:
+        raise CheckpointError(f"truncated checkpoint: {len(raw)} bytes, no header length")
     (hlen,) = struct.unpack_from("<I", raw, 4)
+    base = 8 + hlen
+    if base > len(raw):
+        raise CheckpointError(f"truncated checkpoint: header of {hlen} bytes, file {len(raw)}")
     try:
-        header = json.loads(raw[8 : 8 + hlen].decode("utf-8"))
+        header = json.loads(raw[8:base].decode("utf-8"))
     except (UnicodeDecodeError, json.JSONDecodeError) as e:
         raise CheckpointError(f"unreadable header: {e}") from e
+    if not isinstance(header, dict):
+        raise CheckpointError("checkpoint header is not an object")
     if header.get("version") != FORMAT_VERSION:
         raise CheckpointError(f"unsupported checkpoint version {header.get('version')}")
-    base = 8 + hlen
+    try:
+        table = [(t["name"], tuple(int(d) for d in t["shape"]), int(t["offset"]))
+                 for t in header["tensors"]]
+        kind, config = header["kind"], header["config"]
+    except (KeyError, TypeError, ValueError) as e:
+        raise CheckpointError(f"malformed header: {e!r}") from e
     params = {}
-    for entry in header["tensors"]:
-        shape = tuple(entry["shape"])
+    end = base  # blobs are written back to back, in table order
+    for name, shape, offset in table:
         count = int(np.prod(shape)) if shape else 1
-        start = base + entry["offset"]
-        arr = np.frombuffer(raw, dtype="<f4", count=count, offset=start)
-        params[entry["name"]] = arr.reshape(shape).copy()
-    return Checkpoint(header["kind"], header["config"], params, header.get("metadata", {}))
+        if min(shape, default=0) < 0 or base + offset != end:
+            raise CheckpointError(f"tensor {name!r} does not start where the last one ended")
+        if end + 4 * count > len(raw):
+            raise CheckpointError(f"truncated checkpoint: tensor {name!r} ends past the file")
+        arr = np.frombuffer(raw, dtype="<f4", count=count, offset=end)
+        params[name] = arr.reshape(shape).copy()
+        end += 4 * count
+    if end != len(raw):
+        raise CheckpointError(f"checkpoint has {len(raw) - end} bytes after its last tensor")
+    return Checkpoint(kind, config, params, header.get("metadata", {}))
 
 
 def file_sha256(path) -> str:

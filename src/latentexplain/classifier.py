@@ -109,17 +109,36 @@ def logits_from_latent(z: ad.Tensor, pt: dict) -> ad.Tensor:
 
 
 def _elu(x):
-    return np.where(x > 0, x, np.expm1(np.minimum(x, 0.0))).astype(np.float32)
+    # expm1(min(x, 0)) + max(x, 0) equals np.where(x > 0, x, expm1(x)) bit for bit
+    # and is several times faster: a where over a mask that is half true branches badly
+    out = np.minimum(x, 0.0)
+    np.expm1(out, out=out)
+    out += np.maximum(x, 0.0)
+    return out.astype(np.float32, copy=False)
+
+
+def _pool_gate(params: dict) -> float:
+    return float(params["pool_max"][0]) if "pool_max" in params else 0.0
+
+
+def _head_from_preact(pre: np.ndarray, params: dict):
+    """The head after its first affine layer, on (B, T, H) frame pre-activations.
+
+    Returns the frame embeddings ``elu(pre)``, the pre-activation of the hidden
+    layer (B, H) and the logits (B, C); latent IG differentiates through the
+    first two.
+    """
+    emb = _elu(pre)
+    pooled = emb.mean(axis=1)
+    gate = _pool_gate(params)
+    if gate:
+        pooled = pooled + gate * emb.max(axis=1)
+    hidden = pooled @ params["w1"] + params["b1"]
+    return emb, hidden, _elu(hidden) @ params["w2"] + params["b2"]
 
 
 def _logits_np(latents: np.ndarray, params: dict) -> np.ndarray:
-    emb = _elu(latents @ params["w0"] + params["b0"])
-    pooled = emb.mean(axis=1)
-    gate = float(params["pool_max"][0]) if "pool_max" in params else 0.0
-    if gate:
-        pooled = pooled + gate * emb.max(axis=1)
-    g = _elu(pooled @ params["w1"] + params["b1"])
-    return g @ params["w2"] + params["b2"]
+    return _head_from_preact(latents @ params["w0"] + params["b0"], params)[2]
 
 
 def classify(z: LatentGrid, params: dict) -> np.ndarray:

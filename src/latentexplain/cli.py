@@ -317,20 +317,24 @@ def cmd_train_classifier(cfg: RunConfig, args) -> int:
 
 
 def cmd_explain(cfg: RunConfig, args) -> int:
-    codec_ckpt = _load_checkpoint(args.codec or Path(cfg.paths.checkpoint_dir) / "codec.ckpt", "codec")
-    cls_ckpt = _load_checkpoint(
-        args.classifier or Path(cfg.paths.checkpoint_dir) / "classifier.ckpt", "classifier"
-    )
+    codec_path = args.codec or Path(cfg.paths.checkpoint_dir) / "codec.ckpt"
+    cls_path = args.classifier or Path(cfg.paths.checkpoint_dir) / "classifier.ckpt"
+    codec_ckpt = _load_checkpoint(codec_path, "codec")
+    cls_ckpt = _load_checkpoint(cls_path, "classifier")
     codec_cfg = CodecConfig.from_dict(codec_ckpt.config)
     clip = wav_read(args.input)
+    if clip.sample_rate != codec_cfg.sample_rate:
+        raise WavFormatError(
+            f"{args.input}: sample rate {clip.sample_rate} Hz, "
+            f"the codec expects {codec_cfg.sample_rate} Hz"
+        )
     models = build_models(
         codec_cfg, codec_ckpt.params, cls_ckpt.params,
         clip_length=len(clip), noise_seed=cfg.attribution.noise_seed,
         ig_steps=cfg.attribution.ig_steps,
     )
     z = encode(clip, codec_ckpt.params, codec_cfg)
-    probs = predict_batch(z.values[None], cls_ckpt.params)
-    target = int(probs[0])
+    target = int(predict_batch(z.values[None], cls_ckpt.params)[0])
     att = integrated_gradients_latent(
         z, models.base_latent, cls_ckpt.params, target, cfg.attribution.ig_steps
     )
@@ -342,7 +346,7 @@ def cmd_explain(cfg: RunConfig, args) -> int:
     wav_write(explanation, out)
     _write_provenance(
         out.parent, "explain", cfg,
-        {"codec": file_sha256(args.codec or Path(cfg.paths.checkpoint_dir) / "codec.ckpt")},
+        {"codec": file_sha256(codec_path), "classifier": file_sha256(cls_path)},
         {"input": str(args.input), "alpha": args.alpha, "predicted_class": target},
     )
     print(f"explanation (class {target}, alpha={args.alpha}) -> {out}")

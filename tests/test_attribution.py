@@ -13,8 +13,14 @@ from latentexplain.attribution import (
     target_logit_input,
     target_logit_latent,
 )
+from latentexplain import autodiff as ad
 from latentexplain.autodiff import DimensionError
-from latentexplain.classifier import predict_batch
+from latentexplain.classifier import (
+    ClassifierConfig,
+    init_classifier_params,
+    logits_from_latent,
+    predict_batch,
+)
 from latentexplain.codec import LatentGrid
 
 
@@ -64,6 +70,64 @@ class TestAffineClosedForm:
         g = (params["w0"] @ params["w1"] @ params["w2"][:, 0]) / 3.0
         expected = (z.values - base.values) * g[None, :]
         assert np.max(np.abs(att.scores - expected)) <= 1e-5
+
+
+def tape_latent_ig(z, base, params, target, steps):
+    """Reference latent IG: the head on the autodiff tape at every midpoint of the path."""
+    delta = z - base
+    alphas = ((np.arange(steps) + 0.5) / steps).astype(np.float32)
+    zt = ad.Tensor(base[None] + alphas[:, None, None] * delta[None], requires_grad=True)
+    logits = logits_from_latent(zt, {k: ad.Tensor(v) for k, v in params.items()})
+    onehot = np.zeros((params["w2"].shape[1], 1), dtype=np.float32)
+    onehot[target, 0] = 1.0
+    ad.tsum(ad.matmul(logits, ad.Tensor(onehot))).backward()
+    return delta * zt.grad.mean(axis=0)
+
+
+def random_head_params(pooling, l=8, h=16, c=4, seed=0):
+    params = init_classifier_params(
+        ClassifierConfig(num_classes=c, latent_channels=l, hidden=h, pooling=pooling), seed
+    )
+    rng = np.random.default_rng(seed + 100)
+    for k in ("b0", "b1", "b2"):
+        params[k] = (0.5 * rng.standard_normal(params[k].shape)).astype(np.float32)
+    return params
+
+
+class TestClosedFormMatchesTape:
+    """The closed-form latent IG equals IG taken on the tape, step by step."""
+
+    def check(self, z, base, params, steps=16):
+        for target in range(params["w2"].shape[1]):
+            got = integrated_gradients_latent(
+                LatentGrid(z), LatentGrid(base), params, target, steps=steps
+            ).scores
+            ref = tape_latent_ig(z, base, params, target, steps)
+            assert np.max(np.abs(got - ref)) <= 1e-5 * np.max(np.abs(ref))
+        return got
+
+    @pytest.mark.parametrize("pooling", ["mean", "mean-max"])
+    def test_random_heads(self, pooling):
+        rng = np.random.default_rng(3)
+        z = (2 * rng.standard_normal((12, 8))).astype(np.float32)
+        base = rng.standard_normal((12, 8)).astype(np.float32)
+        self.check(z, base, random_head_params(pooling, seed=4))
+
+    def test_head_without_pool_gate(self):
+        rng = np.random.default_rng(5)
+        z = rng.uniform(-1, 1, (7, 6)).astype(np.float32)
+        base = rng.uniform(-1, 1, (7, 6)).astype(np.float32)
+        self.check(z, base, affine_head_params(), steps=5)
+
+    def test_max_pool_ties_go_to_first_frame(self):
+        rng = np.random.default_rng(6)
+        # three distinct frames, repeated: every step's max is tied three ways
+        z = np.tile(rng.standard_normal((3, 8)).astype(np.float32), (3, 1))
+        base = np.tile(rng.standard_normal((3, 8)).astype(np.float32), (3, 1))
+        scores = self.check(z, base, random_head_params("mean-max", seed=7))
+        # the max-pool gradient lands on the first copy only
+        assert not np.allclose(scores[:3], scores[3:6])
+        assert np.array_equal(scores[3:6], scores[6:9])
 
 
 class TestBasicProperties:

@@ -1,12 +1,15 @@
 import numpy as np
 import pytest
 
+from latentexplain import autodiff as ad
 from latentexplain.checkpoint import params_sha256
 from latentexplain.classifier import (
     ClassifierConfig,
+    _logits_np,
     classify,
     evaluate_accuracy,
     init_classifier_params,
+    logits_from_latent,
     predict_batch,
     train_classifier,
 )
@@ -42,6 +45,19 @@ class TestClassify:
         params = init_classifier_params(ClassifierConfig(num_classes=4), seed=0)
         with pytest.raises(DimensionError):
             classify(LatentGrid(np.zeros((4, 7), dtype=np.float32)), params)
+
+
+class TestHeadForwardsAgree:
+    @pytest.mark.parametrize("pooling", ["mean", "mean-max"])
+    def test_numpy_forward_matches_tape(self, pooling):
+        params = init_classifier_params(ClassifierConfig(num_classes=5, pooling=pooling), 4)
+        rng = np.random.default_rng(5)
+        for k in ("b0", "b1", "b2"):
+            params[k] = (0.5 * rng.standard_normal(params[k].shape)).astype(np.float32)
+        lat = 2 * random_latents(6, seed=6)
+        tape = logits_from_latent(ad.Tensor(lat), {k: ad.Tensor(v) for k, v in params.items()})
+        got = _logits_np(lat, params)
+        assert np.max(np.abs(got - tape.data)) <= 1e-5 * np.max(np.abs(tape.data))
 
 
 class TestTraining:

@@ -7,7 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from latentexplain.audio import wav_read, wav_write
+from latentexplain.audio import AudioClip, wav_read, wav_write
 from latentexplain.cli import (
     EXIT_BAD_CONFIG,
     EXIT_DATA_ERROR,
@@ -128,6 +128,42 @@ class TestExplain:
         ref = tmp_path / "recon.wav"
         wav_write(recon, ref)
         assert filecmp.cmp(out, ref, shallow=False)
+
+    def test_provenance_names_both_checkpoints(self, workspace, tmp_path):
+        root, cfg = workspace
+        clip_path = next((root / "data" / "clips").glob("*.wav"))
+        out = tmp_path / "expl.wav"
+        assert main(["--config", str(cfg), "explain", "--input", str(clip_path),
+                     "--alpha", "0.5", "--out", str(out)]) == 0
+        rec = json.loads((tmp_path / "provenance_explain.json").read_text())
+        assert set(rec["checkpoint_sha256"]) == {"codec", "classifier"}
+        assert all(len(v) == 64 for v in rec["checkpoint_sha256"].values())
+
+    def test_wrong_sample_rate_rejected(self, workspace, tmp_path, capsys):
+        root, cfg = workspace
+        clip = wav_read(next((root / "data" / "clips").glob("*.wav")))
+        slow = tmp_path / "8k.wav"
+        wav_write(AudioClip(clip.samples, 8000), slow)
+        out = tmp_path / "expl.wav"
+        code = main(["--config", str(cfg), "explain", "--input", str(slow),
+                     "--alpha", "0.5", "--out", str(out)])
+        assert code == EXIT_DATA_ERROR
+        assert "sample rate 8000" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("cut", ["header", "blobs"])
+    def test_truncated_checkpoint_is_a_typed_error(self, workspace, tmp_path, capsys, cut):
+        root, cfg = workspace
+        raw = (root / "ckpt" / "codec.ckpt").read_bytes()
+        bad = tmp_path / "codec.ckpt"
+        bad.write_bytes(b"AXG1\0\0" if cut == "header" else raw[:-100])
+        clip_path = next((root / "data" / "clips").glob("*.wav"))
+        code = main(["--config", str(cfg), "explain", "--codec", str(bad),
+                     "--input", str(clip_path), "--alpha", "0.5",
+                     "--out", str(tmp_path / "o.wav")])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert "truncated checkpoint" in err and "Traceback" not in err
 
     def test_missing_input_wav(self, workspace, tmp_path):
         root, cfg = workspace

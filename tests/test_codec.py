@@ -165,3 +165,28 @@ class TestCheckpointFormat:
         path.write_bytes(b"AXG1" + struct.pack("<I", len(header)) + header)
         with pytest.raises(CheckpointError):
             read_checkpoint(path)
+
+    def _written(self, tmp_path):
+        ck = Checkpoint(kind="codec", config={}, metadata={},
+                        params={"a": np.ones((3, 4), np.float32), "b": np.zeros(7, np.float32)})
+        path = tmp_path / "ok.ckpt"
+        write_checkpoint(ck, path)
+        return path
+
+    def test_header_length_missing(self, tmp_path):
+        path = tmp_path / "short.ckpt"
+        path.write_bytes(b"AXG1\0\0")
+        with pytest.raises(CheckpointError, match="truncated"):
+            read_checkpoint(path)
+
+    def test_cut_short(self, tmp_path):
+        path = self._written(tmp_path)
+        path.write_bytes(path.read_bytes()[:-100])
+        with pytest.raises(CheckpointError, match="truncated"):
+            read_checkpoint(path)
+
+    def test_trailing_bytes(self, tmp_path):
+        path = self._written(tmp_path)
+        path.write_bytes(path.read_bytes() + b"\0" * 4)
+        with pytest.raises(CheckpointError, match="after its last tensor"):
+            read_checkpoint(path)
