@@ -13,10 +13,11 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import DimensionError
-from .codec import CodecConfig, LatentGrid, encode_batch, encode_tensor, pad_for_encode
-from .classifier import _head_from_preact, _logits_np, _pool_gate, _wrap, logits_from_latent
+from .codec import CodecConfig, LatentGrid, _wrap, encode_batch, encode_tensor, pad_for_encode
+from .classifier import _head_from_preact, _logits_np, _pool_gate, logits_from_latent
 
 DEFAULT_IG_STEPS = 64
+INPUT_IG_CHUNK = 32  # path points per encoder pass in waveform IG
 
 LATENT_IG = "latent-ig"
 INPUT_IG = "input-ig"
@@ -33,8 +34,8 @@ class AttributionMap:
     baseline: dict = field(default_factory=dict)
 
 
-def _midpoints(steps: int, dtype=np.float32) -> np.ndarray:
-    return ((np.arange(steps, dtype=np.float64) + 0.5) / steps).astype(dtype)
+def _midpoints(steps: int) -> np.ndarray:
+    return ((np.arange(steps, dtype=np.float64) + 0.5) / steps).astype(np.float32)
 
 
 def integrated_gradients_latent(
@@ -99,7 +100,6 @@ def integrated_gradients_input(
     cls_params: dict,
     target: int,
     steps: int = DEFAULT_IG_STEPS,
-    chunk: int = 32,
 ) -> AttributionMap:
     """IG of the target logit w.r.t. the waveform, through encoder + head."""
     x = np.asarray(x, dtype=np.float32).reshape(-1)
@@ -118,8 +118,8 @@ def integrated_gradients_input(
     onehot[target, 0] = 1.0
     grad_sum = np.zeros_like(xp)
     alphas = _midpoints(steps)
-    for start in range(0, steps, chunk):
-        a = alphas[start : start + chunk]
+    for start in range(0, steps, INPUT_IG_CHUNK):
+        a = alphas[start : start + INPUT_IG_CHUNK]
         pts = bp[None, :] + a[:, None] * delta[None, :]
         xt = ad.Tensor(pts[:, None, :], requires_grad=True)
         zt = encode_tensor(xt, cpt, codec_config)  # (b, L, T)

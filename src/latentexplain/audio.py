@@ -108,5 +108,7 @@ def wav_read(path) -> AudioClip:
         raise WavFormatError(f"'fmt ' chunk: {channels} channels unsupported (mono only)")
     if bits != 16:
         raise WavFormatError(f"'fmt ' chunk: {bits}-bit samples unsupported (16-bit only)")
+    if len(data) % 2:
+        raise WavFormatError(f"'data' chunk of {len(data)} bytes is not whole 16-bit samples")
     pcm = np.frombuffer(data, dtype="<i2")
     return AudioClip(pcm.astype(np.float32) / 32767.0, rate)

@@ -24,9 +24,6 @@ class Checkpoint:
     params: dict  # name -> np.float32 ndarray
     metadata: dict = field(default_factory=dict)
 
-    def param_copy(self) -> dict:
-        return {k: v.copy() for k, v in self.params.items()}
-
 
 def write_checkpoint(ckpt: Checkpoint, path) -> None:
     names = list(ckpt.params.keys())

@@ -4,7 +4,8 @@ Every subcommand reads a JSON run config (unknown keys rejected, flags
 override file values) and writes a provenance record next to its
 artifacts so any output can be reproduced byte-identically.
 
-Exit codes: 0 success, 2 missing checkpoint, 3 malformed config, 4 data error.
+Exit codes: 0 success, 2 missing or unreadable checkpoint, 3 malformed config,
+4 data error (including a clip shorter than one latent frame).
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .audio import AudioClip, WavFormatError, wav_read, wav_write
+from .audio import LengthError, WavFormatError, wav_read, wav_write
 from .checkpoint import Checkpoint, CheckpointError, file_sha256, read_checkpoint, write_checkpoint
 from .classifier import ClassifierConfig, evaluate_accuracy, predict_batch, train_classifier
 from .codec import CodecConfig, CodecTrainConfig, LatentGrid, decode, encode, encode_batch, train_autoencoder
@@ -46,10 +47,6 @@ EXIT_DATA_ERROR = 4
 
 
 class ConfigError(ValueError):
-    pass
-
-
-class MissingCheckpointError(FileNotFoundError):
     pass
 
 
@@ -207,14 +204,19 @@ def _write_provenance(out_dir: Path, command: str, config: RunConfig, checkpoint
         json.dump(record, f, sort_keys=True, indent=1)
 
 
-def _load_checkpoint(path, kind: str) -> Checkpoint:
-    p = Path(path)
+def _checkpoint_path(cfg: RunConfig, given, kind: str) -> Path:
+    """The path given on the command line, else ``<checkpoint_dir>/<kind>.ckpt``."""
+    return Path(given or Path(cfg.paths.checkpoint_dir) / f"{kind}.ckpt")
+
+
+def _load_checkpoint(cfg: RunConfig, given, kind: str) -> tuple[Path, Checkpoint]:
+    p = _checkpoint_path(cfg, given, kind)
     if not p.is_file():
-        raise MissingCheckpointError(f"missing {kind} checkpoint: {p}")
+        raise CheckpointError(f"missing {kind} checkpoint: {p}")
     ckpt = read_checkpoint(p)
     if ckpt.kind != kind:
         raise CheckpointError(f"{p} holds a {ckpt.kind!r} checkpoint, expected {kind!r}")
-    return ckpt
+    return p, ckpt
 
 
 def _load_data(path):
@@ -224,15 +226,23 @@ def _load_data(path):
     return load_dataset(p)
 
 
-def _build_eval_models(cfg: RunConfig, codec_ckpt: Checkpoint, cls_ckpt: Checkpoint):
-    return build_models(
-        CodecConfig.from_dict(codec_ckpt.config),
-        codec_ckpt.params,
-        cls_ckpt.params,
-        clip_length=cfg.dataset.clip_length,
-        noise_seed=cfg.attribution.noise_seed,
+def _load_models(cfg: RunConfig, args, clip_length: int):
+    """Both checkpoints, checked, and the explainer models for clips of ``clip_length``.
+
+    Returns the models and the two checkpoint paths, named as in provenance.
+    """
+    codec_path, codec_ckpt = _load_checkpoint(cfg, args.codec, "codec")
+    cls_path, cls_ckpt = _load_checkpoint(cfg, args.classifier, "classifier")
+    models = build_models(
+        CodecConfig.from_dict(codec_ckpt.config), codec_ckpt.params, cls_ckpt.params,
+        clip_length=clip_length, noise_seed=cfg.attribution.noise_seed,
         ig_steps=cfg.attribution.ig_steps,
     )
+    return models, {"codec": codec_path, "classifier": cls_path}
+
+
+def _hashes(paths: dict) -> dict:
+    return {name: file_sha256(p) for name, p in paths.items()}
 
 
 def cmd_synth_data(cfg: RunConfig, args) -> int:
@@ -259,7 +269,7 @@ def cmd_train_codec(cfg: RunConfig, args) -> int:
     ckpt = train_autoencoder(
         ds.clips[ds.train_idx], codec_cfg, cfg.codec_train_config(), seed=cfg.codec.seed
     )
-    out = Path(args.out or Path(cfg.paths.checkpoint_dir) / "codec.ckpt")
+    out = _checkpoint_path(cfg, args.out, "codec")
     out.parent.mkdir(parents=True, exist_ok=True)
     write_checkpoint(ckpt, out)
     _write_provenance(out.parent, "train-codec", cfg, {"codec": file_sha256(out)})
@@ -269,8 +279,7 @@ def cmd_train_codec(cfg: RunConfig, args) -> int:
 
 def cmd_train_classifier(cfg: RunConfig, args) -> int:
     ds = _load_data(args.data or cfg.paths.data_dir)
-    codec_path = args.codec or Path(cfg.paths.checkpoint_dir) / "codec.ckpt"
-    codec_ckpt = _load_checkpoint(codec_path, "codec")
+    codec_path, codec_ckpt = _load_checkpoint(cfg, args.codec, "codec")
     codec_hash_before = file_sha256(codec_path)
     codec_cfg = CodecConfig.from_dict(codec_ckpt.config)
     latents = encode_batch(ds.clips, codec_ckpt.params, codec_cfg)
@@ -301,7 +310,7 @@ def cmd_train_classifier(cfg: RunConfig, args) -> int:
     )
     acc = evaluate_accuracy(latents[ds.test_idx], ds.labels[ds.test_idx], ckpt.params)
     ckpt.metadata["test_accuracy"] = acc
-    out = Path(args.out or Path(cfg.paths.checkpoint_dir) / "classifier.ckpt")
+    out = _checkpoint_path(cfg, args.out, "classifier")
     out.parent.mkdir(parents=True, exist_ok=True)
     write_checkpoint(ckpt, out)
     codec_hash_after = file_sha256(codec_path)
@@ -317,36 +326,27 @@ def cmd_train_classifier(cfg: RunConfig, args) -> int:
 
 
 def cmd_explain(cfg: RunConfig, args) -> int:
-    codec_path = args.codec or Path(cfg.paths.checkpoint_dir) / "codec.ckpt"
-    cls_path = args.classifier or Path(cfg.paths.checkpoint_dir) / "classifier.ckpt"
-    codec_ckpt = _load_checkpoint(codec_path, "codec")
-    cls_ckpt = _load_checkpoint(cls_path, "classifier")
-    codec_cfg = CodecConfig.from_dict(codec_ckpt.config)
     clip = wav_read(args.input)
+    models, ckpt_paths = _load_models(cfg, args, len(clip))
+    codec_cfg = models.codec_config
     if clip.sample_rate != codec_cfg.sample_rate:
         raise WavFormatError(
             f"{args.input}: sample rate {clip.sample_rate} Hz, "
             f"the codec expects {codec_cfg.sample_rate} Hz"
         )
-    models = build_models(
-        codec_cfg, codec_ckpt.params, cls_ckpt.params,
-        clip_length=len(clip), noise_seed=cfg.attribution.noise_seed,
-        ig_steps=cfg.attribution.ig_steps,
-    )
-    z = encode(clip, codec_ckpt.params, codec_cfg)
-    target = int(predict_batch(z.values[None], cls_ckpt.params)[0])
+    z = encode(clip, models.codec_params, codec_cfg)
+    target = int(predict_batch(z.values[None], models.cls_params)[0])
     att = integrated_gradients_latent(
-        z, models.base_latent, cls_ckpt.params, target, cfg.attribution.ig_steps
+        z, models.base_latent, models.cls_params, target, models.ig_steps
     )
     mask = select_top(att, args.alpha)
     masked = apply_mask_keep(z, mask, models.base_latent)
-    explanation = decode(masked, codec_ckpt.params, codec_cfg)
+    explanation = decode(masked, models.codec_params, codec_cfg)
     out = Path(args.out)
     out.parent.mkdir(parents=True, exist_ok=True)
     wav_write(explanation, out)
     _write_provenance(
-        out.parent, "explain", cfg,
-        {"codec": file_sha256(codec_path), "classifier": file_sha256(cls_path)},
+        out.parent, "explain", cfg, _hashes(ckpt_paths),
         {"input": str(args.input), "alpha": args.alpha, "predicted_class": target},
     )
     print(f"explanation (class {target}, alpha={args.alpha}) -> {out}")
@@ -355,11 +355,7 @@ def cmd_explain(cfg: RunConfig, args) -> int:
 
 def _cmd_eval(cfg: RunConfig, args, metric: str) -> int:
     ds = _load_data(args.data or cfg.paths.data_dir)
-    codec_path = args.codec or Path(cfg.paths.checkpoint_dir) / "codec.ckpt"
-    cls_path = args.classifier or Path(cfg.paths.checkpoint_dir) / "classifier.ckpt"
-    codec_ckpt = _load_checkpoint(codec_path, "codec")
-    cls_ckpt = _load_checkpoint(cls_path, "classifier")
-    models = _build_eval_models(cfg, codec_ckpt, cls_ckpt)
+    models, ckpt_paths = _load_models(cfg, args, cfg.dataset.clip_length)
     methods = args.methods.split(",") if args.methods else list(ALL_METHODS)
     for mname in methods:
         if mname not in ALL_METHODS:
@@ -386,7 +382,7 @@ def _cmd_eval(cfg: RunConfig, args, metric: str) -> int:
         print(f"{metric} [{mname}]: {summary}")
     _write_provenance(
         out_dir, f"eval-{'fidelity' if metric == 'agreement' else 'drop'}", cfg,
-        {"codec": file_sha256(codec_path), "classifier": file_sha256(cls_path)},
+        _hashes(ckpt_paths),
     )
     return 0
 
@@ -395,11 +391,7 @@ def cmd_confusion(cfg: RunConfig, args) -> int:
     ds = _load_data(args.data or cfg.paths.data_dir)
     if "neutral" not in ds.class_names:
         raise DatasetError("confusion requires a dataset with a 'neutral' class")
-    codec_path = args.codec or Path(cfg.paths.checkpoint_dir) / "codec.ckpt"
-    cls_path = args.classifier or Path(cfg.paths.checkpoint_dir) / "classifier.ckpt"
-    codec_ckpt = _load_checkpoint(codec_path, "codec")
-    cls_ckpt = _load_checkpoint(cls_path, "classifier")
-    models = _build_eval_models(cfg, codec_ckpt, cls_ckpt)
+    models, ckpt_paths = _load_models(cfg, args, cfg.dataset.clip_length)
     clips, labels = ds.subset(ds.test_idx)
     mat = confusion_after_removal(clips, labels, len(ds.class_names), models, args.beta)
     out = Path(args.out or Path(cfg.paths.report_dir) / "confusion.json")
@@ -410,8 +402,7 @@ def cmd_confusion(cfg: RunConfig, args) -> int:
             f, sort_keys=True, indent=1,
         )
     _write_provenance(
-        out.parent, "confusion", cfg,
-        {"codec": file_sha256(codec_path), "classifier": file_sha256(cls_path)},
+        out.parent, "confusion", cfg, _hashes(ckpt_paths),
         {"beta": args.beta},
     )
     print(f"confusion matrix (beta={args.beta}) -> {out}")
@@ -484,13 +475,13 @@ def main(argv=None) -> int:
     except ConfigError as e:
         print(f"error code=3 msg={e}", file=sys.stderr)
         return EXIT_BAD_CONFIG
-    except MissingCheckpointError as e:
+    except CheckpointError as e:
         print(f"error code=2 msg={e}", file=sys.stderr)
         return EXIT_MISSING_CHECKPOINT
-    except (DatasetError, WavFormatError, FileNotFoundError) as e:
+    except (DatasetError, WavFormatError, LengthError, FileNotFoundError) as e:
         print(f"error code=4 msg={e}", file=sys.stderr)
         return EXIT_DATA_ERROR
-    except (CheckpointError, ValueError) as e:
+    except ValueError as e:
         print(f"error code=1 msg={e}", file=sys.stderr)
         return 1
 

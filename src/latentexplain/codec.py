@@ -74,10 +74,6 @@ class CodecConfig:
             n = (n - 1) * s + k
         return n
 
-    @property
-    def min_input_length(self) -> int:
-        return self.stride_product
-
     def to_dict(self) -> dict:
         return {
             "sample_rate": self.sample_rate,

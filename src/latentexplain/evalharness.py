@@ -27,16 +27,15 @@ from .attribution import (
     integrated_gradients_latent,
     random_attribution,
 )
-from .audio import AudioClip
+from .audio import AudioClip, generate_noise_clip
 from .classifier import predict_batch
-from .codec import CodecConfig, LatentGrid, encode_batch
+from .codec import CodecConfig, LatentGrid, encode, encode_batch
 from .masking import (
+    BASE_NOISE_AMPLITUDE,
     KEEP_TOP,
     REMOVE_TOP,
     apply_mask_keep,
     apply_mask_remove,
-    base_noise_clip,
-    make_base_latent,
     mask_input_space,
     mask_input_space_remove,
     select_top,
@@ -105,8 +104,10 @@ def build_models(
     noise_seed: int = 7,
     ig_steps: int = 64,
 ) -> ExplainerModels:
-    noise = base_noise_clip(codec_config, clip_length, noise_seed)
-    base = make_base_latent(codec_params, codec_config, clip_length, noise_seed)
+    # the noise clip is the input-space baseline and its encoding the latent one
+    noise = generate_noise_clip(clip_length, BASE_NOISE_AMPLITUDE, noise_seed,
+                                codec_config.sample_rate)
+    base = encode(noise, codec_params, codec_config)
     return ExplainerModels(codec_config, codec_params, cls_params, base, noise, ig_steps)
 
 

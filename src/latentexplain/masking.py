@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .attribution import AttributionMap
-from .audio import AudioClip, LengthError, generate_noise_clip
+from .audio import AudioClip, generate_noise_clip
 from .autodiff import DimensionError
 from .codec import CodecConfig, LatentGrid, decode, encode
 
@@ -81,23 +81,10 @@ def apply_mask_remove(z: LatentGrid, mask: SelectionMask, z_base: LatentGrid) ->
     return LatentGrid(out.reshape(z.values.shape))
 
 
-def make_base_latent(
-    enc_params: dict, config: CodecConfig, length: int, seed: int,
-    amplitude: float = BASE_NOISE_AMPLITUDE,
-) -> LatentGrid:
+def make_base_latent(enc_params: dict, config: CodecConfig, length: int, seed: int) -> LatentGrid:
     """Encode seeded quiet uniform noise of the given length into the base latent."""
-    if length < config.min_input_length:
-        raise LengthError(
-            f"length {length} below one frame ({config.min_input_length} samples)"
-        )
-    noise = generate_noise_clip(length, amplitude, seed, config.sample_rate)
+    noise = generate_noise_clip(length, BASE_NOISE_AMPLITUDE, seed, config.sample_rate)
     return encode(noise, enc_params, config)
-
-
-def base_noise_clip(config: CodecConfig, length: int, seed: int,
-                    amplitude: float = BASE_NOISE_AMPLITUDE) -> AudioClip:
-    """The noise clip whose encoding is the base latent (also the input-space baseline)."""
-    return generate_noise_clip(length, amplitude, seed, config.sample_rate)
 
 
 def synthesize_explanation(z_masked: LatentGrid, dec_params: dict, config: CodecConfig) -> AudioClip:

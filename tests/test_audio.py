@@ -95,6 +95,17 @@ class TestWavRoundTrip:
         with pytest.raises(WavFormatError, match="channels"):
             wav_read(path)
 
+    def test_odd_length_data_chunk_rejected(self, tmp_path):
+        path = tmp_path / "odd.wav"
+        fmt = struct.pack("<HHIIHH", 1, 1, 16000, 32000, 2, 16)
+        data = b"\x00" * 7
+        with open(path, "wb") as f:
+            f.write(b"RIFF" + struct.pack("<I", 36 + len(data)) + b"WAVE")
+            f.write(b"fmt " + struct.pack("<I", 16) + fmt)
+            f.write(b"data" + struct.pack("<I", len(data)) + data)
+        with pytest.raises(WavFormatError, match="'data' chunk"):
+            wav_read(path)
+
     def test_truncated_header(self, tmp_path):
         path = tmp_path / "trunc.wav"
         path.write_bytes(b"RIFF\x00\x00")

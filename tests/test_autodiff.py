@@ -39,23 +39,23 @@ class TestMatmul:
 class TestConv1d:
     def test_sliding_dot_product(self):
         # sliding dot-product oracle for kernel [1,0,-1]
-        x = t(np.array([[1, 2, 3, 4]], dtype=np.float32))
+        x = t(np.array([[[1, 2, 3, 4]]], dtype=np.float32))
         w = t(np.array([[[1, 0, -1]]], dtype=np.float32))
         out = ad.conv1d(x, w, stride=1)
-        assert np.allclose(out.data, [[-2, -2]])
+        assert np.allclose(out.data, [[[-2, -2]]])
 
     def test_identity_kernel(self):
-        x = t(np.random.randn(1, 7))
+        x = t(np.random.randn(1, 1, 7))
         w = t(np.ones((1, 1, 1)))
         assert np.allclose(ad.conv1d(x, w, 1).data, x.data)
 
     def test_output_length(self):
-        out = ad.conv1d(t(np.random.randn(1, 6)), t(np.random.randn(1, 1, 2)), stride=2)
-        assert out.data.shape == (1, 3)
+        out = ad.conv1d(t(np.random.randn(1, 1, 6)), t(np.random.randn(1, 1, 2)), stride=2)
+        assert out.data.shape == (1, 1, 3)
 
     def test_too_short_input(self):
-        with pytest.raises(ad.DimensionError):
-            ad.conv1d(t(np.random.randn(1, 2)), t(np.random.randn(1, 1, 3)), 1)
+        with pytest.raises(ad.DimensionError, match="shorter than kernel"):
+            ad.conv1d(t(np.random.randn(1, 1, 2)), t(np.random.randn(1, 1, 3)), 1)
 
     def test_batched_matches_per_sample(self):
         rng = np.random.default_rng(0)
@@ -63,19 +63,25 @@ class TestConv1d:
         w = t(rng.standard_normal((3, 2, 4)).astype(np.float32))
         batched = ad.conv1d(t(x), w, 2).data
         for i in range(4):
-            single = ad.conv1d(t(x[i]), w, 2).data
-            assert np.array_equal(batched[i], single)
+            single = ad.conv1d(t(x[i : i + 1]), w, 2).data
+            assert np.array_equal(batched[i], single[0])
+
+
+@pytest.mark.parametrize("op", [ad.conv1d, ad.conv1d_transpose])
+def test_conv_rejects_unbatched_input(op):
+    with pytest.raises(ad.DimensionError, match="input must be"):
+        op(t(np.zeros((2, 8))), t(np.zeros((2, 2, 3))), 1)
 
 
 class TestConv1dTranspose:
     def test_scatter_add(self):
-        x = t(np.array([[1, 0]], dtype=np.float32))
+        x = t(np.array([[[1, 0]]], dtype=np.float32))
         w = t(np.array([[[1, 1]]], dtype=np.float32))
         out = ad.conv1d_transpose(x, w, stride=2)
-        assert np.allclose(out.data, [[1, 1, 0, 0]])
+        assert np.allclose(out.data, [[[1, 1, 0, 0]]])
 
     def test_zeros(self):
-        out = ad.conv1d_transpose(t(np.zeros((2, 5))), t(np.random.randn(2, 3, 4)), 2)
+        out = ad.conv1d_transpose(t(np.zeros((1, 2, 5))), t(np.random.randn(2, 3, 4)), 2)
         assert np.all(out.data == 0)
 
     @given(st.integers(0, 1000))
@@ -87,13 +93,13 @@ class TestConv1dTranspose:
         k = int(rng.integers(1, 5))
         cin, cout = int(rng.integers(1, 4)), int(rng.integers(1, 4))
         n = int(rng.integers(k, k + 12))
-        x = rng.standard_normal((cin, n)).astype(np.float32)
+        x = rng.standard_normal((1, cin, n)).astype(np.float32)
         w = rng.standard_normal((cout, cin, k)).astype(np.float32)
         nout = (n - k) // stride + 1
-        y = rng.standard_normal((cout, nout)).astype(np.float32)
+        y = rng.standard_normal((1, cout, nout)).astype(np.float32)
         lhs = float(np.sum(ad.conv1d(t(x), t(w), stride).data * y))
-        back = ad.conv1d_transpose(t(y), t(w), stride).data[:, :n]
-        rhs = float(np.sum(x[:, : back.shape[1]] * back))
+        back = ad.conv1d_transpose(t(y), t(w), stride).data[:, :, :n]
+        rhs = float(np.sum(x[:, :, : back.shape[2]] * back))
         assert abs(lhs - rhs) <= 1e-5 * max(1.0, abs(lhs))
 
 
@@ -111,6 +117,37 @@ class TestUnary:
     def test_elu_negative_branch(self):
         out = ad.elu(t([-1.0]))
         assert np.allclose(out.data, np.expm1(-1.0))
+
+
+class TestEluMatchesWhereForm:
+    """Oracle: the np.where form of ELU and of its derivative that the tape used before."""
+
+    X = np.concatenate([
+        np.array([-0.0, 0.0, 1e-45, -1e-45, -1e-30, -20.0, -104.0, -1e30, -np.inf, 3.0, np.inf],
+                 dtype=np.float32),
+        np.random.default_rng(4).standard_normal(4096).astype(np.float32) * 8,
+    ])
+
+    def test_forward_bits(self):
+        old = np.where(self.X > 0, self.X, np.expm1(self.X))
+        new = ad.elu_array(self.X)
+        assert new.dtype == np.float32
+        # -0.0 comes out as +0.0 (the where form keeps -0.0); equal as values. Every ELU
+        # input in the pipeline is a sum with a bias that is never -0.0, so it is never -0.0.
+        nz = self.X.view(np.uint32) != np.float32(-0.0).view(np.uint32)
+        assert np.array_equal(new[nz].view(np.uint32), old[nz].view(np.uint32))
+        assert np.array_equal(new, old)
+
+    def test_backward_bits(self):
+        x = t(self.X, rg=True)
+        ad.tsum(ad.elu(x)).backward()
+        old = np.where(self.X > 0, 1.0, np.expm1(self.X) + 1).astype(np.float32)
+        assert np.array_equal(x.grad.view(np.uint32), old.view(np.uint32))
+
+    def test_keeps_float64(self):
+        x = np.array([-2.0, 0.5])
+        assert ad.elu_array(x).dtype == np.float64
+        assert np.array_equal(ad.elu_array(x), np.where(x > 0, x, np.expm1(x)))
 
 
 class TestSoftmaxCrossEntropy:
@@ -156,7 +193,7 @@ class TestBackward:
 
     def test_deterministic_gradients(self):
         rng = np.random.default_rng(1)
-        data = rng.standard_normal((3, 8)).astype(np.float32)
+        data = rng.standard_normal((1, 3, 8)).astype(np.float32)
         wdata = rng.standard_normal((2, 3, 3)).astype(np.float32)
         grads = []
         for _ in range(2):
@@ -181,11 +218,11 @@ def test_gradcheck_each_op(opname, case):
                      [rng.standard_normal((3, 4)), rng.standard_normal((4, 2))])
     elif opname == "conv1d":
         ad.gradcheck(lambda x, w: ad.tsum(ad.mul(ad.conv1d(x, w, 2), ad.conv1d(x, w, 2))),
-                     [rng.standard_normal((2, 9)), rng.standard_normal((3, 2, 3))])
+                     [rng.standard_normal((1, 2, 9)), rng.standard_normal((3, 2, 3))])
     elif opname == "conv1d_transpose":
         ad.gradcheck(
             lambda x, w: ad.tsum(ad.mul(ad.conv1d_transpose(x, w, 2), ad.conv1d_transpose(x, w, 2))),
-            [rng.standard_normal((2, 4)), rng.standard_normal((2, 3, 3))])
+            [rng.standard_normal((1, 2, 4)), rng.standard_normal((2, 3, 3))])
     elif opname == "tanh":
         ad.gradcheck(lambda x: ad.tsum(ad.tanh(x)), [rng.standard_normal(6)])
     elif opname == "relu":

@@ -2,6 +2,7 @@
 
 import filecmp
 import json
+import struct
 from pathlib import Path
 
 import numpy as np
@@ -162,8 +163,41 @@ class TestExplain:
                      "--input", str(clip_path), "--alpha", "0.5",
                      "--out", str(tmp_path / "o.wav")])
         err = capsys.readouterr().err
-        assert code == 1
+        assert code == EXIT_MISSING_CHECKPOINT
         assert "truncated checkpoint" in err and "Traceback" not in err
+
+    def test_bad_magic_checkpoint_exits_2(self, workspace, tmp_path, capsys):
+        root, cfg = workspace
+        raw = (root / "ckpt" / "classifier.ckpt").read_bytes()
+        bad = tmp_path / "classifier.ckpt"
+        bad.write_bytes(b"NOPE" + raw[4:])
+        clip_path = next((root / "data" / "clips").glob("*.wav"))
+        code = main(["--config", str(cfg), "explain", "--classifier", str(bad),
+                     "--input", str(clip_path), "--alpha", "0.5",
+                     "--out", str(tmp_path / "o.wav")])
+        assert code == EXIT_MISSING_CHECKPOINT
+        assert "bad magic" in capsys.readouterr().err
+
+    def test_clip_shorter_than_a_frame_exits_4(self, workspace, tmp_path, capsys):
+        root, cfg = workspace
+        short = tmp_path / "short.wav"
+        wav_write(AudioClip(np.full(10, 0.1), 16000), short)
+        code = main(["--config", str(cfg), "explain", "--input", str(short),
+                     "--alpha", "0.5", "--out", str(tmp_path / "o.wav")])
+        assert code == EXIT_DATA_ERROR
+        assert "shorter than one frame" in capsys.readouterr().err
+
+    def test_odd_length_data_chunk_exits_4(self, workspace, tmp_path, capsys):
+        root, cfg = workspace
+        raw = next((root / "data" / "clips").glob("*.wav")).read_bytes()
+        assert raw[36:40] == b"data"
+        (size,) = struct.unpack_from("<I", raw, 40)
+        odd = tmp_path / "odd.wav"
+        odd.write_bytes(raw[:40] + struct.pack("<I", size - 1) + raw[44:-1])
+        code = main(["--config", str(cfg), "explain", "--input", str(odd),
+                     "--alpha", "0.5", "--out", str(tmp_path / "o.wav")])
+        assert code == EXIT_DATA_ERROR
+        assert "'data' chunk" in capsys.readouterr().err
 
     def test_missing_input_wav(self, workspace, tmp_path):
         root, cfg = workspace
