@@ -32,6 +32,27 @@ class AttributionMap:
     method: str
     ig_steps: int | None = None
     baseline: dict = field(default_factory=dict)
+    _ranked: tuple | None = field(default=None, init=False, repr=False, compare=False)
+
+    def rank(self) -> np.ndarray:
+        """int32 position of each flat cell in the stable descending order of the scores.
+
+        Built once per scores array and cached. Ranking makes the array read-only,
+        so an in-place write cannot leave the rank stale; binding a new array to
+        ``scores`` ranks again. Non-finite scores have no rank and raise ValueError.
+        """
+        cached = self._ranked
+        if cached is not None and cached[0] is self.scores and not self.scores.flags.writeable:
+            return cached[1]
+        flat = self.scores.ravel()
+        bad = flat.size - np.count_nonzero(np.isfinite(flat))
+        if bad:
+            raise ValueError(f"attribution map has {bad} non-finite scores of {flat.size}")
+        rank = np.empty(flat.size, dtype=np.int32)
+        rank[np.argsort(-flat, kind="stable")] = np.arange(flat.size, dtype=np.int32)
+        self.scores.flags.writeable = False
+        self._ranked = (self.scores, rank)
+        return rank
 
 
 def _midpoints(steps: int) -> np.ndarray:

@@ -4,8 +4,10 @@ Every subcommand reads a JSON run config (unknown keys rejected, flags
 override file values) and writes a provenance record next to its
 artifacts so any output can be reproduced byte-identically.
 
-Exit codes: 0 success, 2 missing or unreadable checkpoint, 3 malformed config,
-4 data error (including a clip shorter than one latent frame).
+Exit codes: 0 success, 2 missing or unreadable checkpoint, 3 malformed config
+(including a ratio outside [0, 1] in ``--alpha``, ``--beta``, ``eval.alphas`` or
+``eval.betas``, checked before any input is read), 4 data error (including a clip
+shorter than one latent frame).
 """
 
 from __future__ import annotations
@@ -26,7 +28,7 @@ from .classifier import ClassifierConfig, evaluate_accuracy, predict_batch, trai
 from .codec import CodecConfig, CodecTrainConfig, LatentGrid, decode, encode, encode_batch, train_autoencoder
 from .data import DatasetError, SyntheticDatasetSpec, generate_dataset, load_dataset, save_dataset
 from .attribution import integrated_gradients_latent
-from .masking import apply_mask_keep, make_base_latent, select_top
+from .masking import apply_mask_keep, check_ratio, make_base_latent, select_top
 from .evalharness import (
     ALL_METHODS,
     DEFAULT_ALPHAS,
@@ -48,6 +50,17 @@ EXIT_DATA_ERROR = 4
 
 class ConfigError(ValueError):
     pass
+
+
+def _check_ratios(where: str, ratios) -> None:
+    """ConfigError unless ``ratios`` is a list of numbers in [0, 1], the rule of ``select_top``."""
+    if not isinstance(ratios, list):
+        raise ConfigError(f"{where}: expected a list of ratios")
+    try:
+        for r in ratios:
+            check_ratio(r)
+    except ValueError as e:
+        raise ConfigError(f"{where}: {e}") from e
 
 
 def _from_dict(cls, d: dict, where: str):
@@ -151,6 +164,8 @@ class RunConfig:
             cfg.attribution = _from_dict(AttributionSection, raw["attribution"], "attribution")
         if "eval" in raw:
             cfg.eval = _from_dict(EvalSection, raw["eval"], "eval")
+            _check_ratios("eval.alphas", cfg.eval.alphas)
+            _check_ratios("eval.betas", cfg.eval.betas)
         return cfg
 
     def codec_config(self) -> CodecConfig:
@@ -326,6 +341,7 @@ def cmd_train_classifier(cfg: RunConfig, args) -> int:
 
 
 def cmd_explain(cfg: RunConfig, args) -> int:
+    _check_ratios("--alpha", [args.alpha])
     clip = wav_read(args.input)
     models, ckpt_paths = _load_models(cfg, args, len(clip))
     codec_cfg = models.codec_config
@@ -388,6 +404,7 @@ def _cmd_eval(cfg: RunConfig, args, metric: str) -> int:
 
 
 def cmd_confusion(cfg: RunConfig, args) -> int:
+    _check_ratios("--beta", [args.beta])
     ds = _load_data(args.data or cfg.paths.data_dir)
     if "neutral" not in ds.class_names:
         raise DatasetError("confusion requires a dataset with a 'neutral' class")

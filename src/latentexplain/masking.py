@@ -7,6 +7,7 @@ masked latent decodes to a listenable explanation.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -43,42 +44,48 @@ class SelectionMask:
         return SelectionMask(comp, self.shape, self.ratio, mode, self.method)
 
 
-def _count(ratio: float, total: int) -> int:
-    # round-half-up, monotone in ratio
-    return int(np.floor(ratio * total + 0.5))
+def check_ratio(ratio) -> float:
+    """The ratio as a float; ValueError unless it is a real number in [0, 1] (NaN is not)."""
+    if not isinstance(ratio, numbers.Real) or not 0.0 <= ratio <= 1.0:
+        raise ValueError(f"ratio must be in [0,1], got {ratio}")
+    return float(ratio)
 
 
 def select_top(att: AttributionMap, ratio: float, mode: str = KEEP_TOP) -> SelectionMask:
-    """Top round(ratio * cells) by signed score, ties by ascending row-major index."""
-    if not 0.0 <= ratio <= 1.0:
-        raise ValueError(f"ratio must be in [0,1], got {ratio}")
-    flat = att.scores.ravel()
-    order = np.argsort(-flat, kind="stable")
-    k = _count(ratio, flat.size)
-    kept = np.sort(order[:k]).astype(np.int64)
-    return SelectionMask(kept, att.scores.shape, float(ratio), mode, att.method)
+    """Top round(ratio * cells) by signed score, ties by ascending row-major index.
+
+    The first call on a map ranks it and makes its scores read-only
+    (``AttributionMap.rank``); every later call reuses that rank.
+    """
+    ratio = check_ratio(ratio)
+    k = int(np.floor(ratio * att.scores.size + 0.5))  # round-half-up, monotone in ratio
+    kept = np.flatnonzero(att.rank() < k)
+    return SelectionMask(kept, att.scores.shape, ratio, mode, att.method)
+
+
+def _check_shapes(x: np.ndarray, base: np.ndarray, mask_shape: tuple) -> None:
+    if base.shape != x.shape or tuple(mask_shape) != x.shape:
+        raise DimensionError(f"shape mismatch: values {x.shape}, base {base.shape}, "
+                             f"mask {mask_shape}")
+
+
+def _splice(x: np.ndarray, base: np.ndarray, kept: np.ndarray, mode: str) -> np.ndarray:
+    """Base with x's ``kept`` cells (keep-top), or x with base's ``kept`` cells (remove-top)."""
+    src, out = (x, base.copy()) if mode == KEEP_TOP else (base, x.copy())
+    np.put(out, kept, src.take(kept))
+    return out
 
 
 def apply_mask_keep(z: LatentGrid, mask: SelectionMask, z_base: LatentGrid) -> LatentGrid:
     """Keep the masked cells from z, take everything else from the base latent."""
-    if z.values.shape != z_base.values.shape or tuple(mask.shape) != z.values.shape:
-        raise DimensionError(
-            f"shape mismatch: z {z.values.shape}, base {z_base.values.shape}, mask {mask.shape}"
-        )
-    out = z_base.values.copy().ravel()
-    out[mask.kept] = z.values.ravel()[mask.kept]
-    return LatentGrid(out.reshape(z.values.shape))
+    _check_shapes(z.values, z_base.values, mask.shape)
+    return LatentGrid(_splice(z.values, z_base.values, mask.kept, KEEP_TOP))
 
 
 def apply_mask_remove(z: LatentGrid, mask: SelectionMask, z_base: LatentGrid) -> LatentGrid:
     """Replace the masked (top-ranked) cells with the base latent, keep the rest."""
-    if z.values.shape != z_base.values.shape or tuple(mask.shape) != z.values.shape:
-        raise DimensionError(
-            f"shape mismatch: z {z.values.shape}, base {z_base.values.shape}, mask {mask.shape}"
-        )
-    out = z.values.copy().ravel()
-    out[mask.kept] = z_base.values.ravel()[mask.kept]
-    return LatentGrid(out.reshape(z.values.shape))
+    _check_shapes(z.values, z_base.values, mask.shape)
+    return LatentGrid(_splice(z.values, z_base.values, mask.kept, REMOVE_TOP))
 
 
 def make_base_latent(enc_params: dict, config: CodecConfig, length: int, seed: int) -> LatentGrid:
@@ -94,25 +101,13 @@ def synthesize_explanation(z_masked: LatentGrid, dec_params: dict, config: Codec
 
 def mask_input_space(x: AudioClip, att: AttributionMap, ratio: float, noise: AudioClip) -> AudioClip:
     """Keep the top-ratio samples of x by attribution, take the rest from noise."""
-    n = len(x)
-    if att.scores.ndim != 1 or att.scores.shape[0] != n or len(noise) != n:
-        raise DimensionError(
-            f"length mismatch: clip {n}, attribution {att.scores.shape}, noise {len(noise)}"
-        )
+    _check_shapes(x.samples, noise.samples, att.scores.shape)
     mask = select_top(att, ratio)
-    out = noise.samples.copy()
-    out[mask.kept] = x.samples[mask.kept]
-    return AudioClip(out, x.sample_rate)
+    return AudioClip(_splice(x.samples, noise.samples, mask.kept, KEEP_TOP), x.sample_rate)
 
 
 def mask_input_space_remove(x: AudioClip, att: AttributionMap, ratio: float, noise: AudioClip) -> AudioClip:
     """Replace the top-ratio samples of x by attribution with noise, keep the rest."""
-    n = len(x)
-    if att.scores.ndim != 1 or att.scores.shape[0] != n or len(noise) != n:
-        raise DimensionError(
-            f"length mismatch: clip {n}, attribution {att.scores.shape}, noise {len(noise)}"
-        )
+    _check_shapes(x.samples, noise.samples, att.scores.shape)
     mask = select_top(att, ratio, mode=REMOVE_TOP)
-    out = x.samples.copy()
-    out[mask.kept] = noise.samples[mask.kept]
-    return AudioClip(out, x.sample_rate)
+    return AudioClip(_splice(x.samples, noise.samples, mask.kept, REMOVE_TOP), x.sample_rate)

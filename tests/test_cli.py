@@ -90,6 +90,57 @@ class TestExitCodes:
         assert code == EXIT_BAD_CONFIG
 
 
+class TestRatiosCheckedFirst:
+    """A ratio outside [0, 1] is a malformed config: exit 3 before any input is read."""
+
+    @staticmethod
+    def config_with_eval(workspace, tmp_path, **eval_overrides) -> Path:
+        _, cfg = workspace
+        raw = json.loads(cfg.read_text())
+        raw["eval"].update(eval_overrides)
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(raw))
+        return path
+
+    @pytest.mark.parametrize("alpha", ["1.5", "-0.1", "nan"])
+    def test_explain_alpha(self, workspace, tmp_path, capsys, alpha):
+        root, cfg = workspace
+        clip_path = next((root / "data" / "clips").glob("*.wav"))
+        out = tmp_path / "o" / "expl.wav"
+        code = main(["--config", str(cfg), "explain", "--input", str(clip_path),
+                     "--alpha", alpha, "--out", str(out)])
+        assert code == EXIT_BAD_CONFIG
+        assert "--alpha" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
+    def test_confusion_beta(self, workspace, tmp_path, capsys):
+        root, cfg = workspace
+        out = tmp_path / "o" / "c.json"
+        code = main(["--config", str(cfg), "confusion", "--beta", "1.5", "--out", str(out)])
+        assert code == EXIT_BAD_CONFIG
+        assert "--beta" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
+    def test_eval_fidelity_alphas(self, workspace, tmp_path, capsys):
+        bad = self.config_with_eval(workspace, tmp_path, alphas=[0.1, 1.5])
+        out = tmp_path / "rep"
+        code = main(["--config", str(bad), "eval-fidelity", "--methods", "latent-ig",
+                     "--out", str(out)])
+        assert code == EXIT_BAD_CONFIG
+        assert "eval.alphas" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("betas", [[0.5, -0.01], [0.1, "0.2"], 0.5])
+    def test_eval_drop_betas(self, workspace, tmp_path, capsys, betas):
+        bad = self.config_with_eval(workspace, tmp_path, betas=betas)
+        out = tmp_path / "rep"
+        code = main(["--config", str(bad), "eval-drop", "--methods", "latent-ig",
+                     "--out", str(out)])
+        assert code == EXIT_BAD_CONFIG
+        assert "eval.betas" in capsys.readouterr().err
+        assert not out.exists()
+
+
 class TestArtifacts:
     def test_dataset_layout(self, workspace):
         root, _ = workspace

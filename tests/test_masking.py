@@ -1,6 +1,9 @@
+import copy
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from hypothesis.extra.numpy import arrays
 
 from latentexplain.attribution import AttributionMap, random_attribution
 from latentexplain.audio import AudioClip, LengthError
@@ -14,6 +17,7 @@ from latentexplain.masking import (
     make_base_latent,
     mask_input_space,
     mask_input_space_remove,
+    check_ratio,
     select_top,
     synthesize_explanation,
 )
@@ -51,6 +55,82 @@ class TestSelectTop:
         assert mask.kept.size == int(np.floor(ratio * 30 + 0.5))
         smaller = select_top(scores, ratio / 2)
         assert set(smaller.kept.tolist()) <= set(mask.kept.tolist())
+
+
+TIED_SCORES = st.sampled_from([-1.0, -0.5, -0.0, 0.0, 0.5, 1.0])
+
+
+def parent_kept(flat, ratio):
+    """select_top's kept cells as one full stable argsort per call computes them."""
+    k = int(np.floor(ratio * flat.size + 0.5))
+    return np.sort(np.argsort(-flat, kind="stable")[:k]).astype(np.int64)
+
+
+class TestRankCache:
+    @given(
+        arrays(np.float32, st.tuples(st.integers(1, 6), st.integers(1, 7)), elements=TIED_SCORES),
+        st.lists(st.tuples(st.floats(0.0, 1.0), st.sampled_from([KEEP_TOP, REMOVE_TOP])),
+                 min_size=1, max_size=12),
+    )
+    @settings(max_examples=80, deadline=None)
+    def test_cached_kept_matches_a_full_argsort(self, scores, calls):
+        att = att_map(scores)
+        flat = scores.ravel().copy()
+        for ratio, mode in calls:
+            mask = select_top(att, ratio, mode=mode)
+            assert mask.kept.dtype == np.int64 and mask.mode == mode
+            assert np.array_equal(mask.kept, parent_kept(flat, ratio))
+
+    def test_eleven_ratios_sort_the_map_once(self, monkeypatch):
+        att = random_attribution((64, 32), seed=0)
+        counts = {"argsort": 0, "isfinite": 0}
+
+        def spy(name):
+            orig = getattr(np, name)
+
+            def counted(*args, **kwargs):
+                counts[name] += 1
+                return orig(*args, **kwargs)
+            return counted
+
+        for name in counts:
+            monkeypatch.setattr(np, name, spy(name))
+        for i in range(11):
+            select_top(att, i / 10, mode=KEEP_TOP if i % 2 else REMOVE_TOP)
+        assert counts == {"argsort": 1, "isfinite": 1}
+
+    def test_rebinding_scores_ranks_again(self):
+        att = att_map([[0.9, 0.1], [0.5, 0.3]])
+        assert select_top(att, 0.25).kept.tolist() == [0]
+        att.scores = np.asarray([[0.1, 0.9], [0.5, 0.3]], dtype=np.float32)
+        assert select_top(att, 0.25).kept.tolist() == [1]
+
+    def test_in_place_write_into_ranked_scores_raises(self):
+        att = att_map([[0.9, 0.1], [0.5, 0.3]])
+        select_top(att, 0.5)
+        with pytest.raises(ValueError, match="read-only"):
+            att.scores[0, 1] = 2.0
+
+    def test_deep_copy_is_ranked_from_its_own_scores(self):
+        att = att_map([[0.9, 0.1], [0.5, 0.3]])
+        select_top(att, 0.25)
+        twin = copy.deepcopy(att)
+        twin.scores[0, 1] = 2.0  # the copy's array is writeable again
+        assert select_top(twin, 0.25).kept.tolist() == [1]
+        assert select_top(att, 0.25).kept.tolist() == [0]
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_scores_rejected(self, bad):
+        with pytest.raises(ValueError, match="2 non-finite"):
+            select_top(att_map([bad, 1.0, 0.5, bad]), 0.5)
+
+    @pytest.mark.parametrize("ratio", [-0.1, 1.5, float("nan"), float("inf"), "0.5", None])
+    def test_check_ratio_rejects(self, ratio):
+        with pytest.raises(ValueError, match="ratio must be in"):
+            check_ratio(ratio)
+
+    def test_check_ratio_accepts_numpy_scalars(self):
+        assert check_ratio(np.float32(0.25)) == 0.25 and check_ratio(1) == 1.0
 
 
 class TestApplyMask:
