@@ -5,9 +5,11 @@ override file values) and writes a provenance record next to its
 artifacts so any output can be reproduced byte-identically.
 
 Exit codes: 0 success, 2 missing or unreadable checkpoint, 3 malformed config
-(including a ratio outside [0, 1] in ``--alpha``, ``--beta``, ``eval.alphas`` or
-``eval.betas``, checked before any input is read), 4 data error (including a clip
-shorter than one latent frame).
+or arguments (including an argument argparse rejects, a ratio outside [0, 1] in
+``--alpha``, ``--beta``, ``eval.alphas`` or ``eval.betas``, and a ``--jobs``,
+``eval.runs``, ``eval.base_seed``, ``attribution.ig_steps`` or
+``attribution.noise_seed`` that is not an integer in range; all checked before
+any input is read), 4 data error (including a clip shorter than one latent frame).
 """
 
 from __future__ import annotations
@@ -61,6 +63,12 @@ def _check_ratios(where: str, ratios) -> None:
             check_ratio(r)
     except ValueError as e:
         raise ConfigError(f"{where}: {e}") from e
+
+
+def _check_int(where: str, value, low: int) -> None:
+    """ConfigError unless ``value`` is an integer (not a bool) of at least ``low``."""
+    if isinstance(value, bool) or not isinstance(value, int) or value < low:
+        raise ConfigError(f"{where}: expected an integer >= {low}, got {value!r}")
 
 
 def _from_dict(cls, d: dict, where: str):
@@ -162,10 +170,14 @@ class RunConfig:
             cfg.classifier = _from_dict(ClassifierSection, raw["classifier"], "classifier")
         if "attribution" in raw:
             cfg.attribution = _from_dict(AttributionSection, raw["attribution"], "attribution")
+            _check_int("attribution.ig_steps", cfg.attribution.ig_steps, 1)
+            _check_int("attribution.noise_seed", cfg.attribution.noise_seed, 0)
         if "eval" in raw:
             cfg.eval = _from_dict(EvalSection, raw["eval"], "eval")
             _check_ratios("eval.alphas", cfg.eval.alphas)
             _check_ratios("eval.betas", cfg.eval.betas)
+            _check_int("eval.runs", cfg.eval.runs, 1)
+            _check_int("eval.base_seed", cfg.eval.base_seed, 0)
         return cfg
 
     def codec_config(self) -> CodecConfig:
@@ -370,12 +382,13 @@ def cmd_explain(cfg: RunConfig, args) -> int:
 
 
 def _cmd_eval(cfg: RunConfig, args, metric: str) -> int:
-    ds = _load_data(args.data or cfg.paths.data_dir)
-    models, ckpt_paths = _load_models(cfg, args, cfg.dataset.clip_length)
+    _check_int("--jobs", args.jobs, 1)
     methods = args.methods.split(",") if args.methods else list(ALL_METHODS)
     for mname in methods:
         if mname not in ALL_METHODS:
             raise ConfigError(f"unknown method {mname!r}; choose from {list(ALL_METHODS)}")
+    ds = _load_data(args.data or cfg.paths.data_dir)
+    models, ckpt_paths = _load_models(cfg, args, cfg.dataset.clip_length)
     clips, labels = ds.subset(ds.test_idx)
     out_dir = Path(args.out or cfg.paths.report_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -485,7 +498,12 @@ _COMMANDS = {
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    try:
+        args = build_parser().parse_args(argv)
+    except SystemExit as e:
+        if e.code == 0:  # --help
+            raise
+        return EXIT_BAD_CONFIG  # argparse has printed the usage and its message
     try:
         cfg = RunConfig.from_file(args.config) if args.config else RunConfig()
         return _COMMANDS[args.command](cfg, args)

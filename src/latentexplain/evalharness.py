@@ -3,8 +3,12 @@
 Agreement = fraction of samples whose masked-latent explanation is
 classified the same as the prediction on the unmasked latent.
 Post-removal accuracy = test accuracy after the top-ranked cells are
-replaced by the base latent. Deterministic methods are computed once and
-replicated across runs, so their reported std is exactly zero.
+replaced by the base latent. Every measurement runs one path: one
+attribution map per clip (``_attributions``), then per ratio one masked
+batch and one head call (``_masked_preds``; waveforms are masked, clamped
+to [-1, 1] and encoded first). Deterministic methods are computed once and
+replicated across runs, so their reported std is exactly zero. Each listed
+ratio gives its own report row, repeats included.
 """
 
 from __future__ import annotations
@@ -30,6 +34,7 @@ from .attribution import (
 from .audio import AudioClip, generate_noise_clip
 from .classifier import predict_batch
 from .codec import CodecConfig, LatentGrid, encode, encode_batch
+# bench/workloads.py reads the four mask functions from this module, so they stay bound here
 from .masking import (
     BASE_NOISE_AMPLITUDE,
     KEEP_TOP,
@@ -39,6 +44,7 @@ from .masking import (
     mask_input_space,
     mask_input_space_remove,
     select_top,
+    splice,
 )
 
 REPORT_VERSION = 1
@@ -121,117 +127,79 @@ def _map_samples(fn, items, jobs: int):
         return list(pool.map(fn, items))
 
 
-def _latent_ig_maps(latents: np.ndarray, targets: np.ndarray, models: ExplainerModels, jobs: int = 1):
-    base = models.base_latent
-    return _map_samples(
-        lambda zt: integrated_gradients_latent(
-            LatentGrid(zt[0]), base, models.cls_params, int(zt[1]), models.ig_steps
-        ),
-        list(zip(latents, targets)),
-        jobs,
-    )
+def _attributions(method, clips, latents, targets, models: ExplainerModels, run_seed, jobs):
+    """One attribution map per clip; ``run_seed`` seeds the random methods."""
+    if method == LATENT_IG:
+        def one(i):
+            return integrated_gradients_latent(LatentGrid(latents[i]), models.base_latent,
+                                               models.cls_params, int(targets[i]), models.ig_steps)
+    elif method == INPUT_IG:
+        def one(i):
+            return integrated_gradients_input(clips[i], models.noise_clip.samples,
+                                              models.codec_params, models.codec_config,
+                                              models.cls_params, int(targets[i]), models.ig_steps)
+    else:
+        shape = latents.shape[1:] if method == RANDOM_LATENT else clips.shape[1:]
 
-
-def _input_ig_maps(clips: np.ndarray, targets: np.ndarray, models: ExplainerModels, jobs: int = 1):
-    noise = models.noise_clip.samples
-    return _map_samples(
-        lambda xt: integrated_gradients_input(
-            xt[0], noise, models.codec_params, models.codec_config,
-            models.cls_params, int(xt[1]), models.ig_steps,
-        ),
-        list(zip(clips, targets)),
-        jobs,
-    )
-
-
-def _random_maps(shape, m: int, run_seed: int, method: str):
-    return [
-        random_attribution(shape, seed=_derive_seed(run_seed, i), method=method)
-        for i in range(m)
-    ]
+        def one(i):
+            return random_attribution(shape, seed=_derive_seed(run_seed, i), method=method)
+    return _map_samples(one, range(len(clips)), jobs)
 
 
 def _derive_seed(run_seed: int, sample_index: int) -> int:
     return int(np.random.SeedSequence([run_seed, sample_index]).generate_state(1)[0])
 
 
-def _masked_preds_latent(latents, atts, models: ExplainerModels, ratio: float, mode: str):
-    masked = []
-    for z, att in zip(latents, atts):
-        mask = select_top(att, ratio, mode=mode)
-        grid = LatentGrid(z)
-        if mode == KEEP_TOP:
-            out = apply_mask_keep(grid, mask, models.base_latent)
-        else:
-            out = apply_mask_remove(grid, mask, models.base_latent)
-        masked.append(out.values)
-    return predict_batch(np.stack(masked), models.cls_params)
+def _masked_preds(items: np.ndarray, atts, models: ExplainerModels, ratio: float, mode: str):
+    """Head predictions after masking each item by its map at ``ratio``.
+
+    Items are latents (M, T, L), masked against the base latent, or
+    waveforms (M, N), masked against the noise clip, clamped to [-1, 1]
+    like any ``AudioClip`` and encoded.
+    """
+    latent_space = items.ndim == 3
+    base = models.base_latent.values if latent_space else models.noise_clip.samples
+    masked = np.stack([splice(x, base, select_top(att, ratio, mode=mode), mode)
+                       for x, att in zip(items, atts)])
+    if not latent_space:
+        masked = encode_batch(np.clip(masked, -1.0, 1.0), models.codec_params,
+                              models.codec_config)
+    return predict_batch(masked, models.cls_params)
 
 
-def _masked_preds_input(clips, atts, models: ExplainerModels, ratio: float, mode: str):
-    sr = models.codec_config.sample_rate
-    masked = []
-    for x, att in zip(clips, atts):
-        clip = AudioClip(x, sr)
-        if mode == KEEP_TOP:
-            out = mask_input_space(clip, att, ratio, models.noise_clip)
-        else:
-            out = mask_input_space_remove(clip, att, ratio, models.noise_clip)
-        masked.append(out.samples)
-    z = encode_batch(np.stack(masked), models.codec_params, models.codec_config)
-    return predict_batch(z, models.cls_params)
+def _encoded(clips, models: ExplainerModels):
+    """The clips as float32, their latents and the head's predictions on them."""
+    clips = np.asarray(clips, dtype=np.float32)
+    if clips.shape[0] == 0:
+        raise ValueError("test set must be nonempty")
+    latents = encode_batch(clips, models.codec_params, models.codec_config)
+    return clips, latents, predict_batch(latents, models.cls_params)
 
 
-def _sweep(
-    clips: np.ndarray,
-    reference: np.ndarray,
-    models: ExplainerModels,
-    method: str,
-    ratios,
-    runs: int,
-    base_seed: int,
-    mode: str,
-    targets: np.ndarray,
-    latents: np.ndarray,
-    jobs: int = 1,
-):
-    """Per-ratio per-run percent scores; reference is what predictions are compared to."""
+def _sweep(clips, latents, targets, reference, models: ExplainerModels, method: str, ratios,
+           runs: int, base_seed: int, metric: str, dataset_id: str, jobs: int) -> EvalReport:
+    """Percent of masked predictions equal to ``reference``, one row per listed ratio."""
     if method not in ALL_METHODS:
         raise ValueError(f"unknown method {method!r}")
-    is_latent = method in (LATENT_IG, RANDOM_LATENT)
-    preds_fn = _masked_preds_latent if is_latent else _masked_preds_input
-    rep = latents if is_latent else clips
-    m = len(clips)
+    items = latents if method in (LATENT_IG, RANDOM_LATENT) else clips
+    mode = KEEP_TOP if metric == AGREEMENT else REMOVE_TOP
+    ratios = list(ratios)
 
-    def score(atts, ratio):
-        preds = preds_fn(rep, atts, models, ratio, mode)
-        return 100.0 * float(np.mean(preds == reference))
+    def scores(run_seed):
+        atts = _attributions(method, clips, latents, targets, models, run_seed, jobs)
+        return [100.0 * float(np.mean(_masked_preds(items, atts, models, r, mode) == reference))
+                for r in ratios]
 
-    values = {r: [] for r in ratios}
     if method in _DETERMINISTIC:
-        atts = (
-            _latent_ig_maps(latents, targets, models, jobs)
-            if method == LATENT_IG
-            else _input_ig_maps(clips, targets, models, jobs)
-        )
-        for ratio in ratios:
-            v = score(atts, ratio)
-            values[ratio] = [v] * runs
+        per_run = [scores(base_seed)] * runs
     else:
-        shape = latents.shape[1:] if is_latent else (clips.shape[1],)
-        for run in range(runs):
-            atts = _random_maps(shape, m, base_seed + run, method)
-            for ratio in ratios:
-                values[ratio].append(score(atts, ratio))
-    return values
-
-
-def _rows(values: dict) -> list:
+        per_run = [scores(base_seed + run) for run in range(runs)]
     rows = []
-    for ratio in values:
-        arr = np.asarray(values[ratio], dtype=np.float64)
+    for i, ratio in enumerate(ratios):
+        arr = np.asarray([v[i] for v in per_run], dtype=np.float64)
         rows.append(RatioRow(float(ratio), float(arr.mean()), float(arr.std(ddof=0))))
-    return rows
+    return EvalReport(dataset_id, method, metric, rows, runs,
+                      [base_seed + r for r in range(runs)], {"ig_steps": models.ig_steps})
 
 
 def fidelity_agreement(
@@ -245,16 +213,9 @@ def fidelity_agreement(
     jobs: int = 1,
 ) -> EvalReport:
     """Agreement between the masked-latent explanation and the original prediction."""
-    clips = np.asarray(clips, dtype=np.float32)
-    if clips.shape[0] == 0:
-        raise ValueError("test set must be nonempty")
-    latents = encode_batch(clips, models.codec_params, models.codec_config)
-    orig = predict_batch(latents, models.cls_params)
-    values = _sweep(clips, orig, models, method, list(ratios), runs, base_seed,
-                    KEEP_TOP, orig, latents, jobs)
-    return EvalReport(dataset_id, method, AGREEMENT, _rows(values), runs,
-                      [base_seed + r for r in range(runs)],
-                      {"ig_steps": models.ig_steps})
+    clips, latents, orig = _encoded(clips, models)
+    return _sweep(clips, latents, orig, orig, models, method, ratios, runs, base_seed,
+                  AGREEMENT, dataset_id, jobs)
 
 
 def accuracy_drop(
@@ -269,17 +230,9 @@ def accuracy_drop(
     jobs: int = 1,
 ) -> EvalReport:
     """Test accuracy after the top-ranked cells are replaced by the base latent."""
-    clips = np.asarray(clips, dtype=np.float32)
-    labels = np.asarray(labels, dtype=np.int64)
-    if clips.shape[0] == 0:
-        raise ValueError("test set must be nonempty")
-    latents = encode_batch(clips, models.codec_params, models.codec_config)
-    targets = predict_batch(latents, models.cls_params)
-    values = _sweep(clips, labels, models, method, list(ratios), runs, base_seed,
-                    REMOVE_TOP, targets, latents, jobs)
-    return EvalReport(dataset_id, method, POST_REMOVAL_ACCURACY, _rows(values), runs,
-                      [base_seed + r for r in range(runs)],
-                      {"ig_steps": models.ig_steps})
+    clips, latents, targets = _encoded(clips, models)
+    return _sweep(clips, latents, targets, np.asarray(labels, dtype=np.int64), models, method,
+                  ratios, runs, base_seed, POST_REMOVAL_ACCURACY, dataset_id, jobs)
 
 
 def confusion_after_removal(
@@ -288,18 +241,13 @@ def confusion_after_removal(
     num_classes: int,
     models: ExplainerModels,
     beta: float,
-    seed: int = 0,
 ) -> np.ndarray:
     """C x C count matrix (rows true, cols predicted) after latent-IG removal at ratio beta."""
-    clips = np.asarray(clips, dtype=np.float32)
-    labels = np.asarray(labels, dtype=np.int64)
-    latents = encode_batch(clips, models.codec_params, models.codec_config)
-    targets = predict_batch(latents, models.cls_params)
-    atts = _latent_ig_maps(latents, targets, models)
-    preds = _masked_preds_latent(latents, atts, models, beta, REMOVE_TOP)
+    clips, latents, targets = _encoded(clips, models)
+    atts = _attributions(LATENT_IG, clips, latents, targets, models, None, 1)
+    preds = _masked_preds(latents, atts, models, beta, REMOVE_TOP)
     mat = np.zeros((num_classes, num_classes), dtype=np.int64)
-    for t, p in zip(labels, preds):
-        mat[t, p] += 1
+    np.add.at(mat, (np.asarray(labels, dtype=np.int64), preds), 1)
     return mat
 
 

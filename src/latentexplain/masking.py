@@ -2,7 +2,7 @@
 
 Top-ranked cells of the attribution map are kept (or removed) and the
 rest replaced by a base latent obtained from encoding quiet noise; the
-masked latent decodes to a listenable explanation.
+masked latent decodes to a listenable explanation. All masking is ``splice``.
 """
 
 from __future__ import annotations
@@ -63,29 +63,24 @@ def select_top(att: AttributionMap, ratio: float, mode: str = KEEP_TOP) -> Selec
     return SelectionMask(kept, att.scores.shape, ratio, mode, att.method)
 
 
-def _check_shapes(x: np.ndarray, base: np.ndarray, mask_shape: tuple) -> None:
-    if base.shape != x.shape or tuple(mask_shape) != x.shape:
+def splice(x: np.ndarray, base: np.ndarray, mask: SelectionMask, mode: str) -> np.ndarray:
+    """Base with x's masked cells (keep-top), or x with base's masked cells (remove-top)."""
+    if base.shape != x.shape or tuple(mask.shape) != x.shape:
         raise DimensionError(f"shape mismatch: values {x.shape}, base {base.shape}, "
-                             f"mask {mask_shape}")
-
-
-def _splice(x: np.ndarray, base: np.ndarray, kept: np.ndarray, mode: str) -> np.ndarray:
-    """Base with x's ``kept`` cells (keep-top), or x with base's ``kept`` cells (remove-top)."""
+                             f"mask {mask.shape}")
     src, out = (x, base.copy()) if mode == KEEP_TOP else (base, x.copy())
-    np.put(out, kept, src.take(kept))
+    np.put(out, mask.kept, src.take(mask.kept))
     return out
 
 
 def apply_mask_keep(z: LatentGrid, mask: SelectionMask, z_base: LatentGrid) -> LatentGrid:
     """Keep the masked cells from z, take everything else from the base latent."""
-    _check_shapes(z.values, z_base.values, mask.shape)
-    return LatentGrid(_splice(z.values, z_base.values, mask.kept, KEEP_TOP))
+    return LatentGrid(splice(z.values, z_base.values, mask, KEEP_TOP))
 
 
 def apply_mask_remove(z: LatentGrid, mask: SelectionMask, z_base: LatentGrid) -> LatentGrid:
     """Replace the masked (top-ranked) cells with the base latent, keep the rest."""
-    _check_shapes(z.values, z_base.values, mask.shape)
-    return LatentGrid(_splice(z.values, z_base.values, mask.kept, REMOVE_TOP))
+    return LatentGrid(splice(z.values, z_base.values, mask, REMOVE_TOP))
 
 
 def make_base_latent(enc_params: dict, config: CodecConfig, length: int, seed: int) -> LatentGrid:
@@ -101,13 +96,11 @@ def synthesize_explanation(z_masked: LatentGrid, dec_params: dict, config: Codec
 
 def mask_input_space(x: AudioClip, att: AttributionMap, ratio: float, noise: AudioClip) -> AudioClip:
     """Keep the top-ratio samples of x by attribution, take the rest from noise."""
-    _check_shapes(x.samples, noise.samples, att.scores.shape)
     mask = select_top(att, ratio)
-    return AudioClip(_splice(x.samples, noise.samples, mask.kept, KEEP_TOP), x.sample_rate)
+    return AudioClip(splice(x.samples, noise.samples, mask, KEEP_TOP), x.sample_rate)
 
 
 def mask_input_space_remove(x: AudioClip, att: AttributionMap, ratio: float, noise: AudioClip) -> AudioClip:
     """Replace the top-ratio samples of x by attribution with noise, keep the rest."""
-    _check_shapes(x.samples, noise.samples, att.scores.shape)
     mask = select_top(att, ratio, mode=REMOVE_TOP)
-    return AudioClip(_splice(x.samples, noise.samples, mask.kept, REMOVE_TOP), x.sample_rate)
+    return AudioClip(splice(x.samples, noise.samples, mask, REMOVE_TOP), x.sample_rate)

@@ -141,6 +141,61 @@ class TestRatiosCheckedFirst:
         assert not out.exists()
 
 
+class TestNumbersCheckedFirst:
+    """A count, seed or job number that is not an integer in range: exit 3, nothing read."""
+
+    @pytest.mark.parametrize("section,key,value", [
+        ("eval", "runs", 0), ("eval", "runs", "5"), ("eval", "runs", 2.0),
+        ("eval", "runs", True), ("eval", "base_seed", -1),
+        ("attribution", "ig_steps", 0), ("attribution", "noise_seed", "x"),
+        ("attribution", "noise_seed", -1),
+    ])
+    def test_config_value(self, workspace, tmp_path, capsys, section, key, value):
+        _, cfg = workspace
+        raw = json.loads(cfg.read_text())
+        raw.setdefault(section, {})[key] = value
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(raw))
+        out = tmp_path / "rep"
+        code = main(["--config", str(bad), "eval-fidelity", "--methods", "latent-ig",
+                     "--out", str(out)])
+        assert code == EXIT_BAD_CONFIG
+        assert f"{section}.{key}" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("jobs", ["0", "-2"])
+    def test_jobs(self, workspace, tmp_path, capsys, jobs):
+        _, cfg = workspace
+        out = tmp_path / "rep"
+        code = main(["--config", str(cfg), "eval-drop", "--methods", "latent-ig",
+                     "--jobs", jobs, "--out", str(out)])
+        assert code == EXIT_BAD_CONFIG
+        assert "--jobs" in capsys.readouterr().err
+        assert not out.exists()
+
+
+class TestArgumentErrors:
+    def test_unparsable_argument_exits_3(self, workspace, tmp_path, capsys):
+        root, cfg = workspace
+        clip_path = next((root / "data" / "clips").glob("*.wav"))
+        out = tmp_path / "o" / "expl.wav"
+        code = main(["--config", str(cfg), "explain", "--input", str(clip_path),
+                     "--alpha", "abc", "--out", str(out)])
+        assert code == EXIT_BAD_CONFIG
+        assert "invalid float value: 'abc'" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
+    def test_missing_command_exits_3(self, capsys):
+        assert main([]) == EXIT_BAD_CONFIG
+        assert "required" in capsys.readouterr().err
+
+    def test_help_still_exits_0(self, capsys):
+        with pytest.raises(SystemExit) as e:
+            main(["explain", "--help"])
+        assert e.value.code == 0
+        assert "--alpha" in capsys.readouterr().out
+
+
 class TestArtifacts:
     def test_dataset_layout(self, workspace):
         root, _ = workspace
@@ -278,6 +333,20 @@ class TestEvalCommands:
         payload = json.loads((out / "post-removal-accuracy_random-latent.json").read_text())
         assert len(payload["rows"]) == 2  # one per beta in the config
         assert payload["run_count"] == 2
+
+    def test_repeated_ratio_gets_its_own_row(self, workspace, tmp_path):
+        _, cfg = workspace
+        raw = json.loads(cfg.read_text())
+        raw["eval"]["alphas"] = [0.5, 0.5]
+        repeated = tmp_path / "repeated.json"
+        repeated.write_text(json.dumps(raw))
+        out = tmp_path / "rep"
+        assert main(["--config", str(repeated), "eval-fidelity",
+                     "--methods", "random-latent", "--out", str(out)]) == 0
+        payload = json.loads((out / "agreement_random-latent.json").read_text())
+        assert [r["ratio"] for r in payload["rows"]] == [0.5, 0.5]
+        assert payload["rows"][0] == payload["rows"][1] and payload["run_count"] == 2
+        assert (out / "agreement_random-latent.csv").read_text().count("\n0.5,") == 2
 
     def test_alpha_one_row_is_perfect_agreement(self, workspace, tmp_path):
         root, cfg = workspace

@@ -3,9 +3,12 @@
 import numpy as np
 import pytest
 
-from latentexplain.attribution import LATENT_IG, RANDOM_INPUT, RANDOM_LATENT
+import latentexplain.evalharness as evalharness
+from latentexplain.attribution import LATENT_IG, RANDOM_INPUT, RANDOM_LATENT, random_attribution
+from latentexplain.audio import AudioClip
 from latentexplain.classifier import predict_batch
 from latentexplain.codec import encode_batch
+from latentexplain.masking import mask_input_space_remove
 from latentexplain.evalharness import (
     AGREEMENT,
     POST_REMOVAL_ACCURACY,
@@ -98,6 +101,17 @@ class TestAgreementBoundaries:
             fidelity_agreement(clips, models_kw, "saliency", ratios=[0.1], runs=1)
 
 
+class TestRepeatedRatios:
+    def test_each_listed_ratio_gets_its_own_row(self, small_kw, models_kw):
+        clips, _ = small_kw
+        once = fidelity_agreement(clips, models_kw, RANDOM_LATENT, ratios=[0.5], runs=2)
+        twice = fidelity_agreement(clips, models_kw, RANDOM_LATENT, ratios=[0.5, 0.2, 0.5],
+                                   runs=2)
+        assert [r.ratio for r in twice.rows] == [0.5, 0.2, 0.5]
+        # each row averages exactly `runs` values, the same ones as the single-ratio sweep
+        assert twice.rows[0] == twice.rows[2] == once.rows[0]
+
+
 class TestAccuracyDropBoundaries:
     def test_beta_zero_equals_baseline_accuracy(self, small_kw, models_kw):
         clips, labels = small_kw
@@ -135,3 +149,40 @@ class TestConfusion:
         preds = predict_batch(z, models_kw.cls_params)
         mat = confusion_after_removal(clips, labels, 8, models_kw, beta=0.0)
         assert int(np.trace(mat)) == int(np.sum(preds == labels))
+
+
+class TestWaveformClamp:
+    """Input-space sweeps encode the masked waveforms clamped to [-1, 1], as AudioClip does."""
+
+    def test_random_input_cell_rebuilt_from_public_functions(self, emo_data, models_emo,
+                                                             monkeypatch):
+        test = emo_data.test_idx
+        loud = [i for i in test if np.abs(emo_data.clips[i]).max() > 1.0]
+        assert loud, "the clamp only shows on clips with samples beyond +-1"
+        clips, labels = emo_data.subset(np.asarray(loud + list(test[:2])))
+        encoded = []
+
+        def recording(samples, params, config):
+            encoded.append(samples.copy())
+            return encode_batch(samples, params, config)
+
+        monkeypatch.setattr(evalharness, "encode_batch", recording)
+        ratio, seed = 0.4, 5
+        rep = accuracy_drop(clips, labels, models_emo, RANDOM_INPUT, ratios=[ratio], runs=1,
+                            base_seed=seed)
+        sr = models_emo.codec_config.sample_rate
+        masked = np.stack([
+            mask_input_space_remove(
+                AudioClip(x, sr),
+                random_attribution(x.shape, int(np.random.SeedSequence([seed, i])
+                                                .generate_state(1)[0]), RANDOM_INPUT),
+                ratio, models_emo.noise_clip,
+            ).samples
+            for i, x in enumerate(clips)
+        ])
+        assert np.any((np.abs(clips) > 1.0) & (masked == np.clip(clips, -1.0, 1.0)))
+        # encode calls: the clips themselves, then the one masked batch
+        assert len(encoded) == 2 and np.array_equal(encoded[1], masked)
+        z = encode_batch(masked, models_emo.codec_params, models_emo.codec_config)
+        preds = predict_batch(z, models_emo.cls_params)
+        assert rep.rows[0].mean == 100.0 * float(np.mean(preds == labels))
