@@ -23,6 +23,7 @@ class Checkpoint:
     config: dict
     params: dict  # name -> np.float32 ndarray
     metadata: dict = field(default_factory=dict)
+    sha256: str = ""  # of the file bytes read_checkpoint parsed; empty when built in memory
 
 
 def write_checkpoint(ckpt: Checkpoint, path) -> None:
@@ -87,7 +88,8 @@ def read_checkpoint(path) -> Checkpoint:
         end += 4 * count
     if end != len(raw):
         raise CheckpointError(f"checkpoint has {len(raw) - end} bytes after its last tensor")
-    return Checkpoint(kind, config, params, header.get("metadata", {}))
+    return Checkpoint(kind, config, params, header.get("metadata", {}),
+                      hashlib.sha256(raw).hexdigest())
 
 
 def file_sha256(path) -> str:

@@ -23,7 +23,7 @@ of an arbitrary one.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -34,6 +34,9 @@ from .codec import LatentGrid, _wrap
 from .optim import Adam, AdamConfig
 
 
+POOLINGS = ("mean", "mean-max")
+
+
 @dataclass
 class ClassifierConfig:
     num_classes: int
@@ -42,32 +45,15 @@ class ClassifierConfig:
     lr: float = 1e-3
     batch_size: int = 32
     epochs: int = 150
-    pooling: str = "mean"  # "mean" or "mean-max"
+    pooling: str = "mean"  # one of POOLINGS
     # anchor-class substitution augmentation; active only when train_classifier
     # is also given a substitution base grid
     anchor_class: int | None = None
     substitution_max_ratio: float = 0.5
 
     def __post_init__(self):
-        if self.pooling not in ("mean", "mean-max"):
-            raise ValueError(f"pooling must be 'mean' or 'mean-max', got {self.pooling!r}")
-
-    def to_dict(self) -> dict:
-        return {
-            "num_classes": self.num_classes,
-            "latent_channels": self.latent_channels,
-            "hidden": self.hidden,
-            "lr": self.lr,
-            "batch_size": self.batch_size,
-            "epochs": self.epochs,
-            "pooling": self.pooling,
-            "anchor_class": self.anchor_class,
-            "substitution_max_ratio": self.substitution_max_ratio,
-        }
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "ClassifierConfig":
-        return cls(**d)
+        if self.pooling not in POOLINGS:
+            raise ValueError(f"pooling must be one of {POOLINGS}, got {self.pooling!r}")
 
 
 def init_classifier_params(config: ClassifierConfig, seed: int) -> dict:
@@ -202,7 +188,7 @@ def train_classifier(
         final_loss = total / count
     return Checkpoint(
         kind="classifier",
-        config=config.to_dict(),
+        config=asdict(config),
         params={k: t.data for k, t in pt.items()},
         metadata={"seed": seed, "epochs": config.epochs, "final_loss": final_loss},
     )

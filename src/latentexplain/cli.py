@@ -5,20 +5,20 @@ override file values) and writes a provenance record next to its
 artifacts so any output can be reproduced byte-identically.
 
 Exit codes: 0 success, 2 missing or unreadable checkpoint, 3 malformed config
-or arguments (including an argument argparse rejects, a ratio outside [0, 1] in
-``--alpha``, ``--beta``, ``eval.alphas`` or ``eval.betas``, and a ``--jobs``,
-``eval.runs``, ``eval.base_seed``, ``attribution.ig_steps`` or
-``attribution.noise_seed`` that is not an integer in range; all checked before
-any input is read), 4 data error (including a clip shorter than one latent frame).
+or arguments (an argument argparse rejects; a ``--alpha``, ``--beta`` or ``--jobs``
+out of range; any config value of the wrong type or out of range: every value is
+checked by type and range when the file is read, before any input is read),
+4 data error (including a clip shorter than one latent frame).
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
 import json
 import sys
-from dataclasses import dataclass, field, fields
+from dataclasses import asdict, dataclass, field, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -26,7 +26,7 @@ import numpy as np
 from . import __version__
 from .audio import LengthError, WavFormatError, wav_read, wav_write
 from .checkpoint import Checkpoint, CheckpointError, file_sha256, read_checkpoint, write_checkpoint
-from .classifier import ClassifierConfig, evaluate_accuracy, predict_batch, train_classifier
+from .classifier import POOLINGS, ClassifierConfig, evaluate_accuracy, predict_batch, train_classifier
 from .codec import CodecConfig, CodecTrainConfig, LatentGrid, decode, encode, encode_batch, train_autoencoder
 from .data import DatasetError, SyntheticDatasetSpec, generate_dataset, load_dataset, save_dataset
 from .attribution import integrated_gradients_latent
@@ -71,14 +71,51 @@ def _check_int(where: str, value, low: int) -> None:
         raise ConfigError(f"{where}: expected an integer >= {low}, got {value!r}")
 
 
-def _from_dict(cls, d: dict, where: str):
-    if not isinstance(d, dict):
-        raise ConfigError(f"{where}: expected an object")
-    known = {f.name for f in fields(cls)}
-    unknown = set(d) - known
+# A config value's rule follows from the type of its default: an integer >= 0, a
+# finite real, a nonempty list of integers >= 1, or a string. The exceptions, by key:
+_INT_LOW = {"num_classes": 2, **dict.fromkeys((
+    "clips_per_class", "clip_length", "sample_rate", "words", "renditions",
+    "latent_channels", "batch_size", "epochs", "hidden", "ig_steps", "runs"), 1)}
+_REAL_RULE = {"lr": (" > 0", lambda x: x > 0), "beta1": (" in [0, 1)", lambda x: 0 <= x < 1),
+              "beta2": (" in [0, 1)", lambda x: 0 <= x < 1)}
+
+
+def _check_value(where: str, key: str, default, value) -> None:
+    """ConfigError unless ``value`` keeps the rule of ``key`` and of its default's type."""
+    if key in ("alphas", "betas"):
+        _check_ratios(where, value)
+    elif key == "pooling":
+        if value is not None and value not in POOLINGS:
+            raise ConfigError(f"{where}: expected null or one of {POOLINGS}, got {value!r}")
+    elif isinstance(default, list):
+        if not isinstance(value, list) or not value:
+            raise ConfigError(f"{where}: expected a nonempty list of integers >= 1, got {value!r}")
+        for v in value:
+            _check_int(where, v, 1)
+    elif isinstance(default, int):
+        _check_int(where, value, _INT_LOW.get(key, 0))
+    elif isinstance(default, float):
+        text, holds = _REAL_RULE.get(key, ("", lambda x: True))
+        if (isinstance(value, bool) or not isinstance(value, (int, float))
+                or not abs(value) < float("inf") or not holds(value)):
+            raise ConfigError(f"{where}: expected a finite number{text}, got {value!r}")
+    elif not isinstance(value, str):  # the defaults left are strings
+        raise ConfigError(f"{where}: expected a string, got {value!r}")
+
+
+def _from_dict(default, raw, name: str):
+    """``default`` with the values of the config section ``raw``, each checked first."""
+    if not isinstance(raw, dict):
+        raise ConfigError(f"{name}: expected an object")
+    unknown = set(raw) - {f.name for f in fields(default)}
     if unknown:
-        raise ConfigError(f"{where}: unknown keys {sorted(unknown)}")
-    return cls(**d)
+        raise ConfigError(f"{name}: unknown keys {sorted(unknown)}")
+    for key, value in raw.items():
+        _check_value(f"{name}.{key}", key, getattr(default, key), value)
+    try:
+        return replace(default, **raw)
+    except ValueError as e:  # a rule across fields, from the section's __post_init__
+        raise ConfigError(f"{name}: {e}") from e
 
 
 @dataclass
@@ -152,32 +189,16 @@ class RunConfig:
             raise ConfigError("config root must be an object")
         if raw.get("schema_version") != SCHEMA_VERSION:
             raise ConfigError(f"unsupported schema_version {raw.get('schema_version')}")
-        known = {f.name for f in fields(cls)}
-        unknown = set(raw) - known
+        unknown = set(raw) - {f.name for f in fields(cls)}
         if unknown:
             raise ConfigError(f"unknown top-level keys {sorted(unknown)}")
-        cfg = cls()
-        if "paths" in raw:
-            cfg.paths = _from_dict(PathsConfig, raw["paths"], "paths")
-        if "dataset" in raw:
-            try:
-                cfg.dataset = _from_dict(SyntheticDatasetSpec, raw["dataset"], "dataset")
-            except DatasetError as e:
-                raise ConfigError(f"dataset: {e}") from e
-        if "codec" in raw:
-            cfg.codec = _from_dict(CodecSection, raw["codec"], "codec")
-        if "classifier" in raw:
-            cfg.classifier = _from_dict(ClassifierSection, raw["classifier"], "classifier")
-        if "attribution" in raw:
-            cfg.attribution = _from_dict(AttributionSection, raw["attribution"], "attribution")
-            _check_int("attribution.ig_steps", cfg.attribution.ig_steps, 1)
-            _check_int("attribution.noise_seed", cfg.attribution.noise_seed, 0)
-        if "eval" in raw:
-            cfg.eval = _from_dict(EvalSection, raw["eval"], "eval")
-            _check_ratios("eval.alphas", cfg.eval.alphas)
-            _check_ratios("eval.betas", cfg.eval.betas)
-            _check_int("eval.runs", cfg.eval.runs, 1)
-            _check_int("eval.base_seed", cfg.eval.base_seed, 0)
+        defaults = cls()
+        cfg = replace(defaults, **{name: _from_dict(getattr(defaults, name), section, name)
+                                   for name, section in raw.items() if name != "schema_version"})
+        try:
+            cfg.codec_config()
+        except ValueError as e:
+            raise ConfigError(f"codec: {e}") from e
         return cfg
 
     def codec_config(self) -> CodecConfig:
@@ -196,16 +217,8 @@ class RunConfig:
         )
 
     def sha256(self) -> str:
-        blob = json.dumps(_as_jsonable(self), sort_keys=True, separators=(",", ":"))
+        blob = json.dumps(asdict(self), sort_keys=True, separators=(",", ":"))
         return hashlib.sha256(blob.encode()).hexdigest()
-
-
-def _as_jsonable(obj):
-    if hasattr(obj, "__dataclass_fields__"):
-        return {f.name: _as_jsonable(getattr(obj, f.name)) for f in fields(obj)}
-    if isinstance(obj, (list, tuple)):
-        return [_as_jsonable(x) for x in obj]
-    return obj
 
 
 def _write_provenance(out_dir: Path, command: str, config: RunConfig, checkpoints: dict,
@@ -214,7 +227,7 @@ def _write_provenance(out_dir: Path, command: str, config: RunConfig, checkpoint
         "command": command,
         "package_version": __version__,
         "config_sha256": config.sha256(),
-        "config": _as_jsonable(config),
+        "config": asdict(config),
         "checkpoint_sha256": checkpoints,
         "seeds": {
             "dataset": config.dataset.seed,
@@ -256,32 +269,20 @@ def _load_data(path):
 def _load_models(cfg: RunConfig, args, clip_length: int):
     """Both checkpoints, checked, and the explainer models for clips of ``clip_length``.
 
-    Returns the models and the two checkpoint paths, named as in provenance.
+    Returns the models and the SHA-256 of the two checkpoint files, named as in provenance.
     """
-    codec_path, codec_ckpt = _load_checkpoint(cfg, args.codec, "codec")
-    cls_path, cls_ckpt = _load_checkpoint(cfg, args.classifier, "classifier")
+    _, codec_ckpt = _load_checkpoint(cfg, args.codec, "codec")
+    _, cls_ckpt = _load_checkpoint(cfg, args.classifier, "classifier")
     models = build_models(
         CodecConfig.from_dict(codec_ckpt.config), codec_ckpt.params, cls_ckpt.params,
         clip_length=clip_length, noise_seed=cfg.attribution.noise_seed,
         ig_steps=cfg.attribution.ig_steps,
     )
-    return models, {"codec": codec_path, "classifier": cls_path}
-
-
-def _hashes(paths: dict) -> dict:
-    return {name: file_sha256(p) for name, p in paths.items()}
+    return models, {"codec": codec_ckpt.sha256, "classifier": cls_ckpt.sha256}
 
 
 def cmd_synth_data(cfg: RunConfig, args) -> int:
     spec = cfg.dataset
-    if args.task and args.task != spec.task:
-        spec = SyntheticDatasetSpec.from_dict({**spec.to_dict(), "task": args.task})
-        if args.task == "emotion" and cfg.dataset.task != "emotion":
-            spec = SyntheticDatasetSpec(
-                task="emotion", num_classes=5, clips_per_class=100,
-                clip_length=cfg.dataset.clip_length, sample_rate=cfg.dataset.sample_rate,
-                seed=cfg.dataset.seed,
-            )
     out = Path(args.out or cfg.paths.data_dir)
     ds = generate_dataset(spec)
     save_dataset(ds, out)
@@ -307,7 +308,6 @@ def cmd_train_codec(cfg: RunConfig, args) -> int:
 def cmd_train_classifier(cfg: RunConfig, args) -> int:
     ds = _load_data(args.data or cfg.paths.data_dir)
     codec_path, codec_ckpt = _load_checkpoint(cfg, args.codec, "codec")
-    codec_hash_before = file_sha256(codec_path)
     codec_cfg = CodecConfig.from_dict(codec_ckpt.config)
     latents = encode_batch(ds.clips, codec_ckpt.params, codec_cfg)
     # datasets with a neutral class get neutral-anchored base substitution so
@@ -340,12 +340,11 @@ def cmd_train_classifier(cfg: RunConfig, args) -> int:
     out = _checkpoint_path(cfg, args.out, "classifier")
     out.parent.mkdir(parents=True, exist_ok=True)
     write_checkpoint(ckpt, out)
-    codec_hash_after = file_sha256(codec_path)
-    if codec_hash_after != codec_hash_before:
+    if file_sha256(codec_path) != codec_ckpt.sha256:
         raise CheckpointError("encoder checkpoint changed during classifier training")
     _write_provenance(
         out.parent, "train-classifier", cfg,
-        {"codec": codec_hash_after, "classifier": file_sha256(out)},
+        {"codec": codec_ckpt.sha256, "classifier": file_sha256(out)},
         {"test_accuracy": acc},
     )
     print(f"classifier trained: test accuracy {100 * acc:.1f}% -> {out}")
@@ -355,7 +354,7 @@ def cmd_train_classifier(cfg: RunConfig, args) -> int:
 def cmd_explain(cfg: RunConfig, args) -> int:
     _check_ratios("--alpha", [args.alpha])
     clip = wav_read(args.input)
-    models, ckpt_paths = _load_models(cfg, args, len(clip))
+    models, ckpt_hashes = _load_models(cfg, args, len(clip))
     codec_cfg = models.codec_config
     if clip.sample_rate != codec_cfg.sample_rate:
         raise WavFormatError(
@@ -374,7 +373,7 @@ def cmd_explain(cfg: RunConfig, args) -> int:
     out.parent.mkdir(parents=True, exist_ok=True)
     wav_write(explanation, out)
     _write_provenance(
-        out.parent, "explain", cfg, _hashes(ckpt_paths),
+        out.parent, "explain", cfg, ckpt_hashes,
         {"input": str(args.input), "alpha": args.alpha, "predicted_class": target},
     )
     print(f"explanation (class {target}, alpha={args.alpha}) -> {out}")
@@ -388,7 +387,7 @@ def _cmd_eval(cfg: RunConfig, args, metric: str) -> int:
         if mname not in ALL_METHODS:
             raise ConfigError(f"unknown method {mname!r}; choose from {list(ALL_METHODS)}")
     ds = _load_data(args.data or cfg.paths.data_dir)
-    models, ckpt_paths = _load_models(cfg, args, cfg.dataset.clip_length)
+    models, ckpt_hashes = _load_models(cfg, args, cfg.dataset.clip_length)
     clips, labels = ds.subset(ds.test_idx)
     out_dir = Path(args.out or cfg.paths.report_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -411,7 +410,7 @@ def _cmd_eval(cfg: RunConfig, args, metric: str) -> int:
         print(f"{metric} [{mname}]: {summary}")
     _write_provenance(
         out_dir, f"eval-{'fidelity' if metric == 'agreement' else 'drop'}", cfg,
-        _hashes(ckpt_paths),
+        ckpt_hashes,
     )
     return 0
 
@@ -421,7 +420,7 @@ def cmd_confusion(cfg: RunConfig, args) -> int:
     ds = _load_data(args.data or cfg.paths.data_dir)
     if "neutral" not in ds.class_names:
         raise DatasetError("confusion requires a dataset with a 'neutral' class")
-    models, ckpt_paths = _load_models(cfg, args, cfg.dataset.clip_length)
+    models, ckpt_hashes = _load_models(cfg, args, cfg.dataset.clip_length)
     clips, labels = ds.subset(ds.test_idx)
     mat = confusion_after_removal(clips, labels, len(ds.class_names), models, args.beta)
     out = Path(args.out or Path(cfg.paths.report_dir) / "confusion.json")
@@ -432,7 +431,7 @@ def cmd_confusion(cfg: RunConfig, args) -> int:
             f, sort_keys=True, indent=1,
         )
     _write_provenance(
-        out.parent, "confusion", cfg, _hashes(ckpt_paths),
+        out.parent, "confusion", cfg, ckpt_hashes,
         {"beta": args.beta},
     )
     print(f"confusion matrix (beta={args.beta}) -> {out}")
@@ -441,6 +440,7 @@ def cmd_confusion(cfg: RunConfig, args) -> int:
     return 0
 
 
+@functools.cache  # one parser per process
 def build_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(prog="latentexplain",
                                 description="Audio explanations from latent-space attribution")
@@ -448,7 +448,6 @@ def build_parser() -> argparse.ArgumentParser:
     sub = p.add_subparsers(dest="command", required=True)
 
     sp = sub.add_parser("synth-data", help="generate a synthetic dataset")
-    sp.add_argument("--task", choices=["keyword", "emotion"], default=None)
     sp.add_argument("--out", default=None)
 
     sp = sub.add_parser("train-codec", help="train the autoencoder")

@@ -239,21 +239,29 @@ def save_dataset(ds: LabeledAudioDataset, directory) -> None:
 
 def load_dataset(directory) -> LabeledAudioDataset:
     directory = Path(directory)
-    with open(directory / "manifest.json") as f:
-        manifest = json.load(f)
+    try:
+        with open(directory / "manifest.json") as f:
+            manifest = json.load(f)
+    except (UnicodeDecodeError, json.JSONDecodeError) as e:
+        raise DatasetError(f"{directory}: manifest is not valid JSON: {e}") from e
+    if not isinstance(manifest, dict):
+        raise DatasetError(f"{directory}: manifest is not a JSON object")
     if manifest.get("version") != MANIFEST_VERSION:
         raise DatasetError(f"unsupported manifest version {manifest.get('version')}")
-    spec = SyntheticDatasetSpec.from_dict(manifest["spec"])
-    labels = np.asarray(manifest["labels"], dtype=np.int64)
+    try:
+        spec = SyntheticDatasetSpec.from_dict(manifest["spec"])
+        labels = np.asarray(manifest["labels"], dtype=np.int64)
+        class_names = manifest["class_names"]
+        train_idx = np.asarray(manifest["train_idx"], dtype=np.int64)
+        test_idx = np.asarray(manifest["test_idx"], dtype=np.int64)
+    except (KeyError, TypeError, ValueError) as e:
+        raise DatasetError(f"{directory}: malformed manifest: {e!r}") from e
+    if labels.ndim != 1 or not isinstance(class_names, list) or not all(
+            i.ndim == 1 and np.all((i >= 0) & (i < len(labels))) for i in (train_idx, test_idx)):
+        raise DatasetError(f"{directory}: malformed manifest: labels, class names or split indices")
     clips = np.stack(
         [wav_read(directory / "clips" / f"clip_{i:05d}.wav").samples for i in range(len(labels))]
     )
     return LabeledAudioDataset(
-        clips,
-        labels,
-        manifest["class_names"],
-        np.asarray(manifest["train_idx"], dtype=np.int64),
-        np.asarray(manifest["test_idx"], dtype=np.int64),
-        spec,
-        manifest.get("meta", []),
+        clips, labels, class_names, train_idx, test_idx, spec, manifest.get("meta", [])
     )

@@ -2,17 +2,23 @@
 
 import filecmp
 import json
+import re
 import struct
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+from latentexplain import cli
 from latentexplain.audio import AudioClip, wav_read, wav_write
+from latentexplain.checkpoint import file_sha256
 from latentexplain.cli import (
     EXIT_BAD_CONFIG,
     EXIT_DATA_ERROR,
     EXIT_MISSING_CHECKPOINT,
+    RunConfig,
+    build_parser,
     main,
 )
 from latentexplain.codec import CodecConfig, decode, encode
@@ -174,6 +180,118 @@ class TestNumbersCheckedFirst:
         assert not out.exists()
 
 
+# The bounds the config reader promises; every other integer value must be >= 0.
+INT_LOW = {"num_classes": 2, **dict.fromkeys((
+    "clips_per_class", "clip_length", "sample_rate", "words", "renditions",
+    "latent_channels", "batch_size", "epochs", "hidden", "ig_steps", "runs"), 1)}
+REALS_OUTSIDE = {"lr": [0.0, -1e-3], "beta1": [-0.01, 1.0], "beta2": [-0.01, 1.0]}
+
+
+def _rejected_values(key, default):
+    """Values of the wrong type, and values just outside the bound, for one config key."""
+    if default is None:  # classifier.pooling: null, "mean" or "mean-max"
+        return [3, "max"]
+    if isinstance(default, str):
+        return [5, None]
+    if isinstance(default, list) and isinstance(default[0], float):  # ratios
+        return ["0.5", [0.5, "0.2"], [1.5], [-0.01]]
+    if isinstance(default, list):
+        return ["8", [], [8, 8.0], [0]]
+    if isinstance(default, int):
+        return ["2", 2.0, True, None, INT_LOW.get(key, 0) - 1]
+    return ["0.5", True, float("nan"), float("inf"), *REALS_OUTSIDE.get(key, [])]
+
+
+def _every_config_value():
+    cfg = RunConfig()
+    for section in fields(cfg):
+        if section.name == "schema_version":
+            continue
+        for f in fields(getattr(cfg, section.name)):
+            default = getattr(getattr(cfg, section.name), f.name)
+            for value in _rejected_values(f.name, default):
+                yield pytest.param(section.name, f.name, value,
+                                   id=f"{section.name}.{f.name}={value!r}")
+
+
+class TestEveryConfigValueChecked:
+    """Each value of each section is checked by type and range when the file is read."""
+
+    @pytest.mark.parametrize("section,key,value", list(_every_config_value()))
+    def test_rejected_before_anything_runs(self, tmp_path, capsys, section, key, value):
+        raw = json.loads(write_config(tmp_path).read_text())
+        raw.setdefault(section, {})[key] = value
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(raw))
+        out = tmp_path / "o"
+        assert main(["--config", str(bad), "synth-data", "--out", str(out)]) == EXIT_BAD_CONFIG
+        assert f"{section}.{key}" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("section,values,message", [
+        ("codec", {"channels": [16, 32]}, "equal length"),
+        ("codec", {"latent_channels": 16}, "latent_channels"),
+        ("dataset", {"task": "speech"}, "unknown task"),
+        ("dataset", {"task": "emotion", "num_classes": 5, "clips_per_class": 7},
+         "words * renditions"),
+    ])
+    def test_rules_across_fields(self, tmp_path, capsys, section, values, message):
+        raw = json.loads(write_config(tmp_path).read_text())
+        raw[section].update(values)
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(raw))
+        out = tmp_path / "o"
+        assert main(["--config", str(bad), "synth-data", "--out", str(out)]) == EXIT_BAD_CONFIG
+        err = capsys.readouterr().err
+        assert f"msg={section}: " in err and message in err
+        assert not out.exists()
+
+    def test_dataset_without_task_is_keyword(self, tmp_path):
+        path = tmp_path / "run.json"
+        path.write_text(json.dumps({"schema_version": 1, "dataset": {"seed": 3}}))
+        spec = RunConfig.from_file(path).dataset
+        assert (spec.task, spec.seed) == ("keyword", 3)
+
+    def test_readme_config_is_accepted(self, tmp_path):
+        readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+        blocks = re.findall(r"```json\n(.*?)```", readme, re.DOTALL)
+        assert blocks
+        for i, block in enumerate(blocks):
+            path = tmp_path / f"readme{i}.json"
+            path.write_text(block)
+            assert RunConfig.from_file(path).schema_version == 1
+
+
+class TestSynthData:
+    def test_task_flag_is_gone(self, tmp_path, capsys):
+        cfg = write_config(tmp_path)
+        out = tmp_path / "o"
+        code = main(["--config", str(cfg), "synth-data", "--task", "emotion", "--out", str(out)])
+        assert code == EXIT_BAD_CONFIG
+        assert "--task" in capsys.readouterr().err
+        assert not out.exists()
+
+
+class TestMalformedManifest:
+    @pytest.mark.parametrize("manifest,message", [
+        ("{nope", "not valid JSON"),
+        ("[1, 2]", "not a JSON object"),
+        (json.dumps({"version": 1, "spec": {"task": "keyword"}, "class_names": ["a", "b"],
+                     "train_idx": [], "test_idx": []}), "'labels'"),
+        (json.dumps({"version": 1, "spec": {"task": "keyword"}, "class_names": ["a", "b"],
+                     "labels": 5, "train_idx": [], "test_idx": []}), "split indices"),
+        (json.dumps({"version": 1, "spec": {"task": "keyword"}, "class_names": ["a", "b"],
+                     "labels": [0, 1], "train_idx": [0, 2], "test_idx": [1]}), "split indices"),
+    ], ids=["not-json", "list", "no-labels", "scalar-labels", "index-out-of-range"])
+    def test_exits_4(self, tmp_path, capsys, manifest, message):
+        cfg = write_config(tmp_path)
+        (tmp_path / "data").mkdir()
+        (tmp_path / "data" / "manifest.json").write_text(manifest)
+        assert main(["--config", str(cfg), "train-codec"]) == EXIT_DATA_ERROR
+        assert message in capsys.readouterr().err
+        assert not (tmp_path / "ckpt").exists()
+
+
 class TestArgumentErrors:
     def test_unparsable_argument_exits_3(self, workspace, tmp_path, capsys):
         root, cfg = workspace
@@ -188,6 +306,9 @@ class TestArgumentErrors:
     def test_missing_command_exits_3(self, capsys):
         assert main([]) == EXIT_BAD_CONFIG
         assert "required" in capsys.readouterr().err
+
+    def test_parser_is_built_once(self):
+        assert build_parser() is build_parser()
 
     def test_help_still_exits_0(self, capsys):
         with pytest.raises(SystemExit) as e:
@@ -245,6 +366,20 @@ class TestExplain:
         rec = json.loads((tmp_path / "provenance_explain.json").read_text())
         assert set(rec["checkpoint_sha256"]) == {"codec", "classifier"}
         assert all(len(v) == 64 for v in rec["checkpoint_sha256"].values())
+
+    def test_each_checkpoint_read_once(self, workspace, tmp_path, monkeypatch):
+        root, cfg = workspace
+        clip_path = next((root / "data" / "clips").glob("*.wav"))
+        hashes = {k: file_sha256(root / "ckpt" / f"{k}.ckpt") for k in ("codec", "classifier")}
+
+        def no_second_read(path):
+            raise AssertionError(f"{path} hashed apart from its read")
+
+        monkeypatch.setattr(cli, "file_sha256", no_second_read)
+        assert main(["--config", str(cfg), "explain", "--input", str(clip_path),
+                     "--alpha", "0.5", "--out", str(tmp_path / "expl.wav")]) == 0
+        rec = json.loads((tmp_path / "provenance_explain.json").read_text())
+        assert rec["checkpoint_sha256"] == hashes
 
     def test_wrong_sample_rate_rejected(self, workspace, tmp_path, capsys):
         root, cfg = workspace

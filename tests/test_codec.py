@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -148,6 +150,10 @@ class TestCheckpointFormat:
         assert back.config == ck.config
         for k in ck.params:
             assert np.array_equal(back.params[k], ck.params[k])
+
+    def test_read_records_the_file_hash(self, tmp_path):
+        path = self._written(tmp_path)
+        assert read_checkpoint(path).sha256 == hashlib.sha256(path.read_bytes()).hexdigest()
 
     def test_magic_enforced(self, tmp_path):
         path = tmp_path / "bad.ckpt"
