@@ -11,13 +11,11 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import autodiff as ad
 from .autodiff import DimensionError
-from .codec import CodecConfig, LatentGrid, _wrap, encode_batch, encode_tensor, pad_for_encode
-from .classifier import _head_from_preact, _logits_np, _pool_gate, logits_from_latent
+from .codec import ENCODE_ROWS, CodecConfig, LatentGrid, encoder_forward, encoder_vjp, pad_for_encode
+from .classifier import _head_vjp, _logits_np, _pool_gate
 
 DEFAULT_IG_STEPS = 64
-INPUT_IG_CHUNK = 32  # path points per encoder pass in waveform IG
 
 LATENT_IG = "latent-ig"
 INPUT_IG = "input-ig"
@@ -88,21 +86,14 @@ def integrated_gradients_latent(
     h, t = p0.shape
     # (S, H, T) in memory, so that the head's reductions over time run along rows
     pre = (alphas[:, None, None] * dp + p0).transpose(0, 2, 1)
-    emb, hidden, _ = _head_from_preact(pre, params)
-    # elu'(x) = exp(min(x, 0)); d logit / d pooled, one row per step
-    d_pooled = (params["w2"][:, target] * np.exp(np.minimum(hidden, 0.0))) @ params["w1"].T
-    # elu'(pre) = min(elu(pre), 0) + 1, with no second exp over (S, T, H)
-    d_emb = np.minimum(emb, 0.0)
-    d_emb += 1.0
+    d_pooled, d_emb, top = _head_vjp(pre, params, target)
     # sum over steps of d logit / d pre, divided by S: the time mean spreads each
     # step's d_pooled over all T frames ...
     g_pre = np.einsum("sh,sth->th", d_pooled / np.float32(t * steps), d_emb)
-    gate = _pool_gate(params)
-    if gate:
+    if top is not None:
         # ... and the max pool adds it at each step's first-argmax frame
-        arg = emb.argmax(axis=1)  # (S, H)
-        at_max = np.take_along_axis(d_emb, arg[:, None, :], axis=1)[:, 0]
-        np.add.at(g_pre, (arg, np.arange(h)), (gate / steps) * d_pooled * at_max)
+        arg, at_max = top
+        np.add.at(g_pre, (arg, np.arange(h)), (_pool_gate(params) / steps) * d_pooled * at_max)
     avg_grad = g_pre @ w0t
     return AttributionMap(
         scores=(delta * avg_grad).astype(np.float32),
@@ -122,33 +113,34 @@ def integrated_gradients_input(
     target: int,
     steps: int = DEFAULT_IG_STEPS,
 ) -> AttributionMap:
-    """IG of the target logit w.r.t. the waveform, through encoder + head."""
+    """IG of the target logit w.r.t. the waveform, through encoder + head.
+
+    Per chunk of ENCODE_ROWS path points: the numpy encoder forward, the head's
+    backward for the target logit at each point, then the encoder's input VJP.
+    """
     x = np.asarray(x, dtype=np.float32).reshape(-1)
     baseline = np.asarray(baseline, dtype=np.float32).reshape(-1)
     if x.shape != baseline.shape:
         raise DimensionError(f"input/baseline length mismatch: {x.shape} vs {baseline.shape}")
     if steps < 1:
         raise ValueError("steps must be >= 1")
-    n = x.shape[0]
     xp = pad_for_encode(x, codec_config)
     bp = pad_for_encode(baseline, codec_config)
     delta = xp - bp
-    cpt = _wrap(codec_params, False)
-    hpt = _wrap(cls_params, False)
-    onehot = np.zeros((cls_params["w2"].shape[1], 1), dtype=np.float32)
-    onehot[target, 0] = 1.0
+    w0, b0 = cls_params["w0"], cls_params["b0"]
     grad_sum = np.zeros_like(xp)
     alphas = _midpoints(steps)
-    for start in range(0, steps, INPUT_IG_CHUNK):
-        a = alphas[start : start + INPUT_IG_CHUNK]
-        pts = bp[None, :] + a[:, None] * delta[None, :]
-        xt = ad.Tensor(pts[:, None, :], requires_grad=True)
-        zt = encode_tensor(xt, cpt, codec_config)  # (b, L, T)
-        logits = logits_from_latent(ad.transpose(zt, (0, 2, 1)), hpt)
-        ad.tsum(ad.matmul(logits, ad.Tensor(onehot))).backward()
-        grad_sum += xt.grad[:, 0, :].sum(axis=0)
-    avg_grad = grad_sum / steps
-    scores = (delta * avg_grad)[:n]
+    for start in range(0, steps, ENCODE_ROWS):
+        a = alphas[start : start + ENCODE_ROWS]
+        z, acts = encoder_forward(bp[None, :] + a[:, None] * delta[None, :],
+                                  codec_params, codec_config)  # (b, T, L)
+        d_pooled, d_emb, top = _head_vjp(z @ w0 + b0, cls_params, target)
+        g_pre = d_emb * (d_pooled / np.float32(z.shape[1]))[:, None, :]
+        if top is not None:  # the max pool adds gate * d_pooled at each first-argmax frame
+            g_pre[np.arange(len(a))[:, None], top[0], np.arange(w0.shape[1])] += \
+                _pool_gate(cls_params) * d_pooled * top[1]
+        grad_sum += encoder_vjp(acts, g_pre @ w0.T, codec_params, codec_config).sum(axis=0)
+    scores = (delta * (grad_sum / steps))[: len(x)]
     return AttributionMap(
         scores=scores.astype(np.float32),
         target_class=int(target),
@@ -168,11 +160,3 @@ def random_attribution(shape, seed: int, method: str = RANDOM_LATENT) -> Attribu
 def target_logit_latent(values: np.ndarray, params: dict, target: int) -> float:
     """Target-class logit of the head at one (T, L) latent; completeness oracle hook."""
     return float(_logits_np(values[None, :, :].astype(np.float32), params)[0, target])
-
-
-def target_logit_input(
-    x: np.ndarray, codec_params: dict, codec_config: CodecConfig, cls_params: dict, target: int
-) -> float:
-    """Target-class logit of head(encoder(x)); completeness oracle hook."""
-    z = encode_batch(np.asarray(x, dtype=np.float32)[None, :], codec_params, codec_config)
-    return float(_logits_np(z, cls_params)[0, target])

@@ -16,6 +16,10 @@ class LengthError(ValueError):
     """Clip length violates an operation's precondition."""
 
 
+class NonFiniteError(ValueError):
+    """Waveform samples include NaN or infinity."""
+
+
 SNR_CAP_DB = 200.0
 
 

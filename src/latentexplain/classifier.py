@@ -110,6 +110,25 @@ def _head_from_preact(pre: np.ndarray, params: dict):
     return emb, hidden, ad.elu_array(hidden) @ params["w2"] + params["b2"]
 
 
+def _head_vjp(pre: np.ndarray, params: dict, target: int):
+    """Backward of the target logit through the head, per row of (B, T, H) pre-activations.
+
+    Returns d logit / d pooled (B, H), the ELU factor elu'(pre) (B, T, H) and the
+    max-frame term: None without a pool gate, else each channel's first-argmax
+    frame (B, H) and the ELU factor there.
+    """
+    emb, hidden, _ = _head_from_preact(pre, params)
+    # elu'(x) = exp(min(x, 0))
+    d_pooled = (params["w2"][:, target] * np.exp(np.minimum(hidden, 0.0))) @ params["w1"].T
+    # elu'(pre) = min(elu(pre), 0) + 1, with no second exp over (B, T, H)
+    d_emb = np.minimum(emb, 0.0)
+    d_emb += 1.0
+    if not _pool_gate(params):
+        return d_pooled, d_emb, None
+    arg = emb.argmax(axis=1)
+    return d_pooled, d_emb, (arg, np.take_along_axis(d_emb, arg[:, None, :], axis=1)[:, 0])
+
+
 def _logits_np(latents: np.ndarray, params: dict) -> np.ndarray:
     return _head_from_preact(latents @ params["w0"] + params["b0"], params)[2]
 

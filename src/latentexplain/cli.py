@@ -21,13 +21,11 @@ import sys
 from dataclasses import asdict, dataclass, field, fields, replace
 from pathlib import Path
 
-import numpy as np
-
 from . import __version__
-from .audio import LengthError, WavFormatError, wav_read, wav_write
+from .audio import LengthError, NonFiniteError, WavFormatError, wav_read, wav_write
 from .checkpoint import Checkpoint, CheckpointError, file_sha256, read_checkpoint, write_checkpoint
 from .classifier import POOLINGS, ClassifierConfig, evaluate_accuracy, predict_batch, train_classifier
-from .codec import CodecConfig, CodecTrainConfig, LatentGrid, decode, encode, encode_batch, train_autoencoder
+from .codec import CodecConfig, CodecTrainConfig, decode, encode, encode_batch, train_autoencoder
 from .data import DatasetError, SyntheticDatasetSpec, generate_dataset, load_dataset, save_dataset
 from .attribution import integrated_gradients_latent
 from .masking import apply_mask_keep, check_ratio, make_base_latent, select_top
@@ -512,7 +510,7 @@ def main(argv=None) -> int:
     except CheckpointError as e:
         print(f"error code=2 msg={e}", file=sys.stderr)
         return EXIT_MISSING_CHECKPOINT
-    except (DatasetError, WavFormatError, LengthError, FileNotFoundError) as e:
+    except (DatasetError, WavFormatError, LengthError, NonFiniteError, FileNotFoundError) as e:
         print(f"error code=4 msg={e}", file=sys.stderr)
         return EXIT_DATA_ERROR
     except ValueError as e:

@@ -4,19 +4,23 @@ The encoder uses valid (no padding) strided convolutions; to keep the
 frame count at floor(N / stride_product), ``encode`` right-pads the
 waveform with zeros up to the exact input length those frames require.
 ``decode`` mirrors with transposed convolutions and trims the boundary
-back to frames * stride_product samples.
+back to frames * stride_product samples. Encoding and waveform IG run the numpy
+encoder (``encoder_forward``, input VJP ``encoder_vjp``); the autodiff tape serves
+training and ``decode``.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, asdict
+from dataclasses import dataclass
 
 import numpy as np
 
 from . import autodiff as ad
-from .audio import AudioClip, LengthError
+from .audio import AudioClip, LengthError, NonFiniteError
 from .checkpoint import Checkpoint
 from .optim import Adam, AdamConfig
+
+ENCODE_ROWS = 8  # waveforms per numpy encoder pass; bounds the activations one pass holds
 
 
 @dataclass
@@ -146,6 +150,10 @@ def decode_tensor(z: ad.Tensor, pt: dict, config: CodecConfig) -> ad.Tensor:
 
 
 def pad_for_encode(samples: np.ndarray, config: CodecConfig) -> np.ndarray:
+    """Fit waveforms to the exact encoder input length; non-finite samples raise NonFiniteError."""
+    bad = samples.size - np.count_nonzero(np.isfinite(samples))
+    if bad:
+        raise NonFiniteError(f"waveform has {bad} non-finite samples of {samples.size}")
     n = samples.shape[-1]
     frames = config.frames_for_length(n)
     if frames < 1:
@@ -155,24 +163,83 @@ def pad_for_encode(samples: np.ndarray, config: CodecConfig) -> np.ndarray:
     need = config.required_input_length(frames)
     if need <= n:
         return samples[..., :need]
-    pad = need - n
-    if samples.ndim == 1:
-        return np.pad(samples, (0, pad))
-    return np.pad(samples, ((0, 0), (0, pad)))
+    return np.pad(samples, [(0, 0)] * (samples.ndim - 1) + [(0, need - n)])
+
+
+def _taps(w: np.ndarray, stride: int, dtype) -> np.ndarray:
+    """A (C_out, C_in, K) kernel, zero-padded to m = ceil(K / S) taps of (S * C_in, C_out).
+
+    Row j * C_in + c of tap a weighs channel c of sample a * S + j of a window,
+    which is row j * C_in + c of the window's a-th block of S channels-last samples.
+    """
+    cout, cin, k = w.shape
+    m = -(-k // stride)
+    wp = np.pad(w.astype(dtype), ((0, 0), (0, 0), (0, m * stride - k)))
+    return wp.reshape(cout, cin, m, stride).transpose(2, 3, 1, 0).reshape(m, stride * cin, cout)
+
+
+def _fit(h: np.ndarray, n: int) -> np.ndarray:
+    """(B, N', C) cut or zero-padded along time to N samples."""
+    return h[:, :n] if h.shape[1] >= n else np.pad(h, ((0, 0), (0, n - h.shape[1]), (0, 0)))
+
+
+def encoder_forward(x: np.ndarray, params: dict, config: CodecConfig):
+    """Encoder on padded (B, N) waveforms: latents (B, T, L) and each layer's input.
+
+    Channels-last: a layer views its input as blocks of S samples, so a strided conv
+    is one GEMM per tap over the blocks shifted by the tap index, plus bias and ELU.
+    float64 input is computed in float64, anything else in float32.
+    """
+    dtype = np.float64 if x.dtype == np.float64 else np.float32
+    h = np.asarray(x, dtype=dtype)[:, :, None]
+    acts = []
+    last = len(config.channels) - 1
+    for i, (k, s) in enumerate(zip(config.kernel_sizes, config.strides)):
+        acts.append(h)
+        taps = _taps(params[f"enc{i}_w"], s, dtype)
+        b, n, c = h.shape
+        nout = (n - k) // s + 1
+        nb = nout + len(taps) - 1
+        blocks = _fit(h, nb * s).reshape(b, nb, s * c)
+        out = blocks[:, :nout] @ taps[0]
+        for a in range(1, len(taps)):
+            out += blocks[:, a : a + nout] @ taps[a]
+        out += params[f"enc{i}_b"].astype(dtype)
+        h = ad.elu_array(out) if i < last else out
+    return h, acts
+
+
+def encoder_vjp(acts: list, g: np.ndarray, params: dict, config: CodecConfig) -> np.ndarray:
+    """Gradient of sum(latents * g) w.r.t. the (B, N) waveforms, from ``encoder_forward``'s acts."""
+    last = len(acts) - 1
+    for i in range(last, -1, -1):
+        if i < last:
+            d = np.minimum(acts[i + 1], 0.0)  # elu'(x) = min(elu(x), 0) + 1
+            d += 1.0
+            g = np.multiply(d, g, out=d)
+        s = config.strides[i]
+        taps = _taps(params[f"enc{i}_w"], s, g.dtype)
+        b, n, c = acts[i].shape
+        nout = g.shape[1]
+        nb = nout + len(taps) - 1
+        gb = np.zeros((b, nb, s * c), dtype=g.dtype)
+        for a, tap in enumerate(taps):
+            gb[:, a : a + nout] += g @ tap.T
+        g = _fit(gb.reshape(b, nb * s, c), n)
+    return g[:, :, 0]
 
 
 def encode(clip: AudioClip, params: dict, config: CodecConfig) -> LatentGrid:
     """Encode a clip to its T x L latent grid (T = floor(N / stride_product))."""
-    x = pad_for_encode(clip.samples, config)
-    z = encode_tensor(ad.Tensor(x[None, None, :]), _wrap(params, False), config)
-    return LatentGrid(z.data[0].T)
+    z, _ = encoder_forward(pad_for_encode(clip.samples, config)[None], params, config)
+    return LatentGrid(z[0])
 
 
 def encode_batch(samples: np.ndarray, params: dict, config: CodecConfig) -> np.ndarray:
-    """Encode (B, N) waveforms to (B, T, L) latents."""
+    """Encode (B, N) waveforms to (B, T, L) latents, ENCODE_ROWS waveforms per encoder pass."""
     x = pad_for_encode(samples, config)
-    z = encode_tensor(ad.Tensor(x[:, None, :]), _wrap(params, False), config)
-    return np.transpose(z.data, (0, 2, 1))
+    return np.concatenate([encoder_forward(x[i : i + ENCODE_ROWS], params, config)[0]
+                           for i in range(0, max(len(x), 1), ENCODE_ROWS)])
 
 
 def decode(z: LatentGrid, params: dict, config: CodecConfig) -> AudioClip:

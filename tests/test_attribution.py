@@ -10,18 +10,28 @@ from latentexplain.attribution import (
     integrated_gradients_input,
     integrated_gradients_latent,
     random_attribution,
-    target_logit_input,
     target_logit_latent,
 )
 from latentexplain import autodiff as ad
+from latentexplain.audio import AudioClip, NonFiniteError
 from latentexplain.autodiff import DimensionError
 from latentexplain.classifier import (
     ClassifierConfig,
+    _logits_np,
     init_classifier_params,
     logits_from_latent,
     predict_batch,
 )
-from latentexplain.codec import LatentGrid
+from latentexplain.codec import (
+    ENCODE_ROWS,
+    CodecConfig,
+    LatentGrid,
+    encode,
+    encode_batch,
+    encode_tensor,
+    init_codec_params,
+    pad_for_encode,
+)
 
 
 def affine_head_params(l=6, h=5, c=3, seed=0):
@@ -41,6 +51,12 @@ def affine_head_params(l=6, h=5, c=3, seed=0):
         "w2": rng.standard_normal((h, c)).astype(np.float32),
         "b2": np.zeros(c, dtype=np.float32),
     }
+
+
+def target_logit_input(x, codec_params, codec_config, cls_params, target):
+    """Target-class logit of head(encoder(x)); completeness oracle hook."""
+    z = encode_batch(np.asarray(x, dtype=np.float32)[None, :], codec_params, codec_config)
+    return float(_logits_np(z, cls_params)[0, target])
 
 
 class TestAffineClosedForm:
@@ -222,6 +238,78 @@ class TestInputSpaceIG:
                 np.zeros(100, dtype=np.float32), np.zeros(200, dtype=np.float32),
                 codec_kw.params, codec_config, cls_kw.params, 0,
             )
+
+
+def tape_input_ig(x, base, codec_params, codec_config, cls_params, target, steps):
+    """Reference waveform IG: encoder and head on the autodiff tape at every midpoint of the path."""
+    xp = pad_for_encode(x, codec_config)
+    bp = pad_for_encode(base, codec_config)
+    delta = xp - bp
+    alphas = ((np.arange(steps) + 0.5) / steps).astype(np.float32)
+    xt = ad.Tensor((bp[None, :] + alphas[:, None] * delta[None, :])[:, None, :],
+                   requires_grad=True)
+    zt = encode_tensor(xt, {k: ad.Tensor(v) for k, v in codec_params.items()}, codec_config)
+    logits = logits_from_latent(ad.transpose(zt, (0, 2, 1)),
+                                {k: ad.Tensor(v) for k, v in cls_params.items()})
+    onehot = np.zeros((cls_params["w2"].shape[1], 1), dtype=np.float32)
+    onehot[target, 0] = 1.0
+    ad.tsum(ad.matmul(logits, ad.Tensor(onehot))).backward()
+    return (delta * xt.grad[:, 0, :].mean(axis=0))[: len(x)]
+
+
+class TestInputIGMatchesTape:
+    """Waveform IG through the numpy encoder and its VJP equals IG taken on the tape."""
+
+    @pytest.mark.parametrize("task", ["kw", "emo"])  # mean and mean-max pooling heads
+    def test_cached_codec_and_head(self, task, request, codec_config):
+        data = request.getfixturevalue(f"{task}_data")
+        codec = request.getfixturevalue(f"codec_{task}").params
+        head = request.getfixturevalue(f"cls_{task}").params
+        noise = request.getfixturevalue(f"models_{task}").noise_clip.samples
+        x = data.clips[data.test_idx[0]]
+        steps = ENCODE_ROWS + ENCODE_ROWS // 2  # a full chunk and a partial one
+        for target in (int(data.labels[data.test_idx[0]]), 1):
+            got = integrated_gradients_input(x, noise, codec, codec_config, head, target,
+                                             steps).scores
+            ref = tape_input_ig(x, noise, codec, codec_config, head, target, steps)
+            assert np.max(np.abs(got - ref)) <= 1e-5 * np.max(np.abs(ref))
+
+
+class TestInferenceOffTheTape:
+    """Encoding and waveform IG build no autodiff graph."""
+
+    def test_no_conv_or_backward_on_the_tape(self, monkeypatch):
+        cfg = CodecConfig()
+        codec = init_codec_params(cfg, 0)
+        head = random_head_params("mean-max", l=cfg.latent_channels, seed=1)
+        x = np.random.default_rng(2).uniform(-0.5, 0.5, 1024).astype(np.float32)
+
+        def no_tape(*args, **kwargs):
+            raise AssertionError("the autodiff tape ran on the inference path")
+
+        monkeypatch.setattr(ad, "conv1d", no_tape)
+        monkeypatch.setattr(ad.Tensor, "backward", no_tape)
+        encode(AudioClip(x, 16000), codec, cfg)
+        encode_batch(np.stack([x, -x]), codec, cfg)
+        integrated_gradients_input(x, 0.01 * x, codec, cfg, head, 0, steps=4)
+
+
+class TestInputIGRejectsNonFinite:
+    @pytest.mark.parametrize("which", ["x", "baseline"])
+    def test_before_any_conv_work(self, which, monkeypatch):
+        from latentexplain import attribution
+
+        def no_conv(*args, **kwargs):
+            raise AssertionError("encoder ran on a non-finite waveform")
+
+        monkeypatch.setattr(attribution, "encoder_forward", no_conv)
+        cfg = CodecConfig()
+        x = np.zeros(1024, dtype=np.float32)
+        base = np.zeros(1024, dtype=np.float32)
+        (x if which == "x" else base)[5] = np.nan
+        with pytest.raises(NonFiniteError):
+            integrated_gradients_input(x, base, init_codec_params(cfg, 0), cfg,
+                                       random_head_params("mean", l=cfg.latent_channels), 0)
 
 
 class TestRandomBaselineMethod:

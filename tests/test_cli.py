@@ -440,6 +440,23 @@ class TestExplain:
         assert code == EXIT_DATA_ERROR
         assert "'data' chunk" in capsys.readouterr().err
 
+    def test_non_finite_sample_exits_4(self, workspace, tmp_path, capsys, monkeypatch):
+        root, cfg = workspace
+        clip_path = next((root / "data" / "clips").glob("*.wav"))
+
+        def read_with_nan(path):
+            clip = wav_read(path)
+            clip.samples[3] = np.nan
+            return clip
+
+        monkeypatch.setattr(cli, "wav_read", read_with_nan)
+        code = main(["--config", str(cfg), "explain", "--input", str(clip_path),
+                     "--alpha", "0.5", "--out", str(tmp_path / "o.wav")])
+        err = capsys.readouterr().err
+        assert code == EXIT_DATA_ERROR
+        assert "1 non-finite samples" in err and "Traceback" not in err
+        assert not (tmp_path / "o.wav").exists()
+
     def test_missing_input_wav(self, workspace, tmp_path):
         root, cfg = workspace
         code = main(["--config", str(cfg), "explain", "--input", str(tmp_path / "no.wav"),

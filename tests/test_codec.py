@@ -3,7 +3,8 @@ import hashlib
 import numpy as np
 import pytest
 
-from latentexplain.audio import AudioClip, LengthError, reconstruction_snr
+from latentexplain import autodiff as ad
+from latentexplain.audio import AudioClip, LengthError, NonFiniteError, reconstruction_snr
 from latentexplain.autodiff import DimensionError
 from latentexplain.checkpoint import (
     Checkpoint,
@@ -13,12 +14,18 @@ from latentexplain.checkpoint import (
     write_checkpoint,
 )
 from latentexplain.codec import (
+    ENCODE_ROWS,
     CodecConfig,
     CodecTrainConfig,
     LatentGrid,
     decode,
     encode,
+    encode_batch,
+    encode_tensor,
+    encoder_forward,
+    encoder_vjp,
     init_codec_params,
+    pad_for_encode,
     train_autoencoder,
 )
 
@@ -88,6 +95,69 @@ class TestDeterminismAndZeroCases:
         z = LatentGrid(rng.standard_normal((32, 32)).astype(np.float32) * 5)
         out = decode(z, params, cfg)
         assert np.all(out.samples >= -1.0) and np.all(out.samples <= 1.0)
+
+
+def tape(params):
+    return {k: ad.Tensor(v) for k, v in params.items()}
+
+
+class TestEncoderMatchesTape:
+    """The numpy inference encoder and its input VJP against the autodiff tape."""
+
+    @pytest.mark.parametrize("task", ["kw", "emo"])
+    def test_forward_on_cached_codecs(self, task, request, codec_config):
+        data = request.getfixturevalue(f"{task}_data")
+        codec = request.getfixturevalue(f"codec_{task}")
+        clips = data.clips[data.test_idx[: ENCODE_ROWS + 4]]  # a full encoder pass and a part
+        got = encode_batch(clips, codec.params, codec_config)
+        x = ad.Tensor(pad_for_encode(clips, codec_config)[:, None, :])
+        ref = encode_tensor(x, tape(codec.params), codec_config).data.transpose(0, 2, 1)
+        assert got.dtype == np.float32 and got.shape == ref.shape
+        assert np.max(np.abs(got - ref)) <= 1e-5
+
+    @pytest.mark.parametrize("extra", [0, 3])
+    @pytest.mark.parametrize("k,s", [(8, 4), (3, 2), (4, 2), (5, 2), (3, 4)])
+    def test_vjp_in_float64(self, k, s, extra):
+        """K not a multiple of S and K < S zero-pad the kernel taps; extra samples get no gradient."""
+        cfg = CodecConfig(channels=(3, 4, 5), kernel_sizes=(k, k, k), strides=(s, s, s),
+                          latent_channels=5)
+        rng = np.random.default_rng(10 * k + s)
+        params = {n: v.astype(np.float64) for n, v in init_codec_params(cfg, k + s).items()}
+        for n in params:
+            if n.endswith("_b"):
+                params[n] = 0.3 * rng.standard_normal(params[n].shape)
+        x = rng.uniform(-1, 1, (2, cfg.required_input_length(3) + extra))
+        z, acts = encoder_forward(x, params, cfg)
+        g = rng.standard_normal(z.shape)
+        xt = ad.Tensor(x[:, None, :], requires_grad=True)
+        zt = encode_tensor(xt, tape(params), cfg)
+        ad.tsum(ad.mul(zt, ad.Tensor(g.transpose(0, 2, 1)))).backward()
+        assert z.dtype == np.float64 and z.shape == (2, 3, 5)
+        assert np.max(np.abs(z - zt.data.transpose(0, 2, 1))) <= 1e-12
+        gx = encoder_vjp(acts, g, params, cfg)
+        assert gx.dtype == np.float64 and gx.shape == x.shape
+        assert np.max(np.abs(gx - xt.grad[:, 0, :])) <= 1e-12 * np.max(np.abs(xt.grad))
+
+
+def test_encode_batch_of_no_clips(cfg, params):
+    assert encode_batch(np.zeros((0, 4096), np.float32), params, cfg).shape == (0, 64, 32)
+
+
+class TestNonFiniteSamples:
+    """NaN or infinite samples are rejected where they enter, before any conv work."""
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_encode_batch_rejects_one_bad_sample(self, cfg, params, bad):
+        x = np.tile(tone(4096).samples, (3, 1))
+        x[1, 100] = bad
+        with pytest.raises(NonFiniteError, match="1 non-finite samples"):
+            encode_batch(x, params, cfg)
+
+    def test_encode_rejects_nan(self, cfg, params):
+        clip = tone(4096)
+        clip.samples[7] = np.nan
+        with pytest.raises(NonFiniteError):
+            encode(clip, params, cfg)
 
 
 class TestConfigValidation:
