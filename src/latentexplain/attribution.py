@@ -13,7 +13,7 @@ import numpy as np
 
 from .autodiff import DimensionError
 from .codec import ENCODE_ROWS, CodecConfig, LatentGrid, encoder_forward, encoder_vjp, pad_for_encode
-from .classifier import _head_vjp, _logits_np, _pool_gate
+from .classifier import _head_from_preact, _head_vjp, _logits_np, _onehot, _pool_gate, _preact_grad
 
 DEFAULT_IG_STEPS = 64
 
@@ -86,7 +86,8 @@ def integrated_gradients_latent(
     h, t = p0.shape
     # (S, H, T) in memory, so that the head's reductions over time run along rows
     pre = (alphas[:, None, None] * dp + p0).transpose(0, 2, 1)
-    d_pooled, d_emb, top = _head_vjp(pre, params, target)
+    d_pooled, d_emb, top = _head_vjp(_head_from_preact(pre, params), params,
+                                     _onehot(target, steps, params["w2"].shape[1]))
     # sum over steps of d logit / d pre, divided by S: the time mean spreads each
     # step's d_pooled over all T frames ...
     g_pre = np.einsum("sh,sth->th", d_pooled / np.float32(t * steps), d_emb)
@@ -134,11 +135,9 @@ def integrated_gradients_input(
         a = alphas[start : start + ENCODE_ROWS]
         z, acts = encoder_forward(bp[None, :] + a[:, None] * delta[None, :],
                                   codec_params, codec_config)  # (b, T, L)
-        d_pooled, d_emb, top = _head_vjp(z @ w0 + b0, cls_params, target)
-        g_pre = d_emb * (d_pooled / np.float32(z.shape[1]))[:, None, :]
-        if top is not None:  # the max pool adds gate * d_pooled at each first-argmax frame
-            g_pre[np.arange(len(a))[:, None], top[0], np.arange(w0.shape[1])] += \
-                _pool_gate(cls_params) * d_pooled * top[1]
+        fwd = _head_from_preact(z @ w0 + b0, cls_params)
+        d_logits = _onehot(target, len(a), cls_params["w2"].shape[1])
+        g_pre = _preact_grad(*_head_vjp(fwd, cls_params, d_logits), cls_params)
         grad_sum += encoder_vjp(acts, g_pre @ w0.T, codec_params, codec_config).sum(axis=0)
     scores = (delta * (grad_sum / steps))[: len(x)]
     return AttributionMap(

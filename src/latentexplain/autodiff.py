@@ -196,17 +196,25 @@ def relu(x: Tensor) -> Tensor:
     return Tensor(out_data, _parents=(x,), _backward=bwd, _op="relu")
 
 
-def elu_array(x: np.ndarray) -> np.ndarray:
-    """ELU of a plain array, in the array's dtype.
+def elu_array(x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """ELU of a plain array, in the array's dtype; ``out=x`` computes it in place.
 
     expm1(min(x, 0)) + max(x, 0) equals np.where(x > 0, x, expm1(x)) bit for bit,
     except that -0.0 comes out as +0.0, and is several times faster: a where over a
     mask that is half true branches badly.
     """
-    out = np.minimum(x, 0.0)
-    np.expm1(out, out=out)
-    out += np.maximum(x, 0.0)
+    neg = np.minimum(x, 0.0)
+    np.expm1(neg, out=neg)
+    out = np.maximum(x, 0.0, out=out)
+    out += neg
     return out
+
+
+def elu_vjp(out: np.ndarray, g: np.ndarray) -> np.ndarray:
+    """g * elu'(x), from the ELU's output: elu'(x) = min(elu(x), 0) + 1."""
+    d = np.minimum(out, 0.0)
+    d += 1.0
+    return np.multiply(d, g, out=d)
 
 
 def elu(x: Tensor) -> Tensor:
@@ -214,10 +222,7 @@ def elu(x: Tensor) -> Tensor:
 
     def bwd(g):
         if x.requires_grad:
-            # elu'(x) = min(elu(x), 0) + 1
-            d = np.minimum(out_data, 0.0)
-            d += 1.0
-            x._accumulate(g * d)
+            x._accumulate(elu_vjp(out_data, g))
 
     return Tensor(out_data, _parents=(x,), _backward=bwd, _op="elu")
 
@@ -307,6 +312,22 @@ def softmax(logits: np.ndarray, axis=-1) -> np.ndarray:
     return e / e.sum(axis=axis, keepdims=True)
 
 
+def softmax_cross_entropy_array(logits: np.ndarray, labels: np.ndarray):
+    """Mean of -log softmax(logits)[label] over (B, C) logits, and its gradient (B, C).
+
+    The labels are not range-checked.
+    """
+    b = len(labels)
+    rows = np.arange(b)
+    zmax = logits.max(axis=1, keepdims=True)
+    logsumexp = np.log(np.exp(logits - zmax).sum(axis=1)) + zmax[:, 0]
+    loss = (logsumexp - logits[rows, labels]).mean()
+    grad = softmax(logits, axis=1)
+    grad[rows, labels] -= 1.0
+    grad *= np.asarray(1.0, dtype=logits.dtype) / b
+    return loss, grad
+
+
 def softmax_cross_entropy(logits: Tensor, labels) -> Tensor:
     """Mean of -log softmax(logits)[label].
 
@@ -320,21 +341,14 @@ def softmax_cross_entropy(logits: Tensor, labels) -> Tensor:
         raise IndexError(f"labels shape {lab.shape} does not match batch {b}")
     if lab.min() < 0 or lab.max() >= c:
         raise IndexError(f"label out of range [0,{c})")
-    p = softmax(lg, axis=1)
-    rows = np.arange(b)
-    zmax = lg.max(axis=1, keepdims=True)
-    logsumexp = np.log(np.exp(lg - zmax).sum(axis=1)) + zmax[:, 0]
-    losses = logsumexp - lg[rows, lab]
-    out_data = np.asarray(losses.mean(), dtype=lg.dtype)
+    loss, grad = softmax_cross_entropy_array(lg, lab)
 
     def bwd(g):
         if logits.requires_grad:
-            grad = p.copy()
-            grad[rows, lab] -= 1.0
-            grad *= g / b
-            logits._accumulate(grad[0] if single else grad)
+            logits._accumulate(grad[0] * g if single else grad * g)
 
-    return Tensor(out_data, _parents=(logits,), _backward=bwd, _op="softmax_cross_entropy")
+    return Tensor(np.asarray(loss, dtype=lg.dtype), _parents=(logits,), _backward=bwd,
+                  _op="softmax_cross_entropy")
 
 
 def gradcheck(fn, inputs, h=1e-3, rtol=1e-3, atol=1e-6):

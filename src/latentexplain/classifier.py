@@ -14,6 +14,11 @@ in the checkpoint as a constant ``pool_max`` gate so inference needs
 only the parameter dict. The encoder stays frozen; this module only
 ever sees latents.
 
+The head runs on numpy for inference, IG and training alike: ``_head_from_preact``
+is the forward after the first affine layer and ``_head_vjp`` its one backward,
+from per-row logit cotangents. ``logits_from_latent`` is the same head on the
+autodiff tape, kept as the reference the numpy head is tested against.
+
 Training can optionally substitute random latent cells of one anchor
 class with a supplied base grid (see ``train_classifier``); the head
 then learns that base-valued cells carry no class evidence, which is
@@ -30,7 +35,7 @@ import numpy as np
 from . import autodiff as ad
 from .autodiff import DimensionError
 from .checkpoint import Checkpoint
-from .codec import LatentGrid, _wrap
+from .codec import LatentGrid
 from .optim import Adam, AdamConfig
 
 
@@ -97,29 +102,36 @@ def _pool_gate(params: dict) -> float:
 def _head_from_preact(pre: np.ndarray, params: dict):
     """The head after its first affine layer, on (B, T, H) frame pre-activations.
 
-    Returns the frame embeddings ``elu(pre)``, the pre-activation of the hidden
-    layer (B, H) and the logits (B, C); latent IG differentiates through the
-    first two.
+    Returns the frame embeddings ``elu(pre)``, computed in place over ``pre``, the
+    pooled embedding (B, H), the pre-activation of the hidden layer (B, H), its ELU
+    and the logits (B, C): everything ``_head_vjp`` reads.
     """
-    emb = ad.elu_array(pre)
+    emb = ad.elu_array(pre, out=pre)
     pooled = emb.mean(axis=1)
     gate = _pool_gate(params)
     if gate:
         pooled = pooled + gate * emb.max(axis=1)
     hidden = pooled @ params["w1"] + params["b1"]
-    return emb, hidden, ad.elu_array(hidden) @ params["w2"] + params["b2"]
+    act = ad.elu_array(hidden)
+    return emb, pooled, hidden, act, act @ params["w2"] + params["b2"]
 
 
-def _head_vjp(pre: np.ndarray, params: dict, target: int):
-    """Backward of the target logit through the head, per row of (B, T, H) pre-activations.
+def _head_vjp(fwd: tuple, params: dict, d_logits: np.ndarray, grads: dict | None = None):
+    """Backward of sum(logits * d_logits) through the head, from ``_head_from_preact``'s output.
 
-    Returns d logit / d pooled (B, H), the ELU factor elu'(pre) (B, T, H) and the
-    max-frame term: None without a pool gate, else each channel's first-argmax
-    frame (B, H) and the ELU factor there.
+    ``d_logits`` holds one cotangent row per row of pre-activations (IG passes one-hot
+    rows). Returns d/d pooled (B, H), the ELU factor elu'(pre) (B, T, H) and the
+    max-frame term: None without a pool gate, else each channel's first-argmax frame
+    (B, H) and the ELU factor there. Given a ``grads`` dict, also stores the gradients
+    of w1, b1, w2 and b2 there.
     """
-    emb, hidden, _ = _head_from_preact(pre, params)
+    emb, pooled, hidden, act, _ = fwd
     # elu'(x) = exp(min(x, 0))
-    d_pooled = (params["w2"][:, target] * np.exp(np.minimum(hidden, 0.0))) @ params["w1"].T
+    d_hidden = (d_logits @ params["w2"].T) * np.exp(np.minimum(hidden, 0.0))
+    d_pooled = d_hidden @ params["w1"].T
+    if grads is not None:
+        grads.update(w1=pooled.T @ d_hidden, b1=d_hidden.sum(axis=0),
+                     w2=act.T @ d_logits, b2=d_logits.sum(axis=0))
     # elu'(pre) = min(elu(pre), 0) + 1, with no second exp over (B, T, H)
     d_emb = np.minimum(emb, 0.0)
     d_emb += 1.0
@@ -129,8 +141,28 @@ def _head_vjp(pre: np.ndarray, params: dict, target: int):
     return d_pooled, d_emb, (arg, np.take_along_axis(d_emb, arg[:, None, :], axis=1)[:, 0])
 
 
+def _preact_grad(d_pooled: np.ndarray, d_emb: np.ndarray, top, params: dict) -> np.ndarray:
+    """Per-row d/d pre (B, T, H) from ``_head_vjp``'s output; overwrites ``d_emb``.
+
+    The time mean spreads d_pooled over the T frames and the max pool adds
+    gate * d_pooled at each channel's first-argmax frame.
+    """
+    g = np.multiply(d_emb, (d_pooled / np.float32(d_emb.shape[1]))[:, None, :], out=d_emb)
+    if top is not None:
+        g[np.arange(len(g))[:, None], top[0], np.arange(g.shape[2])] += \
+            _pool_gate(params) * d_pooled * top[1]
+    return g
+
+
+def _onehot(target: int, rows: int, classes: int) -> np.ndarray:
+    """(rows, classes) float32 cotangents that select the target logit in every row."""
+    d = np.zeros((rows, classes), dtype=np.float32)
+    d[:, target] = 1.0
+    return d
+
+
 def _logits_np(latents: np.ndarray, params: dict) -> np.ndarray:
-    return _head_from_preact(latents @ params["w0"] + params["b0"], params)[2]
+    return _head_from_preact(latents @ params["w0"] + params["b0"], params)[-1]
 
 
 def classify(z: LatentGrid, params: dict) -> np.ndarray:
@@ -148,6 +180,19 @@ def predict_batch(latents: np.ndarray, params: dict) -> np.ndarray:
     return _logits_np(latents, params).argmax(axis=1)
 
 
+def _step_grads(latents: np.ndarray, labels: np.ndarray, params: dict):
+    """Mean softmax cross-entropy of the head on (B, T, L) latents, and its parameter gradients."""
+    frames = latents.reshape(-1, latents.shape[2])
+    pre = frames @ params["w0"]
+    pre += params["b0"]
+    fwd = _head_from_preact(pre.reshape(len(latents), -1, pre.shape[1]), params)
+    loss, d_logits = ad.softmax_cross_entropy_array(fwd[-1], labels)
+    grads = {}
+    d_pre = _preact_grad(*_head_vjp(fwd, params, d_logits, grads), params).reshape(pre.shape)
+    grads.update(w0=frames.T @ d_pre, b0=d_pre.sum(axis=0))
+    return float(loss), grads
+
+
 def train_classifier(
     latents: np.ndarray,
     labels: np.ndarray,
@@ -162,11 +207,19 @@ def train_classifier(
     fraction (uniform up to ``substitution_max_ratio``) of its cells replaced
     by the base values. Anchor samples stay anchor-labeled under base
     substitution, so the head treats base-valued cells as evidence-free.
+
+    Each step is the numpy head forward, softmax cross-entropy and head backward.
+    The metadata keeps every epoch's mean loss.
     """
     latents = np.asarray(latents, dtype=np.float32)
     labels = np.asarray(labels, dtype=np.int64)
     if latents.shape[0] == 0:
         raise ValueError("training set must be nonempty")
+    if config.epochs < 1:
+        raise ValueError("epochs must be >= 1")
+    bad = np.count_nonzero((labels < 0) | (labels >= config.num_classes))
+    if bad:
+        raise ValueError(f"{bad} labels outside [0, {config.num_classes})")
     if np.unique(labels).size < 2:
         raise ValueError("training set must contain at least 2 classes")
     augment = substitution_base is not None and config.anchor_class is not None
@@ -178,12 +231,12 @@ def train_classifier(
     cells = latents.shape[1] * latents.shape[2]
     base_flat = substitution_base.reshape(-1) if augment else None
     rng = np.random.default_rng(seed)
-    pt = _wrap(init_classifier_params(config, seed), True)
-    opt = Adam(pt, AdamConfig(lr=config.lr))
-    final_loss = float("nan")
+    params = init_classifier_params(config, seed)
+    opt = Adam(params, AdamConfig(lr=config.lr))
+    epoch_losses = []
     for _epoch in range(config.epochs):
         perm = rng.permutation(m)
-        total, count = 0.0, 0
+        total = 0.0
         for start in range(0, m, config.batch_size):
             idx = perm[start : start + config.batch_size]
             batch = latents[idx]
@@ -197,19 +250,16 @@ def train_classifier(
                     if n_sub:
                         flat = rng.choice(cells, size=n_sub, replace=False)
                         batch[j].reshape(-1)[flat] = base_flat[flat]
-            logits = logits_from_latent(ad.Tensor(batch), pt)
-            loss = ad.softmax_cross_entropy(logits, labels[idx])
-            opt.zero_grad()
-            loss.backward()
-            opt.step()
-            total += float(loss.data) * len(idx)
-            count += len(idx)
-        final_loss = total / count
+            loss, grads = _step_grads(batch, labels[idx], params)
+            opt.step(grads)
+            total += loss * len(idx)
+        epoch_losses.append(total / m)
     return Checkpoint(
         kind="classifier",
         config=asdict(config),
-        params={k: t.data for k, t in pt.items()},
-        metadata={"seed": seed, "epochs": config.epochs, "final_loss": final_loss},
+        params=params,
+        metadata={"seed": seed, "epochs": config.epochs, "final_loss": epoch_losses[-1],
+                  "initial_loss": epoch_losses[0], "epoch_losses": epoch_losses},
     )
 
 

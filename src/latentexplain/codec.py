@@ -4,9 +4,14 @@ The encoder uses valid (no padding) strided convolutions; to keep the
 frame count at floor(N / stride_product), ``encode`` right-pads the
 waveform with zeros up to the exact input length those frames require.
 ``decode`` mirrors with transposed convolutions and trims the boundary
-back to frames * stride_product samples. Encoding and waveform IG run the numpy
-encoder (``encoder_forward``, input VJP ``encoder_vjp``); the autodiff tape serves
-training and ``decode``.
+back to frames * stride_product samples.
+
+Everything runs on numpy, channels-last, on one kernel pair: ``_conv`` (one
+GEMM per kernel tap over blocks of S samples) and its transpose ``_conv_t``.
+The encoder is ``_conv`` and its input VJP ``_conv_t``; the decoder is
+``_conv_t`` and its backward ``_conv``; ``_kernel_grad`` gives both weight
+gradients. Encoding, waveform IG, ``decode`` and ``train_autoencoder`` use
+them; the autodiff tape is not involved.
 """
 
 from __future__ import annotations
@@ -121,34 +126,6 @@ def init_codec_params(config: CodecConfig, seed: int) -> dict:
     return params
 
 
-def _wrap(params: dict, requires_grad: bool) -> dict:
-    return {k: ad.Tensor(v, requires_grad=requires_grad) for k, v in params.items()}
-
-
-def encode_tensor(x: ad.Tensor, pt: dict, config: CodecConfig) -> ad.Tensor:
-    """Differentiable encoder on (B, 1, N_padded); returns (B, L, T)."""
-    h = x
-    n_layers = len(config.channels)
-    for i in range(n_layers):
-        h = ad.conv1d(h, pt[f"enc{i}_w"], config.strides[i])
-        h = ad.add(h, ad.reshape(pt[f"enc{i}_b"], (1, -1, 1)))
-        if i < n_layers - 1:
-            h = ad.elu(h)
-    return h
-
-
-def decode_tensor(z: ad.Tensor, pt: dict, config: CodecConfig) -> ad.Tensor:
-    """Differentiable decoder on (B, L, T); returns (B, 1, N_out) in [-1, 1]."""
-    h = z
-    n_layers = len(config.channels)
-    for i in range(n_layers):
-        h = ad.conv1d_transpose(h, pt[f"dec{i}_w"], tuple(reversed(config.strides))[i])
-        h = ad.add(h, ad.reshape(pt[f"dec{i}_b"], (1, -1, 1)))
-        if i < n_layers - 1:
-            h = ad.elu(h)
-    return ad.tanh(h)
-
-
 def pad_for_encode(samples: np.ndarray, config: CodecConfig) -> np.ndarray:
     """Fit waveforms to the exact encoder input length; non-finite samples raise NonFiniteError."""
     bad = samples.size - np.count_nonzero(np.isfinite(samples))
@@ -183,11 +160,46 @@ def _fit(h: np.ndarray, n: int) -> np.ndarray:
     return h[:, :n] if h.shape[1] >= n else np.pad(h, ((0, 0), (0, n - h.shape[1]), (0, 0)))
 
 
+def _blocks(h: np.ndarray, nb: int, s: int) -> np.ndarray:
+    """(B, N, C) fitted to nb * S samples and viewed as (B, nb, S * C) blocks."""
+    return _fit(h, nb * s).reshape(h.shape[0], nb, s * h.shape[2])
+
+
+def _conv(h: np.ndarray, taps: np.ndarray, s: int, nout: int) -> np.ndarray:
+    """Stride-S conv of (B, N, C_in) to (B, nout, C_out): one GEMM per tap over the blocks."""
+    blocks = _blocks(h, nout + len(taps) - 1, s)
+    out = blocks[:, :nout] @ taps[0]
+    for a in range(1, len(taps)):
+        out += blocks[:, a : a + nout] @ taps[a]
+    return out
+
+
+def _conv_t(g: np.ndarray, taps: np.ndarray, s: int, n: int) -> np.ndarray:
+    """Transpose of ``_conv``, (B, nout, C_out) to (B, n, C_in): g @ tapᵀ added onto the blocks."""
+    b, nout, _ = g.shape
+    nb = nout + len(taps) - 1
+    gb = np.empty((b, nb, taps.shape[1]), dtype=g.dtype)
+    np.matmul(g, taps[0].T, out=gb[:, :nout])
+    gb[:, nout:] = 0.0
+    for a in range(1, len(taps)):
+        gb[:, a : a + nout] += g @ taps[a].T
+    return _fit(gb.reshape(b, nb * s, -1), n)
+
+
+def _kernel_grad(h: np.ndarray, g: np.ndarray, s: int, k: int) -> np.ndarray:
+    """Gradient of sum(_conv(h, _taps(w), s, nout) * g) w.r.t. the (C_out, C_in, K) kernel w."""
+    nout, cout, cin = g.shape[1], g.shape[2], h.shape[2]
+    m = -(-k // s)
+    blocks = _blocks(h, nout + m - 1, s)
+    dt = np.stack([np.matmul(blocks[:, a : a + nout].transpose(0, 2, 1), g).sum(axis=0)
+                   for a in range(m)])
+    return dt.reshape(m, s, cin, cout).transpose(3, 2, 0, 1).reshape(cout, cin, m * s)[:, :, :k]
+
+
 def encoder_forward(x: np.ndarray, params: dict, config: CodecConfig):
     """Encoder on padded (B, N) waveforms: latents (B, T, L) and each layer's input.
 
-    Channels-last: a layer views its input as blocks of S samples, so a strided conv
-    is one GEMM per tap over the blocks shifted by the tap index, plus bias and ELU.
+    Channels-last: each layer is ``_conv`` on its taps, plus bias and ELU.
     float64 input is computed in float64, anything else in float32.
     """
     dtype = np.float64 if x.dtype == np.float64 else np.float32
@@ -196,37 +208,69 @@ def encoder_forward(x: np.ndarray, params: dict, config: CodecConfig):
     last = len(config.channels) - 1
     for i, (k, s) in enumerate(zip(config.kernel_sizes, config.strides)):
         acts.append(h)
-        taps = _taps(params[f"enc{i}_w"], s, dtype)
-        b, n, c = h.shape
-        nout = (n - k) // s + 1
-        nb = nout + len(taps) - 1
-        blocks = _fit(h, nb * s).reshape(b, nb, s * c)
-        out = blocks[:, :nout] @ taps[0]
-        for a in range(1, len(taps)):
-            out += blocks[:, a : a + nout] @ taps[a]
+        out = _conv(h, _taps(params[f"enc{i}_w"], s, dtype), s, (h.shape[1] - k) // s + 1)
         out += params[f"enc{i}_b"].astype(dtype)
-        h = ad.elu_array(out) if i < last else out
+        h = ad.elu_array(out, out=out) if i < last else out
     return h, acts
 
 
-def encoder_vjp(acts: list, g: np.ndarray, params: dict, config: CodecConfig) -> np.ndarray:
-    """Gradient of sum(latents * g) w.r.t. the (B, N) waveforms, from ``encoder_forward``'s acts."""
+def encoder_vjp(acts: list, g: np.ndarray, params: dict, config: CodecConfig,
+                grads: dict | None = None):
+    """Gradient of sum(latents * g) w.r.t. the (B, N) waveforms, from ``encoder_forward``'s acts.
+
+    Given a ``grads`` dict, stores the gradients of the encoder's weights and biases
+    there instead and returns None: training needs no waveform gradient.
+    """
     last = len(acts) - 1
     for i in range(last, -1, -1):
         if i < last:
-            d = np.minimum(acts[i + 1], 0.0)  # elu'(x) = min(elu(x), 0) + 1
-            d += 1.0
-            g = np.multiply(d, g, out=d)
-        s = config.strides[i]
-        taps = _taps(params[f"enc{i}_w"], s, g.dtype)
-        b, n, c = acts[i].shape
-        nout = g.shape[1]
-        nb = nout + len(taps) - 1
-        gb = np.zeros((b, nb, s * c), dtype=g.dtype)
-        for a, tap in enumerate(taps):
-            gb[:, a : a + nout] += g @ tap.T
-        g = _fit(gb.reshape(b, nb * s, c), n)
+            g = ad.elu_vjp(acts[i + 1], g)
+        s, w = config.strides[i], params[f"enc{i}_w"]
+        if grads is not None:
+            grads[f"enc{i}_w"] = _kernel_grad(acts[i], g, s, w.shape[2])
+            grads[f"enc{i}_b"] = g.sum(axis=(0, 1))
+            if i == 0:
+                return None
+        g = _conv_t(g, _taps(w, s, g.dtype), s, acts[i].shape[1])
     return g[:, :, 0]
+
+
+def decoder_forward(z: np.ndarray, params: dict, config: CodecConfig):
+    """Decoder on (B, T, L) latents: (B, N) waveforms in [-1, 1] and each layer's input.
+
+    A (C_in, C_out, K) transposed-conv kernel has the layout of the (C_out, C_in, K)
+    conv it transposes, so each layer is ``_conv_t`` on its taps, plus bias and ELU;
+    the last layer ends in tanh instead.
+    """
+    h = z
+    acts = []
+    last = len(config.channels) - 1
+    for i, s in enumerate(reversed(config.strides)):
+        acts.append(h)
+        w = params[f"dec{i}_w"]
+        out = _conv_t(h, _taps(w, s, h.dtype), s, (h.shape[1] - 1) * s + w.shape[2])
+        out += params[f"dec{i}_b"].astype(h.dtype)
+        h = ad.elu_array(out, out=out) if i < last else np.tanh(out)
+    return h[:, :, 0], acts
+
+
+def _decoder_vjp(acts: list, y: np.ndarray, g: np.ndarray, params: dict, config: CodecConfig,
+                 grads: dict) -> np.ndarray:
+    """Backward of sum(y * g) through ``decoder_forward``, given its output y and acts.
+
+    Stores the decoder's weight and bias gradients in ``grads``; returns the (B, T, L)
+    latent gradient. Each layer's backward is ``_conv`` on the gradient.
+    """
+    g = (g * (1.0 - y * y))[:, :, None]
+    last = len(acts) - 1
+    for i in range(last, -1, -1):
+        if i < last:
+            g = ad.elu_vjp(acts[i + 1], g)
+        s, w = config.strides[last - i], params[f"dec{i}_w"]
+        grads[f"dec{i}_w"] = _kernel_grad(g, acts[i], s, w.shape[2])
+        grads[f"dec{i}_b"] = g.sum(axis=(0, 1))
+        g = _conv(g, _taps(w, s, g.dtype), s, acts[i].shape[1])
+    return g
 
 
 def encode(clip: AudioClip, params: dict, config: CodecConfig) -> LatentGrid:
@@ -248,10 +292,19 @@ def decode(z: LatentGrid, params: dict, config: CodecConfig) -> AudioClip:
         raise ad.DimensionError(
             f"latent has {z.channels} channels, decoder expects {config.latent_channels}"
         )
-    zt = ad.Tensor(z.values.T[None, :, :])
-    x = decode_tensor(zt, _wrap(params, False), config)
-    out = x.data[0, 0, : z.frames * config.stride_product]
-    return AudioClip(out, config.sample_rate)
+    x, _ = decoder_forward(z.values[None], params, config)
+    return AudioClip(x[0, : z.frames * config.stride_product], config.sample_rate)
+
+
+def _step_grads(x: np.ndarray, params: dict, config: CodecConfig):
+    """Waveform MSE of reconstructing exact-length (B, N) waveforms, and its parameter gradients."""
+    z, enc_acts = encoder_forward(x, params, config)
+    y, dec_acts = decoder_forward(z, params, config)
+    diff = y - x
+    grads = {}
+    dz = _decoder_vjp(dec_acts, y, diff * (2.0 / diff.size), params, config, grads)
+    encoder_vjp(enc_acts, dz, params, config, grads)
+    return float(np.mean(diff * diff)), grads
 
 
 def train_autoencoder(
@@ -262,43 +315,40 @@ def train_autoencoder(
 ) -> Checkpoint:
     """Train the autoencoder on equal-length clips (M, N) by waveform MSE.
 
-    Deterministic given (clips, config, train, seed).
+    Each step runs the numpy encoder and decoder, the MSE and tanh backward by hand,
+    then the decoder's and the encoder's VJP for the parameter gradients. Deterministic
+    given (clips, config, train, seed); the metadata keeps every epoch's mean loss.
     """
     train = train or CodecTrainConfig()
     clips = np.asarray(clips, dtype=np.float32)
     if clips.ndim != 2 or clips.shape[0] == 0:
         raise ValueError("training set must be a nonempty (M, N) array")
+    if train.epochs < 1:
+        raise ValueError("epochs must be >= 1")
     x_all = pad_for_encode(clips, config)
     m = x_all.shape[0]
     rng = np.random.default_rng(seed)
-    params_np = init_codec_params(config, seed)
-    pt = _wrap(params_np, True)
-    opt = Adam(pt, AdamConfig(lr=train.lr, beta1=train.beta1, beta2=train.beta2))
+    params = init_codec_params(config, seed)
+    opt = Adam(params, AdamConfig(lr=train.lr, beta1=train.beta1, beta2=train.beta2))
     epoch_losses = []
     for _epoch in range(train.epochs):
         perm = rng.permutation(m)
-        total, count = 0.0, 0
+        total = 0.0
         for start in range(0, m, train.batch_size):
-            idx = perm[start : start + train.batch_size]
-            xb = ad.Tensor(x_all[idx][:, None, :])
-            z = encode_tensor(xb, pt, config)
-            xh = decode_tensor(z, pt, config)
-            diff = ad.add(xh, ad.scale(xb, -1.0))
-            loss = ad.tmean(ad.mul(diff, diff))
-            opt.zero_grad()
-            loss.backward()
-            opt.step()
-            total += float(loss.data) * len(idx)
-            count += len(idx)
-        epoch_losses.append(total / count)
+            xb = x_all[perm[start : start + train.batch_size]]
+            loss, grads = _step_grads(xb, params, config)
+            opt.step(grads)
+            total += loss * len(xb)
+        epoch_losses.append(total / m)
     return Checkpoint(
         kind="codec",
         config=config.to_dict(),
-        params={k: t.data for k, t in pt.items()},
+        params=params,
         metadata={
             "seed": seed,
             "epochs": train.epochs,
             "final_loss": epoch_losses[-1],
             "initial_loss": epoch_losses[0],
+            "epoch_losses": epoch_losses,
         },
     )

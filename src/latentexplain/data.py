@@ -259,6 +259,9 @@ def load_dataset(directory) -> LabeledAudioDataset:
     if labels.ndim != 1 or not isinstance(class_names, list) or not all(
             i.ndim == 1 and np.all((i >= 0) & (i < len(labels))) for i in (train_idx, test_idx)):
         raise DatasetError(f"{directory}: malformed manifest: labels, class names or split indices")
+    bad = np.count_nonzero((labels < 0) | (labels >= len(class_names)))
+    if bad:
+        raise DatasetError(f"{directory}: {bad} labels outside [0, {len(class_names)})")
     clips = np.stack(
         [wav_read(directory / "clips" / f"clip_{i:05d}.wav").samples for i in range(len(labels))]
     )

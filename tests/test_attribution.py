@@ -15,8 +15,10 @@ from latentexplain.attribution import (
 from latentexplain import autodiff as ad
 from latentexplain.audio import AudioClip, NonFiniteError
 from latentexplain.autodiff import DimensionError
+from latentexplain import attribution
 from latentexplain.classifier import (
     ClassifierConfig,
+    _pool_gate,
     _logits_np,
     init_classifier_params,
     logits_from_latent,
@@ -28,10 +30,10 @@ from latentexplain.codec import (
     LatentGrid,
     encode,
     encode_batch,
-    encode_tensor,
     init_codec_params,
     pad_for_encode,
 )
+from tape_reference import encode_tensor
 
 
 def affine_head_params(l=6, h=5, c=3, seed=0):
@@ -317,3 +319,44 @@ class TestRandomBaselineMethod:
         att = random_attribution((5, 3), seed=0, method=RANDOM_INPUT)
         assert att.method == RANDOM_INPUT
         assert np.all(att.scores >= 0) and np.all(att.scores < 1)
+
+
+def one_target_head_vjp(fwd, params, d_logits, grads=None):
+    """The head backward for the target logit alone, as IG ran it before per-row cotangents."""
+    emb, _, hidden, _, _ = fwd
+    target = int(np.argmax(d_logits[0]))
+    onehot = np.eye(len(params["b2"]), dtype=np.float32)[[target] * len(emb)]
+    assert np.array_equal(d_logits, onehot)
+    d_pooled = (params["w2"][:, target] * np.exp(np.minimum(hidden, 0.0))) @ params["w1"].T
+    d_emb = np.minimum(emb, 0.0)
+    d_emb += 1.0
+    if not _pool_gate(params):
+        return d_pooled, d_emb, None
+    arg = emb.argmax(axis=1)
+    return d_pooled, d_emb, (arg, np.take_along_axis(d_emb, arg[:, None, :], axis=1)[:, 0])
+
+
+class TestOneHotRowsKeepTheScores:
+    """IG through the per-row head backward on one-hot rows is bit-identical to the one-target one."""
+
+    @pytest.mark.parametrize("task", ["kw", "emo"])
+    def test_latent_and_waveform_ig(self, task, request, monkeypatch, codec_config):
+        data = request.getfixturevalue(f"{task}_data")
+        latents = request.getfixturevalue(f"{task}_latents")
+        codec = request.getfixturevalue(f"codec_{task}")
+        head = request.getfixturevalue(f"cls_{task}")
+        i, j = data.test_idx[:2]
+        target = int(predict_batch(latents[i : i + 1], head.params)[0])
+
+        def maps():
+            return (
+                integrated_gradients_latent(LatentGrid(latents[i]), LatentGrid(latents[j]),
+                                            head.params, target, steps=64).scores,
+                integrated_gradients_input(data.clips[i], data.clips[j], codec.params,
+                                           codec_config, head.params, target, steps=5).scores,
+            )
+
+        got = maps()
+        monkeypatch.setattr(attribution, "_head_vjp", one_target_head_vjp)
+        for new, old in zip(got, maps()):
+            assert np.array_equal(new, old)

@@ -5,7 +5,9 @@ from latentexplain import autodiff as ad
 from latentexplain.checkpoint import params_sha256
 from latentexplain.classifier import (
     ClassifierConfig,
+    _head_from_preact,
     _logits_np,
+    _step_grads,
     classify,
     evaluate_accuracy,
     init_classifier_params,
@@ -60,7 +62,51 @@ class TestHeadForwardsAgree:
         assert np.max(np.abs(got - tape.data)) <= 1e-5 * np.max(np.abs(tape.data))
 
 
+class TestHeadStepMatchesTape:
+    """One training step's loss and gradients against the head and cross-entropy on the tape."""
+
+    @pytest.mark.parametrize("pooling", ["mean", "mean-max"])
+    def test_grads_in_float64(self, pooling):
+        params = init_classifier_params(ClassifierConfig(num_classes=5, pooling=pooling), 4)
+        rng = np.random.default_rng(5)
+        for k in ("b0", "b1", "b2"):
+            params[k] = 0.5 * rng.standard_normal(params[k].shape)
+        params = {k: v.astype(np.float64) for k, v in params.items()}
+        lat = 2 * random_latents(6, seed=6).astype(np.float64)
+        # frames 4 and 9 tie for the max of channel h in every row, and differ only in
+        # latent channel l, which h does not weigh: the max pool's gradient must go to
+        # frame 4, the first, or w0[l, h] gets the wrong one
+        l, h = 3, 7
+        params["w0"][l, h] = 0.0
+        lat[:, 4] = 20.0 * params["w0"][:, h] / np.linalg.norm(params["w0"][:, h])
+        lat[:, 9] = lat[:, 4]
+        lat[:, 9, l] += 1.0
+        emb = _head_from_preact(lat @ params["w0"] + params["b0"], params)[0]
+        assert np.all(emb[:, 4, h] == emb[:, 9, h]) and np.all(emb[:, :, h].argmax(axis=1) == 4)
+        labels = np.array([0, 1, 2, 3, 4, 2])
+        loss, grads = _step_grads(lat, labels, params)
+        pt = {k: ad.Tensor(v, requires_grad=True) for k, v in params.items()}
+        ref = ad.softmax_cross_entropy(logits_from_latent(ad.Tensor(lat), pt), labels)
+        ref.backward()
+        assert abs(loss - float(ref.data)) <= 1e-12 * float(ref.data)
+        assert sorted(grads) == ["b0", "b1", "b2", "w0", "w1", "w2"]
+        for k, g in grads.items():
+            assert g.dtype == np.float64 and g.shape == params[k].shape
+            assert np.max(np.abs(g - pt[k].grad)) <= 1e-10 * np.max(np.abs(pt[k].grad)), k
+
+
 class TestTraining:
+    def test_epoch_losses_in_metadata(self):
+        lat = random_latents(30, seed=4)
+        labels = np.arange(30) % 3
+        cfg = ClassifierConfig(num_classes=3, epochs=4, pooling="mean-max", anchor_class=0)
+        base = np.zeros((16, 32), np.float32)
+        a = train_classifier(lat, labels, cfg, seed=1, substitution_base=base).metadata
+        assert a == train_classifier(lat, labels, cfg, seed=1, substitution_base=base).metadata
+        assert len(a["epoch_losses"]) == 4
+        assert a["epoch_losses"][0] == a["initial_loss"]
+        assert a["epoch_losses"][-1] == a["final_loss"]
+
     def test_learns_separable_toy_task(self):
         rng = np.random.default_rng(0)
         lat = random_latents(80, seed=0)
@@ -82,6 +128,13 @@ class TestTraining:
         with pytest.raises(ValueError):
             train_classifier(random_latents(10), np.zeros(10, dtype=int),
                              ClassifierConfig(num_classes=2))
+
+    @pytest.mark.parametrize("bad", [3, -1])
+    def test_label_outside_the_classes_rejected(self, bad):
+        labels = np.arange(10) % 3
+        labels[4] = bad
+        with pytest.raises(ValueError, match=r"outside \[0, 3\)"):
+            train_classifier(random_latents(10), labels, ClassifierConfig(num_classes=3))
 
     def test_empty_rejected(self):
         with pytest.raises(ValueError):

@@ -291,6 +291,18 @@ class TestMalformedManifest:
         assert message in capsys.readouterr().err
         assert not (tmp_path / "ckpt").exists()
 
+    @pytest.mark.parametrize("labels", [[0, 2], [-1, 1]], ids=["equal-to-class-count", "negative"])
+    def test_label_outside_the_classes_exits_4(self, tmp_path, capsys, labels):
+        """Checked when the manifest is read, before any clip is read or encoded."""
+        cfg = write_config(tmp_path)
+        (tmp_path / "data").mkdir()
+        (tmp_path / "data" / "manifest.json").write_text(json.dumps(
+            {"version": 1, "spec": {"task": "keyword"}, "class_names": ["a", "b"],
+             "labels": labels, "train_idx": [0], "test_idx": [1]}))
+        assert main(["--config", str(cfg), "train-classifier"]) == EXIT_DATA_ERROR
+        assert "labels outside [0, 2)" in capsys.readouterr().err
+        assert not (tmp_path / "ckpt").exists()
+
 
 class TestArgumentErrors:
     def test_unparsable_argument_exits_3(self, workspace, tmp_path, capsys):

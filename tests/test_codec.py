@@ -13,21 +13,23 @@ from latentexplain.checkpoint import (
     read_checkpoint,
     write_checkpoint,
 )
+from latentexplain.classifier import ClassifierConfig, train_classifier
 from latentexplain.codec import (
     ENCODE_ROWS,
     CodecConfig,
     CodecTrainConfig,
     LatentGrid,
+    _step_grads,
     decode,
     encode,
     encode_batch,
-    encode_tensor,
     encoder_forward,
     encoder_vjp,
     init_codec_params,
     pad_for_encode,
     train_autoencoder,
 )
+from tape_reference import decode_tensor, encode_tensor, tape
 
 
 @pytest.fixture(scope="module")
@@ -97,10 +99,6 @@ class TestDeterminismAndZeroCases:
         assert np.all(out.samples >= -1.0) and np.all(out.samples <= 1.0)
 
 
-def tape(params):
-    return {k: ad.Tensor(v) for k, v in params.items()}
-
-
 class TestEncoderMatchesTape:
     """The numpy inference encoder and its input VJP against the autodiff tape."""
 
@@ -137,6 +135,106 @@ class TestEncoderMatchesTape:
         gx = encoder_vjp(acts, g, params, cfg)
         assert gx.dtype == np.float64 and gx.shape == x.shape
         assert np.max(np.abs(gx - xt.grad[:, 0, :])) <= 1e-12 * np.max(np.abs(xt.grad))
+
+
+# (kernel sizes, strides) of three layers: the (K, S) cases of TestEncoderMatchesTape, with
+# K < S and K not a multiple of S, and one codec whose layers differ
+LAYERS = [((k,) * 3, (s,) * 3) for k, s in [(8, 4), (3, 2), (4, 2), (5, 2), (3, 4)]]
+LAYERS.append(((5, 3, 8), (2, 4, 3)))
+
+
+def small_float64_codec(ks, ss):
+    """A 3-layer codec with the given kernel sizes and strides and nonzero biases, in float64."""
+    cfg = CodecConfig(channels=(3, 4, 5), kernel_sizes=ks, strides=ss, latent_channels=5)
+    rng = np.random.default_rng(sum(ks) + 10 * sum(ss))
+    params = {n: v.astype(np.float64) for n, v in init_codec_params(cfg, ks[0] + ss[0]).items()}
+    for n in params:
+        if n.endswith("_b"):
+            params[n] = 0.3 * rng.standard_normal(params[n].shape)
+    return cfg, params, rng
+
+
+def assert_grads_match(grads, pt, names, rel=1e-10):
+    assert sorted(grads) == sorted(names)
+    for n in names:
+        ref = pt[n].grad
+        assert grads[n].shape == ref.shape and grads[n].dtype == ref.dtype, n
+        assert np.max(np.abs(grads[n] - ref)) <= rel * np.max(np.abs(ref)), n
+
+
+class TestTrainingMatchesTape:
+    """The numpy training step and ``decode`` against the codec on the autodiff tape."""
+
+    @pytest.mark.parametrize("extra", [0, 3])
+    @pytest.mark.parametrize("ks,ss", LAYERS)
+    def test_encoder_weight_grads_in_float64(self, ks, ss, extra):
+        cfg, params, rng = small_float64_codec(ks, ss)
+        x = rng.uniform(-1, 1, (2, cfg.required_input_length(3) + extra))
+        z, acts = encoder_forward(x, params, cfg)
+        g = rng.standard_normal(z.shape)
+        grads = {}
+        assert encoder_vjp(acts, g, params, cfg, grads) is None
+        pt = tape(params, requires_grad=True)
+        zt = encode_tensor(ad.Tensor(x[:, None, :]), pt, cfg)
+        ad.tsum(ad.mul(zt, ad.Tensor(g.transpose(0, 2, 1)))).backward()
+        assert_grads_match(grads, pt, [n for n in params if n.startswith("enc")])
+
+    @pytest.mark.parametrize("ks,ss", LAYERS)
+    def test_step_grads_in_float64(self, ks, ss):
+        """MSE, tanh, decoder and encoder backward: every parameter's gradient."""
+        cfg, params, rng = small_float64_codec(ks, ss)
+        x = rng.uniform(-1, 1, (3, cfg.required_input_length(4)))
+        loss, grads = _step_grads(x, params, cfg)
+        pt = tape(params, requires_grad=True)
+        xt = ad.Tensor(x[:, None, :])
+        diff = ad.add(decode_tensor(encode_tensor(xt, pt, cfg), pt, cfg), ad.scale(xt, -1.0))
+        ref = ad.tmean(ad.mul(diff, diff))
+        ref.backward()
+        assert abs(loss - float(ref.data)) <= 1e-12 * float(ref.data)
+        assert_grads_match(grads, pt, list(params))
+
+    @pytest.mark.parametrize("task", ["kw", "emo"])
+    def test_decode_on_cached_codecs(self, task, request, codec_config):
+        data = request.getfixturevalue(f"{task}_data")
+        codec = request.getfixturevalue(f"codec_{task}")
+        z = encode_batch(data.clips[data.test_idx[:4]], codec.params, codec_config)
+        for zi in z:
+            got = decode(LatentGrid(zi), codec.params, codec_config).samples
+            ref = decode_tensor(ad.Tensor(zi.T[None]), tape(codec.params), codec_config).data
+            assert got.dtype == np.float32 and len(got) == 16384
+            assert np.max(np.abs(got - ref[0, 0, : len(got)])) <= 1e-5
+
+
+def tape_raises(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("the autodiff tape was used")
+
+    for op in ("conv1d", "conv1d_transpose", "matmul", "softmax_cross_entropy"):
+        monkeypatch.setattr(ad, op, refuse)
+    monkeypatch.setattr(ad.Tensor, "backward", refuse)
+
+
+class TestTrainingOffTheTape:
+    """Training and decoding call no tape op."""
+
+    def test_train_autoencoder_and_decode(self, monkeypatch):
+        tape_raises(monkeypatch)
+        cfg = CodecConfig(channels=(4, 6), kernel_sizes=(8, 8), strides=(4, 4), latent_channels=6)
+        clips = np.tile(tone(1024).samples, (5, 1))
+        ckpt = train_autoencoder(clips, cfg, CodecTrainConfig(epochs=2, batch_size=2), seed=0)
+        z = encode(tone(1024), ckpt.params, cfg)
+        assert len(decode(z, ckpt.params, cfg)) == 1024
+
+    @pytest.mark.parametrize("pooling,anchored", [("mean", False), ("mean-max", False),
+                                                  ("mean", True), ("mean-max", True)])
+    def test_train_classifier(self, monkeypatch, pooling, anchored):
+        tape_raises(monkeypatch)
+        lat = np.random.default_rng(0).standard_normal((12, 8, 6)).astype(np.float32)
+        cfg = ClassifierConfig(num_classes=3, latent_channels=6, hidden=8, epochs=2,
+                               batch_size=5, pooling=pooling, anchor_class=0 if anchored else None)
+        ckpt = train_classifier(lat, np.arange(12) % 3, cfg, seed=0,
+                                substitution_base=np.zeros((8, 6), np.float32))
+        assert np.isfinite(ckpt.metadata["final_loss"])
 
 
 def test_encode_batch_of_no_clips(cfg, params):
@@ -187,6 +285,16 @@ class TestTraining:
         b = train_autoencoder(clips, cfg, tc, seed=1)
         assert a.metadata["final_loss"] < a.metadata["initial_loss"]
         assert params_sha256(a.params) == params_sha256(b.params)
+
+    def test_epoch_losses_in_metadata(self):
+        clips = np.tile(tone(1024).samples, (6, 1))
+        cfg = CodecConfig(channels=(4, 6), kernel_sizes=(8, 8), strides=(4, 4), latent_channels=6)
+        tc = CodecTrainConfig(epochs=3, batch_size=4)
+        a = train_autoencoder(clips, cfg, tc, seed=2).metadata
+        assert a == train_autoencoder(clips, cfg, tc, seed=2).metadata
+        assert len(a["epoch_losses"]) == 3
+        assert a["epoch_losses"][0] == a["initial_loss"]
+        assert a["epoch_losses"][-1] == a["final_loss"]
 
     def test_empty_dataset_rejected(self):
         with pytest.raises(ValueError):
