@@ -1,16 +1,16 @@
-"""Minimal dense-tensor reverse-mode autodiff on numpy.
+"""Minimal reverse-mode autodiff on numpy, and the array kernels the runtime calls directly.
 
-Define-by-run: every op builds a fresh node; calling ``backward()`` on a
-scalar walks the recorded graph in reverse topological order.  Only the
-ops needed by the codec, the classifier head, and integrated gradients
-are implemented.  float32 by default; float64 inputs are respected (the
-gradcheck helper relies on this).
+The kernels are the channels-last conv pair ``_conv``/``_conv_t`` with ``_kernel_grad``,
+ELU with its VJP, and softmax cross-entropy. The tape is define-by-run: every op builds
+a fresh node; ``backward()`` on a scalar walks the graph in reverse topological order.
+Its ``conv1d`` and ``conv1d_transpose`` nodes run the same conv kernels, so the gradcheck
+covers the convs the runtime runs. float32 by default; float64 inputs are respected
+(the gradcheck helper relies on this).
 """
 
 from __future__ import annotations
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 
 class DimensionError(ValueError):
@@ -238,8 +238,61 @@ def scale(x: Tensor, c: float) -> Tensor:
     return Tensor(out_data, _parents=(x,), _backward=bwd, _op="scale")
 
 
+def _taps(w: np.ndarray, stride: int, dtype) -> np.ndarray:
+    """A (C_out, C_in, K) kernel, zero-padded to m = ceil(K / S) taps of (S * C_in, C_out).
+
+    Row j * C_in + c of tap a weighs channel c of sample a * S + j of a window,
+    which is row j * C_in + c of the window's a-th block of S channels-last samples.
+    """
+    cout, cin, k = w.shape
+    m = -(-k // stride)
+    wp = np.pad(w.astype(dtype), ((0, 0), (0, 0), (0, m * stride - k)))
+    return wp.reshape(cout, cin, m, stride).transpose(2, 3, 1, 0).reshape(m, stride * cin, cout)
+
+
+def _fit(h: np.ndarray, n: int) -> np.ndarray:
+    """(B, N', C) cut or zero-padded along time to N samples."""
+    return h[:, :n] if h.shape[1] >= n else np.pad(h, ((0, 0), (0, n - h.shape[1]), (0, 0)))
+
+
+def _blocks(h: np.ndarray, nb: int, s: int) -> np.ndarray:
+    """(B, N, C) fitted to nb * S samples and viewed as (B, nb, S * C) blocks."""
+    return _fit(h, nb * s).reshape(h.shape[0], nb, s * h.shape[2])
+
+
+def _conv(h: np.ndarray, taps: np.ndarray, s: int, nout: int) -> np.ndarray:
+    """Stride-S conv of (B, N, C_in) to (B, nout, C_out): one GEMM per tap over the blocks."""
+    blocks = _blocks(h, nout + len(taps) - 1, s)
+    out = blocks[:, :nout] @ taps[0]
+    for a in range(1, len(taps)):
+        out += blocks[:, a : a + nout] @ taps[a]
+    return out
+
+
+def _conv_t(g: np.ndarray, taps: np.ndarray, s: int, n: int) -> np.ndarray:
+    """Transpose of ``_conv``, (B, nout, C_out) to (B, n, C_in): g @ tapᵀ added onto the blocks."""
+    b, nout, _ = g.shape
+    nb = nout + len(taps) - 1
+    gb = np.empty((b, nb, taps.shape[1]), dtype=g.dtype)
+    np.matmul(g, taps[0].T, out=gb[:, :nout])
+    gb[:, nout:] = 0.0
+    for a in range(1, len(taps)):
+        gb[:, a : a + nout] += g @ taps[a].T
+    return _fit(gb.reshape(b, nb * s, -1), n)
+
+
+def _kernel_grad(h: np.ndarray, g: np.ndarray, s: int, k: int) -> np.ndarray:
+    """Gradient of sum(_conv(h, _taps(w), s, nout) * g) w.r.t. the (C_out, C_in, K) kernel w."""
+    nout, cout, cin = g.shape[1], g.shape[2], h.shape[2]
+    m = -(-k // s)
+    blocks = _blocks(h, nout + m - 1, s)
+    dt = np.stack([np.matmul(blocks[:, a : a + nout].transpose(0, 2, 1), g).sum(axis=0)
+                   for a in range(m)])
+    return dt.reshape(m, s, cin, cout).transpose(3, 2, 0, 1).reshape(cout, cin, m * s)[:, :, :k]
+
+
 def conv1d(x: Tensor, w: Tensor, stride: int) -> Tensor:
-    """Valid (no padding) strided cross-correlation.
+    """Valid (no padding) strided cross-correlation on ``_conv``.
 
     x: (B, C_in, N); w: (C_out, C_in, K).
     """
@@ -249,32 +302,28 @@ def conv1d(x: Tensor, w: Tensor, stride: int) -> Tensor:
         raise DimensionError(f"conv1d input must be (B,C_in,N), got {x.data.shape}")
     if w.data.ndim != 3:
         raise DimensionError(f"conv1d kernels must be (C_out,C_in,K), got {w.data.shape}")
-    cout, cin, k = w.data.shape
-    b, cin_x, n = x.data.shape
+    _, cin, k = w.data.shape
+    _, cin_x, n = x.data.shape
     if cin_x != cin:
         raise DimensionError(f"conv1d channel mismatch: input {cin_x}, kernels {cin}")
     if n < k:
         raise DimensionError(f"conv1d input length {n} shorter than kernel {k}")
-    nout = (n - k) // stride + 1
-    win = sliding_window_view(x.data, k, axis=2)[:, :, :: stride, :][:, :, :nout, :]
-    out_data = np.einsum("bcnk,ock->bon", win, w.data, optimize=True)
+    h = x.data.transpose(0, 2, 1)
+    taps = _taps(w.data, stride, h.dtype)
+    out_data = _conv(h, taps, stride, (n - k) // stride + 1).transpose(0, 2, 1)
 
     def bwd(g):
+        g = g.transpose(0, 2, 1)
         if w.requires_grad:
-            w._accumulate(np.einsum("bcnk,bon->ock", win, g, optimize=True))
+            w._accumulate(_kernel_grad(h, g, stride, k))
         if x.requires_grad:
-            gx = np.zeros_like(x.data)
-            for kk in range(k):
-                gx[:, :, kk : kk + nout * stride : stride] += np.einsum(
-                    "bon,oc->bcn", g, w.data[:, :, kk], optimize=True
-                )
-            x._accumulate(gx)
+            x._accumulate(_conv_t(g, taps, stride, n).transpose(0, 2, 1))
 
     return Tensor(out_data, _parents=(x, w), _backward=bwd, _op="conv1d")
 
 
 def conv1d_transpose(x: Tensor, w: Tensor, stride: int) -> Tensor:
-    """Adjoint of conv1d (fractionally-strided scatter-add).
+    """Adjoint of conv1d on ``_conv_t``: w is read as the (C_out, C_in, K) kernel it transposes.
 
     x: (B, C_in, T); w: (C_in, C_out, K); output length (T-1)*stride + K.
     """
@@ -284,24 +333,20 @@ def conv1d_transpose(x: Tensor, w: Tensor, stride: int) -> Tensor:
         raise DimensionError(f"conv1d_transpose input must be (B,C_in,T), got {x.data.shape}")
     if w.data.ndim != 3:
         raise DimensionError(f"conv1d_transpose kernels must be (C_in,C_out,K), got {w.data.shape}")
-    cin, cout, k = w.data.shape
-    b, cin_x, t = x.data.shape
+    cin, _, k = w.data.shape
+    _, cin_x, t = x.data.shape
     if cin_x != cin:
         raise DimensionError(f"conv1d_transpose channel mismatch: input {cin_x}, kernels {cin}")
-    nout = (t - 1) * stride + k
-    out_data = np.zeros((b, cout, nout), dtype=x.data.dtype)
-    for kk in range(k):
-        out_data[:, :, kk : kk + t * stride : stride] += np.einsum(
-            "bct,co->bot", x.data, w.data[:, :, kk], optimize=True
-        )
+    h = x.data.transpose(0, 2, 1)
+    taps = _taps(w.data, stride, h.dtype)
+    out_data = _conv_t(h, taps, stride, (t - 1) * stride + k).transpose(0, 2, 1)
 
     def bwd(g):
-        # windows of the output gradient seen by each input frame
-        win = sliding_window_view(g, k, axis=2)[:, :, :: stride, :][:, :, :t, :]
+        g = g.transpose(0, 2, 1)
         if x.requires_grad:
-            x._accumulate(np.einsum("botk,cok->bct", win, w.data, optimize=True))
+            x._accumulate(_conv(g, taps, stride, t).transpose(0, 2, 1))
         if w.requires_grad:
-            w._accumulate(np.einsum("bct,botk->cok", x.data, win, optimize=True))
+            w._accumulate(_kernel_grad(g, h, stride, k))
 
     return Tensor(out_data, _parents=(x, w), _backward=bwd, _op="conv1d_transpose")
 

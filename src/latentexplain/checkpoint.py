@@ -84,6 +84,8 @@ def read_checkpoint(path) -> Checkpoint:
         if end + 4 * count > len(raw):
             raise CheckpointError(f"truncated checkpoint: tensor {name!r} ends past the file")
         arr = np.frombuffer(raw, dtype="<f4", count=count, offset=end)
+        if bad := count - np.count_nonzero(np.isfinite(arr)):
+            raise CheckpointError(f"tensor {name!r} has {bad} non-finite values of {count}")
         params[name] = arr.reshape(shape).copy()
         end += 4 * count
     if end != len(raw):

@@ -6,12 +6,12 @@ waveform with zeros up to the exact input length those frames require.
 ``decode`` mirrors with transposed convolutions and trims the boundary
 back to frames * stride_product samples.
 
-Everything runs on numpy, channels-last, on one kernel pair: ``_conv`` (one
-GEMM per kernel tap over blocks of S samples) and its transpose ``_conv_t``.
-The encoder is ``_conv`` and its input VJP ``_conv_t``; the decoder is
-``_conv_t`` and its backward ``_conv``; ``_kernel_grad`` gives both weight
-gradients. Encoding, waveform IG, ``decode`` and ``train_autoencoder`` use
-them; the autodiff tape is not involved.
+Everything runs on numpy, channels-last, on the kernel pair in ``autodiff``:
+``_conv`` (one GEMM per kernel tap over blocks of S samples) and its transpose
+``_conv_t``. The encoder is ``_conv`` and its input VJP ``_conv_t``; the
+decoder is ``_conv_t`` and its backward ``_conv``; ``_kernel_grad`` gives both
+weight gradients. Encoding, waveform IG, ``decode`` and ``train_autoencoder``
+call them directly and build no autodiff graph.
 """
 
 from __future__ import annotations
@@ -21,6 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import autodiff as ad
+from .autodiff import _conv, _conv_t, _kernel_grad, _taps
 from .audio import AudioClip, LengthError, NonFiniteError
 from .checkpoint import Checkpoint
 from .optim import Adam, AdamConfig
@@ -141,59 +142,6 @@ def pad_for_encode(samples: np.ndarray, config: CodecConfig) -> np.ndarray:
     if need <= n:
         return samples[..., :need]
     return np.pad(samples, [(0, 0)] * (samples.ndim - 1) + [(0, need - n)])
-
-
-def _taps(w: np.ndarray, stride: int, dtype) -> np.ndarray:
-    """A (C_out, C_in, K) kernel, zero-padded to m = ceil(K / S) taps of (S * C_in, C_out).
-
-    Row j * C_in + c of tap a weighs channel c of sample a * S + j of a window,
-    which is row j * C_in + c of the window's a-th block of S channels-last samples.
-    """
-    cout, cin, k = w.shape
-    m = -(-k // stride)
-    wp = np.pad(w.astype(dtype), ((0, 0), (0, 0), (0, m * stride - k)))
-    return wp.reshape(cout, cin, m, stride).transpose(2, 3, 1, 0).reshape(m, stride * cin, cout)
-
-
-def _fit(h: np.ndarray, n: int) -> np.ndarray:
-    """(B, N', C) cut or zero-padded along time to N samples."""
-    return h[:, :n] if h.shape[1] >= n else np.pad(h, ((0, 0), (0, n - h.shape[1]), (0, 0)))
-
-
-def _blocks(h: np.ndarray, nb: int, s: int) -> np.ndarray:
-    """(B, N, C) fitted to nb * S samples and viewed as (B, nb, S * C) blocks."""
-    return _fit(h, nb * s).reshape(h.shape[0], nb, s * h.shape[2])
-
-
-def _conv(h: np.ndarray, taps: np.ndarray, s: int, nout: int) -> np.ndarray:
-    """Stride-S conv of (B, N, C_in) to (B, nout, C_out): one GEMM per tap over the blocks."""
-    blocks = _blocks(h, nout + len(taps) - 1, s)
-    out = blocks[:, :nout] @ taps[0]
-    for a in range(1, len(taps)):
-        out += blocks[:, a : a + nout] @ taps[a]
-    return out
-
-
-def _conv_t(g: np.ndarray, taps: np.ndarray, s: int, n: int) -> np.ndarray:
-    """Transpose of ``_conv``, (B, nout, C_out) to (B, n, C_in): g @ tapᵀ added onto the blocks."""
-    b, nout, _ = g.shape
-    nb = nout + len(taps) - 1
-    gb = np.empty((b, nb, taps.shape[1]), dtype=g.dtype)
-    np.matmul(g, taps[0].T, out=gb[:, :nout])
-    gb[:, nout:] = 0.0
-    for a in range(1, len(taps)):
-        gb[:, a : a + nout] += g @ taps[a].T
-    return _fit(gb.reshape(b, nb * s, -1), n)
-
-
-def _kernel_grad(h: np.ndarray, g: np.ndarray, s: int, k: int) -> np.ndarray:
-    """Gradient of sum(_conv(h, _taps(w), s, nout) * g) w.r.t. the (C_out, C_in, K) kernel w."""
-    nout, cout, cin = g.shape[1], g.shape[2], h.shape[2]
-    m = -(-k // s)
-    blocks = _blocks(h, nout + m - 1, s)
-    dt = np.stack([np.matmul(blocks[:, a : a + nout].transpose(0, 2, 1), g).sum(axis=0)
-                   for a in range(m)])
-    return dt.reshape(m, s, cin, cout).transpose(3, 2, 0, 1).reshape(cout, cin, m * s)[:, :, :k]
 
 
 def encoder_forward(x: np.ndarray, params: dict, config: CodecConfig):

@@ -262,9 +262,13 @@ def load_dataset(directory) -> LabeledAudioDataset:
     bad = np.count_nonzero((labels < 0) | (labels >= len(class_names)))
     if bad:
         raise DatasetError(f"{directory}: {bad} labels outside [0, {len(class_names)})")
-    clips = np.stack(
-        [wav_read(directory / "clips" / f"clip_{i:05d}.wav").samples for i in range(len(labels))]
-    )
+    clips = []
+    for i in range(len(labels)):
+        clip = wav_read(path := directory / "clips" / f"clip_{i:05d}.wav")
+        if (clip.sample_rate, len(clip)) != (spec.sample_rate, spec.clip_length):
+            raise DatasetError(f"{path}: {clip.sample_rate} Hz and {len(clip)} samples, not the"
+                               f" spec's {spec.sample_rate} Hz and {spec.clip_length} samples")
+        clips.append(clip.samples)
     return LabeledAudioDataset(
-        clips, labels, class_names, train_idx, test_idx, spec, manifest.get("meta", [])
+        np.stack(clips), labels, class_names, train_idx, test_idx, spec, manifest.get("meta", [])
     )

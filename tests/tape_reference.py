@@ -1,4 +1,12 @@
-"""The codec on the autodiff tape: the reference for the numpy encoder, decoder and training."""
+"""The codec on the autodiff tape: the reference for the numpy encoder, decoder and training.
+
+Its conv nodes are a sliding-window ``einsum`` conv of their own, so the reference shares
+no code with the ``autodiff`` conv kernels (``_conv``, ``_conv_t``, ``_kernel_grad``) that
+the codec and the tape's ``conv1d``/``conv1d_transpose`` run.
+"""
+
+import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from latentexplain import autodiff as ad
 from latentexplain.codec import CodecConfig
@@ -8,12 +16,54 @@ def tape(params: dict, requires_grad: bool = False) -> dict:
     return {k: ad.Tensor(v, requires_grad=requires_grad) for k, v in params.items()}
 
 
+def conv1d(x: ad.Tensor, w: ad.Tensor, stride: int) -> ad.Tensor:
+    """Valid strided cross-correlation; x: (B, C_in, N), w: (C_out, C_in, K)."""
+    k = w.data.shape[2]
+    nout = (x.data.shape[2] - k) // stride + 1
+    win = sliding_window_view(x.data, k, axis=2)[:, :, ::stride, :][:, :, :nout, :]
+    out_data = np.einsum("bcnk,ock->bon", win, w.data, optimize=True)
+
+    def bwd(g):
+        if w.requires_grad:
+            w._accumulate(np.einsum("bcnk,bon->ock", win, g, optimize=True))
+        if x.requires_grad:
+            gx = np.zeros_like(x.data)
+            for kk in range(k):
+                gx[:, :, kk : kk + nout * stride : stride] += np.einsum(
+                    "bon,oc->bcn", g, w.data[:, :, kk], optimize=True
+                )
+            x._accumulate(gx)
+
+    return ad.Tensor(out_data, _parents=(x, w), _backward=bwd, _op="conv1d")
+
+
+def conv1d_transpose(x: ad.Tensor, w: ad.Tensor, stride: int) -> ad.Tensor:
+    """Scatter-add adjoint of ``conv1d``; x: (B, C_in, T), w: (C_in, C_out, K)."""
+    b, _, t = x.data.shape
+    cout, k = w.data.shape[1:]
+    out_data = np.zeros((b, cout, (t - 1) * stride + k), dtype=x.data.dtype)
+    for kk in range(k):
+        out_data[:, :, kk : kk + t * stride : stride] += np.einsum(
+            "bct,co->bot", x.data, w.data[:, :, kk], optimize=True
+        )
+
+    def bwd(g):
+        # windows of the output gradient seen by each input frame
+        win = sliding_window_view(g, k, axis=2)[:, :, ::stride, :][:, :, :t, :]
+        if x.requires_grad:
+            x._accumulate(np.einsum("botk,cok->bct", win, w.data, optimize=True))
+        if w.requires_grad:
+            w._accumulate(np.einsum("bct,botk->cok", x.data, win, optimize=True))
+
+    return ad.Tensor(out_data, _parents=(x, w), _backward=bwd, _op="conv1d_transpose")
+
+
 def encode_tensor(x: ad.Tensor, pt: dict, config: CodecConfig) -> ad.Tensor:
     """Differentiable encoder on (B, 1, N_padded); returns (B, L, T)."""
     h = x
     n_layers = len(config.channels)
     for i in range(n_layers):
-        h = ad.conv1d(h, pt[f"enc{i}_w"], config.strides[i])
+        h = conv1d(h, pt[f"enc{i}_w"], config.strides[i])
         h = ad.add(h, ad.reshape(pt[f"enc{i}_b"], (1, -1, 1)))
         if i < n_layers - 1:
             h = ad.elu(h)
@@ -25,7 +75,7 @@ def decode_tensor(z: ad.Tensor, pt: dict, config: CodecConfig) -> ad.Tensor:
     h = z
     n_layers = len(config.channels)
     for i in range(n_layers):
-        h = ad.conv1d_transpose(h, pt[f"dec{i}_w"], tuple(reversed(config.strides))[i])
+        h = conv1d_transpose(h, pt[f"dec{i}_w"], tuple(reversed(config.strides))[i])
         h = ad.add(h, ad.reshape(pt[f"dec{i}_b"], (1, -1, 1)))
         if i < n_layers - 1:
             h = ad.elu(h)

@@ -209,20 +209,24 @@ class TestBackward:
 @pytest.mark.parametrize(
     "opname",
     ["matmul", "conv1d", "conv1d_transpose", "tanh", "relu", "elu", "scale", "xent", "mean",
-     "add", "max"],
+     "add", "max",
+     # conv geometries beyond K = 3, S = 2: K < S, and K not a multiple of S
+     "conv1d_k2s3", "conv1d_k5s2", "conv1d_transpose_k2s3", "conv1d_transpose_k5s2"],
 )
 def test_gradcheck_each_op(opname, case):
     rng = np.random.default_rng(hash((opname, case)) % (2**32))
+    op, _, geometry = opname.partition("_k")
+    k, s = map(int, geometry.split("s")) if geometry else (3, 2)
     if opname == "matmul":
         ad.gradcheck(lambda a, b: ad.tsum(ad.mul(ad.matmul(a, b), ad.matmul(a, b))),
                      [rng.standard_normal((3, 4)), rng.standard_normal((4, 2))])
-    elif opname == "conv1d":
-        ad.gradcheck(lambda x, w: ad.tsum(ad.mul(ad.conv1d(x, w, 2), ad.conv1d(x, w, 2))),
-                     [rng.standard_normal((1, 2, 9)), rng.standard_normal((3, 2, 3))])
-    elif opname == "conv1d_transpose":
+    elif op == "conv1d":
+        ad.gradcheck(lambda x, w: ad.tsum(ad.mul(ad.conv1d(x, w, s), ad.conv1d(x, w, s))),
+                     [rng.standard_normal((1, 2, 3 * s + k)), rng.standard_normal((3, 2, k))])
+    elif op == "conv1d_transpose":
         ad.gradcheck(
-            lambda x, w: ad.tsum(ad.mul(ad.conv1d_transpose(x, w, 2), ad.conv1d_transpose(x, w, 2))),
-            [rng.standard_normal((1, 2, 4)), rng.standard_normal((2, 3, 3))])
+            lambda x, w: ad.tsum(ad.mul(ad.conv1d_transpose(x, w, s), ad.conv1d_transpose(x, w, s))),
+            [rng.standard_normal((1, 2, 4)), rng.standard_normal((2, 3, k))])
     elif opname == "tanh":
         ad.gradcheck(lambda x: ad.tsum(ad.tanh(x)), [rng.standard_normal(6)])
     elif opname == "relu":

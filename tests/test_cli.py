@@ -3,6 +3,7 @@
 import filecmp
 import json
 import re
+import shutil
 import struct
 from dataclasses import fields
 from pathlib import Path
@@ -12,7 +13,7 @@ import pytest
 
 from latentexplain import cli
 from latentexplain.audio import AudioClip, wav_read, wav_write
-from latentexplain.checkpoint import file_sha256
+from latentexplain.checkpoint import file_sha256, read_checkpoint, write_checkpoint
 from latentexplain.cli import (
     EXIT_BAD_CONFIG,
     EXIT_DATA_ERROR,
@@ -304,6 +305,23 @@ class TestMalformedManifest:
         assert not (tmp_path / "ckpt").exists()
 
 
+class TestCorpusClipsMatchTheSpec:
+    @pytest.mark.parametrize("rate,length,message", [
+        (8000, 4096, "8000 Hz and 4096 samples, not the spec's 16000 Hz and 4096 samples"),
+        (16000, 4000, "16000 Hz and 4000 samples, not the spec's 16000 Hz and 4096 samples"),
+    ], ids=["sample-rate", "length"])
+    def test_exits_4(self, workspace, tmp_path, capsys, rate, length, message):
+        root, _ = workspace
+        shutil.copytree(root / "data", tmp_path / "data")
+        cfg = write_config(tmp_path)
+        clip_path = tmp_path / "data" / "clips" / "clip_00003.wav"
+        wav_write(AudioClip(wav_read(clip_path).samples[:length], rate), clip_path)
+        assert main(["--config", str(cfg), "train-codec"]) == EXIT_DATA_ERROR
+        err = capsys.readouterr().err
+        assert "clip_00003.wav" in err and message in err and "Traceback" not in err
+        assert not (tmp_path / "ckpt").exists()
+
+
 class TestArgumentErrors:
     def test_unparsable_argument_exits_3(self, workspace, tmp_path, capsys):
         root, cfg = workspace
@@ -430,6 +448,21 @@ class TestExplain:
                      "--out", str(tmp_path / "o.wav")])
         assert code == EXIT_MISSING_CHECKPOINT
         assert "bad magic" in capsys.readouterr().err
+
+    def test_non_finite_checkpoint_exits_2(self, workspace, tmp_path, capsys):
+        root, cfg = workspace
+        codec = read_checkpoint(root / "ckpt" / "codec.ckpt")
+        codec.params["enc0_w"][1, 0, 2] = np.nan
+        bad = tmp_path / "codec.ckpt"
+        write_checkpoint(codec, bad)
+        clip_path = next((root / "data" / "clips").glob("*.wav"))
+        out = tmp_path / "o.wav"
+        code = main(["--config", str(cfg), "explain", "--codec", str(bad),
+                     "--input", str(clip_path), "--alpha", "0.5", "--out", str(out)])
+        err = capsys.readouterr().err
+        assert code == EXIT_MISSING_CHECKPOINT
+        assert "tensor 'enc0_w' has 1 non-finite values" in err and "Traceback" not in err
+        assert not out.exists()
 
     def test_clip_shorter_than_a_frame_exits_4(self, workspace, tmp_path, capsys):
         root, cfg = workspace

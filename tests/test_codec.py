@@ -205,6 +205,36 @@ class TestTrainingMatchesTape:
             assert np.max(np.abs(got - ref[0, 0, : len(got)])) <= 1e-5
 
 
+KERNELS = ("_taps", "_conv", "_conv_t", "_kernel_grad")
+
+
+class TestOneConv:
+    """The codec and the tape's conv nodes run one kernel pair; the tape reference runs none of it."""
+
+    def test_codec_runs_the_autodiff_kernels(self):
+        from latentexplain import codec
+
+        for name in KERNELS:
+            assert getattr(codec, name) is getattr(ad, name), name
+
+    def test_reference_runs_without_the_kernels(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("a conv kernel ran")
+
+        for name in KERNELS + ("_fit", "_blocks"):
+            monkeypatch.setattr(ad, name, refuse)
+        with pytest.raises(AssertionError, match="a conv kernel ran"):
+            ad.conv1d(ad.Tensor(np.zeros((1, 1, 8))), ad.Tensor(np.zeros((1, 1, 2))), 2)
+        cfg, params, rng = small_float64_codec((5, 3, 8), (2, 4, 3))
+        pt = tape(params, requires_grad=True)
+        xt = ad.Tensor(rng.uniform(-1, 1, (2, 1, cfg.required_input_length(3))),
+                       requires_grad=True)
+        y = decode_tensor(encode_tensor(xt, pt, cfg), pt, cfg)
+        ad.tsum(ad.mul(y, y)).backward()
+        assert np.all(np.isfinite(xt.grad))
+        assert all(pt[n].grad is not None for n in params)
+
+
 def tape_raises(monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("the autodiff tape was used")
@@ -361,6 +391,16 @@ class TestCheckpointFormat:
         path = tmp_path / "short.ckpt"
         path.write_bytes(b"AXG1\0\0")
         with pytest.raises(CheckpointError, match="truncated"):
+            read_checkpoint(path)
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_non_finite_tensor_rejected(self, tmp_path, value):
+        ck = Checkpoint(kind="codec", config={}, metadata={},
+                        params={"a": np.ones((3, 4), np.float32), "b": np.zeros(7, np.float32)})
+        ck.params["b"][2] = value
+        path = tmp_path / "bad.ckpt"
+        write_checkpoint(ck, path)
+        with pytest.raises(CheckpointError, match="tensor 'b' has 1 non-finite values of 7"):
             read_checkpoint(path)
 
     def test_cut_short(self, tmp_path):
