@@ -35,19 +35,33 @@ class AttributionMap:
     def rank(self) -> np.ndarray:
         """int32 position of each flat cell in the stable descending order of the scores.
 
+        The order comes from one sort of one uint64 key per cell. The high 32 bits
+        are the float32 score's bits (after ``+ 0.0``, so -0.0 ties with +0.0),
+        mapped to unsigned integers in score order and inverted, so a larger score
+        gets a smaller key; the low 32 bits are the flat index, so equal scores go
+        by ascending index. The keys all differ, and the low halves of the sorted
+        keys are the stable descending order.
+
         Built once per scores array and cached. Ranking makes the array read-only,
         so an in-place write cannot leave the rank stale; binding a new array to
-        ``scores`` ranks again. Non-finite scores have no rank and raise ValueError.
+        ``scores`` ranks again. Non-finite scores have no rank and raise ValueError;
+        scores that are not float32 raise TypeError.
         """
         cached = self._ranked
         if cached is not None and cached[0] is self.scores and not self.scores.flags.writeable:
             return cached[1]
+        if self.scores.dtype != np.float32:
+            raise TypeError(f"attribution scores must be float32, got {self.scores.dtype}")
         flat = self.scores.ravel()
         bad = flat.size - np.count_nonzero(np.isfinite(flat))
         if bad:
             raise ValueError(f"attribution map has {bad} non-finite scores of {flat.size}")
+        bits = (flat + np.float32(0.0)).view(np.uint32)
+        # sign set: the bits already grow as the score falls; sign clear: flip the rest
+        high = bits ^ ((bits >> np.uint32(31)) - np.uint32(1)) & np.uint32(0x7FFFFFFF)
+        keys = high.astype(np.uint64) << np.uint64(32) | np.arange(flat.size, dtype=np.uint64)
         rank = np.empty(flat.size, dtype=np.int32)
-        rank[np.argsort(-flat, kind="stable")] = np.arange(flat.size, dtype=np.int32)
+        rank[np.sort(keys) & np.uint64(0xFFFFFFFF)] = np.arange(flat.size, dtype=np.int32)
         self.scores.flags.writeable = False
         self._ranked = (self.scores, rank)
         return rank

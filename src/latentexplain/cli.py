@@ -26,7 +26,8 @@ from .audio import LengthError, NonFiniteError, WavFormatError, wav_read, wav_wr
 from .checkpoint import Checkpoint, CheckpointError, file_sha256, read_checkpoint, write_checkpoint
 from .classifier import POOLINGS, ClassifierConfig, evaluate_accuracy, predict_batch, train_classifier
 from .codec import CodecConfig, CodecTrainConfig, decode, encode, encode_batch, train_autoencoder
-from .data import DatasetError, SyntheticDatasetSpec, generate_dataset, load_dataset, save_dataset
+from .data import (DatasetError, SyntheticDatasetSpec, generate_dataset, load_dataset, read_clips,
+                   read_manifest, save_dataset)
 from .attribution import integrated_gradients_latent
 from .masking import apply_mask_keep, check_ratio, make_base_latent, select_top
 from .evalharness import (
@@ -257,11 +258,18 @@ def _load_checkpoint(cfg: RunConfig, given, kind: str) -> tuple[Path, Checkpoint
     return p, ckpt
 
 
-def _load_data(path):
+def _data_dir(path) -> Path:
     p = Path(path)
     if not (p / "manifest.json").is_file():
         raise DatasetError(f"no dataset manifest under {p}")
-    return load_dataset(p)
+    return p
+
+
+def _test_split(path):
+    """The dataset, its manifest checked in full, and only the test split's clips and labels."""
+    p = _data_dir(path)
+    ds = read_manifest(p)
+    return ds, read_clips(p, ds.spec, ds.test_idx), ds.labels[ds.test_idx]
 
 
 def _load_models(cfg: RunConfig, args, clip_length: int):
@@ -290,7 +298,7 @@ def cmd_synth_data(cfg: RunConfig, args) -> int:
 
 
 def cmd_train_codec(cfg: RunConfig, args) -> int:
-    ds = _load_data(args.data or cfg.paths.data_dir)
+    ds = load_dataset(_data_dir(args.data or cfg.paths.data_dir))
     codec_cfg = cfg.codec_config()
     ckpt = train_autoencoder(
         ds.clips[ds.train_idx], codec_cfg, cfg.codec_train_config(), seed=cfg.codec.seed
@@ -304,7 +312,7 @@ def cmd_train_codec(cfg: RunConfig, args) -> int:
 
 
 def cmd_train_classifier(cfg: RunConfig, args) -> int:
-    ds = _load_data(args.data or cfg.paths.data_dir)
+    ds = load_dataset(_data_dir(args.data or cfg.paths.data_dir))
     codec_path, codec_ckpt = _load_checkpoint(cfg, args.codec, "codec")
     codec_cfg = CodecConfig.from_dict(codec_ckpt.config)
     latents = encode_batch(ds.clips, codec_ckpt.params, codec_cfg)
@@ -384,9 +392,8 @@ def _cmd_eval(cfg: RunConfig, args, metric: str) -> int:
     for mname in methods:
         if mname not in ALL_METHODS:
             raise ConfigError(f"unknown method {mname!r}; choose from {list(ALL_METHODS)}")
-    ds = _load_data(args.data or cfg.paths.data_dir)
+    ds, clips, labels = _test_split(args.data or cfg.paths.data_dir)
     models, ckpt_hashes = _load_models(cfg, args, cfg.dataset.clip_length)
-    clips, labels = ds.subset(ds.test_idx)
     out_dir = Path(args.out or cfg.paths.report_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     dataset_id = f"{ds.spec.task}-seed{ds.spec.seed}"
@@ -415,11 +422,10 @@ def _cmd_eval(cfg: RunConfig, args, metric: str) -> int:
 
 def cmd_confusion(cfg: RunConfig, args) -> int:
     _check_ratios("--beta", [args.beta])
-    ds = _load_data(args.data or cfg.paths.data_dir)
+    ds, clips, labels = _test_split(args.data or cfg.paths.data_dir)
     if "neutral" not in ds.class_names:
         raise DatasetError("confusion requires a dataset with a 'neutral' class")
     models, ckpt_hashes = _load_models(cfg, args, cfg.dataset.clip_length)
-    clips, labels = ds.subset(ds.test_idx)
     mat = confusion_after_removal(clips, labels, len(ds.class_names), models, args.beta)
     out = Path(args.out or Path(cfg.paths.report_dir) / "confusion.json")
     out.parent.mkdir(parents=True, exist_ok=True)

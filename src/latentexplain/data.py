@@ -60,7 +60,7 @@ class SyntheticDatasetSpec:
 
 @dataclass
 class LabeledAudioDataset:
-    clips: np.ndarray          # (M, N) float32
+    clips: np.ndarray | None   # (M, N) float32; None until the clips are read
     labels: np.ndarray         # (M,) int64
     class_names: list
     train_idx: np.ndarray
@@ -237,7 +237,11 @@ def save_dataset(ds: LabeledAudioDataset, directory) -> None:
         json.dump(manifest, f, sort_keys=True, indent=1)
 
 
-def load_dataset(directory) -> LabeledAudioDataset:
+def read_manifest(directory) -> LabeledAudioDataset:
+    """The corpus under ``directory`` with its manifest checked in full; ``clips`` is None.
+
+    Every problem in the manifest raises DatasetError here, before any clip is read.
+    """
     directory = Path(directory)
     try:
         with open(directory / "manifest.json") as f:
@@ -262,13 +266,29 @@ def load_dataset(directory) -> LabeledAudioDataset:
     bad = np.count_nonzero((labels < 0) | (labels >= len(class_names)))
     if bad:
         raise DatasetError(f"{directory}: {bad} labels outside [0, {len(class_names)})")
-    clips = []
-    for i in range(len(labels)):
+    return LabeledAudioDataset(
+        None, labels, class_names, train_idx, test_idx, spec, manifest.get("meta", [])
+    )
+
+
+def read_clips(directory, spec: SyntheticDatasetSpec, rows) -> np.ndarray:
+    """The WAVs of the given corpus rows as one (len(rows), clip_length) float32 array.
+
+    Each clip must have the spec's sample rate and length (DatasetError otherwise).
+    """
+    directory = Path(directory)
+    clips = np.empty((len(rows), spec.clip_length), dtype=np.float32)
+    for j, i in enumerate(rows):
         clip = wav_read(path := directory / "clips" / f"clip_{i:05d}.wav")
         if (clip.sample_rate, len(clip)) != (spec.sample_rate, spec.clip_length):
             raise DatasetError(f"{path}: {clip.sample_rate} Hz and {len(clip)} samples, not the"
                                f" spec's {spec.sample_rate} Hz and {spec.clip_length} samples")
-        clips.append(clip.samples)
-    return LabeledAudioDataset(
-        np.stack(clips), labels, class_names, train_idx, test_idx, spec, manifest.get("meta", [])
-    )
+        clips[j] = clip.samples
+    return clips
+
+
+def load_dataset(directory) -> LabeledAudioDataset:
+    """The checked manifest and every clip of the corpus."""
+    ds = read_manifest(directory)
+    ds.clips = read_clips(directory, ds.spec, range(len(ds.labels)))
+    return ds

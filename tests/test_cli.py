@@ -284,13 +284,14 @@ class TestMalformedManifest:
         (json.dumps({"version": 1, "spec": {"task": "keyword"}, "class_names": ["a", "b"],
                      "labels": [0, 1], "train_idx": [0, 2], "test_idx": [1]}), "split indices"),
     ], ids=["not-json", "list", "no-labels", "scalar-labels", "index-out-of-range"])
-    def test_exits_4(self, tmp_path, capsys, manifest, message):
+    @pytest.mark.parametrize("command", ["train-codec", "eval-fidelity"])
+    def test_exits_4(self, tmp_path, capsys, manifest, message, command):
         cfg = write_config(tmp_path)
         (tmp_path / "data").mkdir()
         (tmp_path / "data" / "manifest.json").write_text(manifest)
-        assert main(["--config", str(cfg), "train-codec"]) == EXIT_DATA_ERROR
+        assert main(["--config", str(cfg), command]) == EXIT_DATA_ERROR
         assert message in capsys.readouterr().err
-        assert not (tmp_path / "ckpt").exists()
+        assert not (tmp_path / "ckpt").exists() and not (tmp_path / "reports").exists()
 
     @pytest.mark.parametrize("labels", [[0, 2], [-1, 1]], ids=["equal-to-class-count", "negative"])
     def test_label_outside_the_classes_exits_4(self, tmp_path, capsys, labels):
@@ -320,6 +321,58 @@ class TestCorpusClipsMatchTheSpec:
         err = capsys.readouterr().err
         assert "clip_00003.wav" in err and message in err and "Traceback" not in err
         assert not (tmp_path / "ckpt").exists()
+
+
+class TestScoringCommandsReadOnlyTheTestSplit:
+    """eval-fidelity, eval-drop and confusion read the manifest in full but only the test WAVs."""
+
+    COMMANDS = {
+        "eval-fidelity": ["eval-fidelity", "--methods", "latent-ig,random-latent"],
+        "eval-drop": ["eval-drop", "--methods", "latent-ig,random-latent"],
+        "confusion": ["confusion", "--beta", "0.5"],
+    }
+
+    @staticmethod
+    def corpus(workspace, dest, split=None):
+        """A copy of the workspace corpus whose first class is named neutral, so that
+        confusion runs on it; with ``split``, that split's first clip is at 8 kHz."""
+        root, _ = workspace
+        data = dest / "data"
+        shutil.copytree(root / "data", data)
+        manifest = json.loads((data / "manifest.json").read_text())
+        manifest["class_names"][0] = "neutral"
+        (data / "manifest.json").write_text(json.dumps(manifest))
+        if split is None:
+            return data, None
+        name = f"clip_{manifest[split][0]:05d}.wav"
+        wav_write(AudioClip(wav_read(data / "clips" / name).samples, 8000), data / "clips" / name)
+        return data, name
+
+    def run(self, workspace, data, out, command):
+        _, cfg = workspace
+        dest = out / "confusion.json" if command == "confusion" else out
+        return main(["--config", str(cfg), *self.COMMANDS[command], "--data", str(data),
+                     "--out", str(dest)])
+
+    @pytest.mark.parametrize("command", list(COMMANDS))
+    def test_bad_clip_outside_the_split_changes_no_byte(self, workspace, tmp_path, command):
+        clean, _ = self.corpus(workspace, tmp_path / "clean")
+        bad, _ = self.corpus(workspace, tmp_path / "bad", "train_idx")
+        assert self.run(workspace, clean, tmp_path / "a", command) == 0
+        assert self.run(workspace, bad, tmp_path / "b", command) == 0
+        names = sorted(p.name for p in (tmp_path / "a").iterdir())
+        assert names == sorted(p.name for p in (tmp_path / "b").iterdir()) and len(names) > 1
+        match, mismatch, errors = filecmp.cmpfiles(tmp_path / "a", tmp_path / "b", names,
+                                                   shallow=False)
+        assert match == names and not mismatch and not errors
+
+    @pytest.mark.parametrize("command", list(COMMANDS))
+    def test_bad_clip_inside_the_split_exits_4(self, workspace, tmp_path, capsys, command):
+        bad, name = self.corpus(workspace, tmp_path, "test_idx")
+        assert self.run(workspace, bad, tmp_path / "out", command) == EXIT_DATA_ERROR
+        err = capsys.readouterr().err
+        assert name in err and "8000 Hz" in err and "Traceback" not in err
+        assert not (tmp_path / "out").exists()
 
 
 class TestArgumentErrors:

@@ -8,6 +8,8 @@ from latentexplain.data import (
     generate_emotion_dataset,
     generate_keyword_dataset,
     load_dataset,
+    read_clips,
+    read_manifest,
     save_dataset,
 )
 
@@ -130,3 +132,14 @@ class TestMaterialization:
         first = load_dataset(tmp_path / "d")
         second = load_dataset(tmp_path / "d")
         assert np.array_equal(first.test_idx, second.test_idx)
+
+    def test_split_rows_read_alone_equal_the_full_load(self, tmp_path):
+        spec = SyntheticDatasetSpec(task="keyword", num_classes=2, clips_per_class=5, seed=3)
+        save_dataset(generate_keyword_dataset(spec), tmp_path / "d")
+        full = load_dataset(tmp_path / "d")
+        head = read_manifest(tmp_path / "d")
+        assert head.clips is None and np.array_equal(head.test_idx, full.test_idx)
+        rows = head.test_idx[::-1]
+        clips = read_clips(tmp_path / "d", head.spec, rows)
+        assert clips.dtype == np.float32 and full.clips.dtype == np.float32
+        assert np.array_equal(clips, full.clips[rows])

@@ -5,7 +5,11 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
-from latentexplain.attribution import AttributionMap, random_attribution
+from latentexplain.attribution import (
+    AttributionMap,
+    integrated_gradients_latent,
+    random_attribution,
+)
 from latentexplain.audio import AudioClip, LengthError
 from latentexplain.autodiff import DimensionError
 from latentexplain.codec import CodecConfig, LatentGrid, decode, init_codec_params
@@ -57,7 +61,14 @@ class TestSelectTop:
         assert set(smaller.kept.tolist()) <= set(mask.kept.tolist())
 
 
-TIED_SCORES = st.sampled_from([-1.0, -0.5, -0.0, 0.0, 0.5, 1.0])
+F32 = np.finfo(np.float32)
+# ties, +-0, subnormals, the smallest normal and +-float32 max, with both signs mixed
+EDGE_SCORES = st.sampled_from([
+    -1.0, -0.5, -0.0, 0.0, 0.5, 1.0,
+    float(F32.smallest_subnormal), -float(F32.smallest_subnormal), 1e-40, -1e-40,
+    float(F32.smallest_normal), -float(F32.smallest_normal), float(F32.max), -float(F32.max),
+])
+SCORES = st.one_of(EDGE_SCORES, st.floats(width=32, allow_nan=False, allow_infinity=False))
 
 
 def parent_kept(flat, ratio):
@@ -68,7 +79,7 @@ def parent_kept(flat, ratio):
 
 class TestRankCache:
     @given(
-        arrays(np.float32, st.tuples(st.integers(1, 6), st.integers(1, 7)), elements=TIED_SCORES),
+        arrays(np.float32, st.tuples(st.integers(1, 6), st.integers(1, 7)), elements=SCORES),
         st.lists(st.tuples(st.floats(0.0, 1.0), st.sampled_from([KEEP_TOP, REMOVE_TOP])),
                  min_size=1, max_size=12),
     )
@@ -81,9 +92,28 @@ class TestRankCache:
             assert mask.kept.dtype == np.int64 and mask.mode == mode
             assert np.array_equal(mask.kept, parent_kept(flat, ratio))
 
+    @staticmethod
+    def assert_rank_is_the_stable_argsort(att):
+        flat = att.scores.ravel().copy()
+        want = np.empty(flat.size, dtype=np.int32)
+        want[np.argsort(-flat, kind="stable")] = np.arange(flat.size, dtype=np.int32)
+        assert np.array_equal(att.rank(), want)
+
+    def test_random_map_rank_is_the_stable_argsort(self):
+        att = random_attribution((256, 32), seed=11)
+        assert att.scores.size == 8192
+        self.assert_rank_is_the_stable_argsort(att)
+
+    def test_integrated_gradients_map_rank_is_the_stable_argsort(self, kw_latents, models_kw,
+                                                                   cls_kw):
+        att = integrated_gradients_latent(LatentGrid(kw_latents[0]), models_kw.base_latent,
+                                          cls_kw.params, 1)
+        assert (att.scores < 0).any() and (att.scores > 0).any()
+        self.assert_rank_is_the_stable_argsort(att)
+
     def test_eleven_ratios_sort_the_map_once(self, monkeypatch):
         att = random_attribution((64, 32), seed=0)
-        counts = {"argsort": 0, "isfinite": 0}
+        counts = {"sort": 0, "argsort": 0, "isfinite": 0}
 
         def spy(name):
             orig = getattr(np, name)
@@ -97,7 +127,12 @@ class TestRankCache:
             monkeypatch.setattr(np, name, spy(name))
         for i in range(11):
             select_top(att, i / 10, mode=KEEP_TOP if i % 2 else REMOVE_TOP)
-        assert counts == {"argsort": 1, "isfinite": 1}
+        assert counts == {"sort": 1, "argsort": 0, "isfinite": 1}
+
+    def test_scores_that_are_not_float32_rejected(self):
+        att = AttributionMap(np.asarray([0.5, 0.25]), 0, "latent-ig")
+        with pytest.raises(TypeError, match="float32, got float64"):
+            select_top(att, 0.5)
 
     def test_rebinding_scores_ranks_again(self):
         att = att_map([[0.9, 0.1], [0.5, 0.3]])
