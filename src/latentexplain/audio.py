@@ -81,8 +81,11 @@ def wav_write(clip: AudioClip, path) -> None:
 
 def wav_read(path) -> AudioClip:
     """Read a mono 16-bit PCM RIFF WAV; anything else raises WavFormatError."""
-    with open(path, "rb") as f:
-        raw = f.read()
+    try:
+        with open(path, "rb") as f:
+            raw = f.read()
+    except IsADirectoryError as e:
+        raise WavFormatError(f"{path} is a directory, not a WAV file") from e
     if len(raw) < 12 or raw[0:4] != b"RIFF" or raw[8:12] != b"WAVE":
         raise WavFormatError("missing RIFF/WAVE header")
     pos = 12

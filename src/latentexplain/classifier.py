@@ -36,7 +36,7 @@ from . import autodiff as ad
 from .autodiff import DimensionError
 from .checkpoint import Checkpoint
 from .codec import LatentGrid
-from .optim import Adam, AdamConfig
+from .optim import AdamConfig, minibatch_adam
 
 
 POOLINGS = ("mean", "mean-max")
@@ -215,8 +215,6 @@ def train_classifier(
     labels = np.asarray(labels, dtype=np.int64)
     if latents.shape[0] == 0:
         raise ValueError("training set must be nonempty")
-    if config.epochs < 1:
-        raise ValueError("epochs must be >= 1")
     bad = np.count_nonzero((labels < 0) | (labels >= config.num_classes))
     if bad:
         raise ValueError(f"{bad} labels outside [0, {config.num_classes})")
@@ -227,40 +225,27 @@ def train_classifier(
         raise DimensionError(
             f"substitution base shape {substitution_base.shape} != latent shape {latents.shape[1:]}"
         )
-    m = latents.shape[0]
     cells = latents.shape[1] * latents.shape[2]
     base_flat = substitution_base.reshape(-1) if augment else None
     rng = np.random.default_rng(seed)
     params = init_classifier_params(config, seed)
-    opt = Adam(params, AdamConfig(lr=config.lr))
-    epoch_losses = []
-    for _epoch in range(config.epochs):
-        perm = rng.permutation(m)
-        total = 0.0
-        for start in range(0, m, config.batch_size):
-            idx = perm[start : start + config.batch_size]
-            batch = latents[idx]
-            if augment:
-                batch = batch.copy()
-                for j, gi in enumerate(idx):
-                    if labels[gi] != config.anchor_class:
-                        continue
-                    n_sub = int(np.floor(rng.uniform(0, config.substitution_max_ratio)
-                                         * cells + 0.5))
-                    if n_sub:
-                        flat = rng.choice(cells, size=n_sub, replace=False)
-                        batch[j].reshape(-1)[flat] = base_flat[flat]
-            loss, grads = _step_grads(batch, labels[idx], params)
-            opt.step(grads)
-            total += loss * len(idx)
-        epoch_losses.append(total / m)
-    return Checkpoint(
-        kind="classifier",
-        config=asdict(config),
-        params=params,
-        metadata={"seed": seed, "epochs": config.epochs, "final_loss": epoch_losses[-1],
-                  "initial_loss": epoch_losses[0], "epoch_losses": epoch_losses},
-    )
+
+    def step(idx):
+        batch = latents[idx]  # a copy: the substitution leaves ``latents`` as it is
+        if augment:
+            for j, gi in enumerate(idx):
+                if labels[gi] != config.anchor_class:
+                    continue
+                n_sub = int(np.floor(rng.uniform(0, config.substitution_max_ratio) * cells + 0.5))
+                if n_sub:
+                    flat = rng.choice(cells, size=n_sub, replace=False)
+                    batch[j].reshape(-1)[flat] = base_flat[flat]
+        return _step_grads(batch, labels[idx], params)
+
+    losses = minibatch_adam(params, step, len(latents), config.batch_size, config.epochs, rng,
+                            AdamConfig(lr=config.lr))
+    return Checkpoint(kind="classifier", config=asdict(config), params=params,
+                      metadata={"seed": seed, **losses})
 
 
 def evaluate_accuracy(latents: np.ndarray, labels: np.ndarray, params: dict) -> float:

@@ -4,11 +4,13 @@ Every subcommand reads a JSON run config (unknown keys rejected, flags
 override file values) and writes a provenance record next to its
 artifacts so any output can be reproduced byte-identically.
 
-Exit codes: 0 success, 2 missing or unreadable checkpoint, 3 malformed config
-or arguments (an argument argparse rejects; a ``--alpha``, ``--beta`` or ``--jobs``
-out of range; any config value of the wrong type or out of range: every value is
-checked by type and range when the file is read, before any input is read),
-4 data error (including a clip shorter than one latent frame).
+Exit codes: 0 success, 2 missing or unreadable checkpoint, or one whose config or
+tensors do not fit its kind, 3 malformed config or arguments (an argument argparse
+rejects; a ``--alpha``, ``--beta`` or ``--jobs`` out of range; any config value of the
+wrong type or out of range: every value is checked by type and range when the file is
+read, before any input is read), 4 data error (including a clip shorter than one latent
+frame, audio at another sample rate than the codec's, and a split the command cannot use).
+Clip length and sample rate come from the corpus, not the config's ``dataset`` section.
 """
 
 from __future__ import annotations
@@ -23,11 +25,13 @@ from pathlib import Path
 
 from . import __version__
 from .audio import LengthError, NonFiniteError, WavFormatError, wav_read, wav_write
-from .checkpoint import Checkpoint, CheckpointError, file_sha256, read_checkpoint, write_checkpoint
-from .classifier import POOLINGS, ClassifierConfig, evaluate_accuracy, predict_batch, train_classifier
-from .codec import CodecConfig, CodecTrainConfig, decode, encode, encode_batch, train_autoencoder
-from .data import (DatasetError, SyntheticDatasetSpec, generate_dataset, load_dataset, read_clips,
-                   read_manifest, save_dataset)
+from .checkpoint import CheckpointError, file_sha256, read_checkpoint, write_checkpoint
+from .classifier import (POOLINGS, ClassifierConfig, evaluate_accuracy, init_classifier_params,
+                         predict_batch, train_classifier)
+from .codec import (CodecConfig, CodecTrainConfig, decode, encode, encode_batch, init_codec_params,
+                    train_autoencoder)
+from .data import (DatasetError, SyntheticDatasetSpec, generate_dataset, read_clips, read_manifest,
+                   save_dataset)
 from .attribution import integrated_gradients_latent
 from .masking import apply_mask_keep, check_ratio, make_base_latent, select_top
 from .evalharness import (
@@ -182,6 +186,8 @@ class RunConfig:
                 raw = json.load(f)
         except FileNotFoundError as e:
             raise ConfigError(f"config file not found: {path}") from e
+        except IsADirectoryError as e:
+            raise ConfigError(f"config path is a directory: {path}") from e
         except json.JSONDecodeError as e:
             raise ConfigError(f"config is not valid JSON: {e}") from e
         if not isinstance(raw, dict):
@@ -248,39 +254,91 @@ def _checkpoint_path(cfg: RunConfig, given, kind: str) -> Path:
     return Path(given or Path(cfg.paths.checkpoint_dir) / f"{kind}.ckpt")
 
 
-def _load_checkpoint(cfg: RunConfig, given, kind: str) -> tuple[Path, Checkpoint]:
+# checkpoint kind -> its config dataclass and the function that builds its tensors
+_CHECKPOINT_KINDS = {"codec": (CodecConfig, init_codec_params),
+                     "classifier": (ClassifierConfig, init_classifier_params)}
+
+
+def _load_checkpoint(cfg: RunConfig, given, kind: str):
+    """The checkpoint at ``given`` (or the default path) and its config, both checked.
+
+    The config must have exactly the fields of the kind's dataclass (a codec's values
+    also keep the run config's rules), and the tensors the names and shapes that the
+    kind's init function builds for it; CheckpointError otherwise.
+    """
     p = _checkpoint_path(cfg, given, kind)
     if not p.is_file():
         raise CheckpointError(f"missing {kind} checkpoint: {p}")
     ckpt = read_checkpoint(p)
     if ckpt.kind != kind:
         raise CheckpointError(f"{p} holds a {ckpt.kind!r} checkpoint, expected {kind!r}")
-    return p, ckpt
+    cls, init = _CHECKPOINT_KINDS[kind]
+    keys = sorted(f.name for f in fields(cls))
+    if not isinstance(ckpt.config, dict) or sorted(ckpt.config) != keys:
+        raise CheckpointError(f"{p}: the {kind} config must have exactly the keys {keys}")
+    try:
+        if kind == "codec":  # strides and sample_rate shape no tensor
+            for key, default in CodecConfig().to_dict().items():
+                _check_value(f"config.{key}", key, default, ckpt.config[key])
+        config = cls(**ckpt.config)
+        want = {name: t.shape for name, t in init(config, 0).items()}
+    except (TypeError, ValueError) as e:
+        raise CheckpointError(f"{p}: bad {kind} config: {e}") from e
+    got = {name: t.shape for name, t in ckpt.params.items()}
+    if got != want:
+        raise CheckpointError(f"{p}: tensors {got} do not match its {kind} config's {want}")
+    return p, ckpt, config
 
 
-def _data_dir(path) -> Path:
+def _load_codec(cfg: RunConfig, given, source, sample_rate: int):
+    """``_load_checkpoint`` of the codec, for audio from ``source`` at ``sample_rate``.
+
+    Audio at another rate than the codec's raises DatasetError.
+    """
+    p, ckpt, codec_cfg = _load_checkpoint(cfg, given, "codec")
+    if sample_rate != codec_cfg.sample_rate:
+        raise DatasetError(f"{source}: sample rate {sample_rate} Hz, "
+                           f"the codec expects {codec_cfg.sample_rate} Hz")
+    return p, ckpt, codec_cfg
+
+
+def _corpus(path, **least_classes):
+    """The corpus under ``path``, its manifest checked in full and none of its clips read.
+
+    Each keyword names a split (``train_idx``, ``test_idx``) and the number of classes its
+    clips must cover; a split that covers fewer raises DatasetError.
+    """
     p = Path(path)
     if not (p / "manifest.json").is_file():
         raise DatasetError(f"no dataset manifest under {p}")
-    return p
+    ds = read_manifest(p)
+    for split, need in least_classes.items():
+        held = len(set(ds.labels[getattr(ds, split)].tolist()))
+        if held < need:
+            what = "is empty" if held == 0 else f"covers {held} class(es), {need} are needed"
+            raise DatasetError(f"{p}: the {split} split {what}")
+    return p, ds
 
 
 def _test_split(path):
-    """The dataset, its manifest checked in full, and only the test split's clips and labels."""
-    p = _data_dir(path)
-    ds = read_manifest(p)
-    return ds, read_clips(p, ds.spec, ds.test_idx), ds.labels[ds.test_idx]
+    """``_corpus`` with a nonempty test split, and only that split's clips and labels."""
+    p, ds = _corpus(path, test_idx=1)
+    return p, ds, read_clips(p, ds.spec, ds.test_idx), ds.labels[ds.test_idx]
 
 
-def _load_models(cfg: RunConfig, args, clip_length: int):
-    """Both checkpoints, checked, and the explainer models for clips of ``clip_length``.
+def _load_models(cfg: RunConfig, args, source, sample_rate: int, clip_length: int):
+    """Both checkpoints, checked, and the explainer models for ``source``'s clips.
 
-    Returns the models and the SHA-256 of the two checkpoint files, named as in provenance.
+    The clips are at ``sample_rate`` and ``clip_length`` samples long. Returns the models
+    and the SHA-256 of the two checkpoint files, named as in provenance.
     """
-    _, codec_ckpt = _load_checkpoint(cfg, args.codec, "codec")
-    _, cls_ckpt = _load_checkpoint(cfg, args.classifier, "classifier")
+    _, codec_ckpt, codec_cfg = _load_codec(cfg, args.codec, source, sample_rate)
+    _, cls_ckpt, head_cfg = _load_checkpoint(cfg, args.classifier, "classifier")
+    if head_cfg.latent_channels != codec_cfg.latent_channels:
+        raise CheckpointError(f"the classifier reads {head_cfg.latent_channels} latent channels,"
+                              f" the codec writes {codec_cfg.latent_channels}")
     models = build_models(
-        CodecConfig.from_dict(codec_ckpt.config), codec_ckpt.params, cls_ckpt.params,
+        codec_cfg, codec_ckpt.params, cls_ckpt.params,
         clip_length=clip_length, noise_seed=cfg.attribution.noise_seed,
         ig_steps=cfg.attribution.ig_steps,
     )
@@ -298,10 +356,11 @@ def cmd_synth_data(cfg: RunConfig, args) -> int:
 
 
 def cmd_train_codec(cfg: RunConfig, args) -> int:
-    ds = load_dataset(_data_dir(args.data or cfg.paths.data_dir))
-    codec_cfg = cfg.codec_config()
+    p, ds = _corpus(args.data or cfg.paths.data_dir, train_idx=1)
+    clips = read_clips(p, ds.spec, range(len(ds.labels)))
+    codec_cfg = replace(cfg.codec_config(), sample_rate=ds.spec.sample_rate)
     ckpt = train_autoencoder(
-        ds.clips[ds.train_idx], codec_cfg, cfg.codec_train_config(), seed=cfg.codec.seed
+        clips[ds.train_idx], codec_cfg, cfg.codec_train_config(), seed=cfg.codec.seed
     )
     out = _checkpoint_path(cfg, args.out, "codec")
     out.parent.mkdir(parents=True, exist_ok=True)
@@ -312,10 +371,10 @@ def cmd_train_codec(cfg: RunConfig, args) -> int:
 
 
 def cmd_train_classifier(cfg: RunConfig, args) -> int:
-    ds = load_dataset(_data_dir(args.data or cfg.paths.data_dir))
-    codec_path, codec_ckpt = _load_checkpoint(cfg, args.codec, "codec")
-    codec_cfg = CodecConfig.from_dict(codec_ckpt.config)
-    latents = encode_batch(ds.clips, codec_ckpt.params, codec_cfg)
+    p, ds = _corpus(args.data or cfg.paths.data_dir, train_idx=2, test_idx=1)
+    codec_path, codec_ckpt, codec_cfg = _load_codec(cfg, args.codec, p, ds.spec.sample_rate)
+    latents = encode_batch(read_clips(p, ds.spec, range(len(ds.labels))), codec_ckpt.params,
+                           codec_cfg)
     # datasets with a neutral class get neutral-anchored base substitution so
     # explanation removal falls back to neutral rather than an arbitrary class
     anchor = ds.class_names.index("neutral") if "neutral" in ds.class_names else None
@@ -335,7 +394,7 @@ def cmd_train_classifier(cfg: RunConfig, args) -> int:
     sub_base = None
     if anchor is not None:
         sub_base = make_base_latent(
-            codec_ckpt.params, codec_cfg, cfg.dataset.clip_length, cfg.attribution.noise_seed
+            codec_ckpt.params, codec_cfg, ds.spec.clip_length, cfg.attribution.noise_seed
         ).values
     ckpt = train_classifier(
         latents[ds.train_idx], ds.labels[ds.train_idx], head_cfg, seed=cfg.classifier.seed,
@@ -360,13 +419,8 @@ def cmd_train_classifier(cfg: RunConfig, args) -> int:
 def cmd_explain(cfg: RunConfig, args) -> int:
     _check_ratios("--alpha", [args.alpha])
     clip = wav_read(args.input)
-    models, ckpt_hashes = _load_models(cfg, args, len(clip))
+    models, ckpt_hashes = _load_models(cfg, args, args.input, clip.sample_rate, len(clip))
     codec_cfg = models.codec_config
-    if clip.sample_rate != codec_cfg.sample_rate:
-        raise WavFormatError(
-            f"{args.input}: sample rate {clip.sample_rate} Hz, "
-            f"the codec expects {codec_cfg.sample_rate} Hz"
-        )
     z = encode(clip, models.codec_params, codec_cfg)
     target = int(predict_batch(z.values[None], models.cls_params)[0])
     att = integrated_gradients_latent(
@@ -392,8 +446,8 @@ def _cmd_eval(cfg: RunConfig, args, metric: str) -> int:
     for mname in methods:
         if mname not in ALL_METHODS:
             raise ConfigError(f"unknown method {mname!r}; choose from {list(ALL_METHODS)}")
-    ds, clips, labels = _test_split(args.data or cfg.paths.data_dir)
-    models, ckpt_hashes = _load_models(cfg, args, cfg.dataset.clip_length)
+    p, ds, clips, labels = _test_split(args.data or cfg.paths.data_dir)
+    models, ckpt_hashes = _load_models(cfg, args, p, ds.spec.sample_rate, ds.spec.clip_length)
     out_dir = Path(args.out or cfg.paths.report_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     dataset_id = f"{ds.spec.task}-seed{ds.spec.seed}"
@@ -422,10 +476,10 @@ def _cmd_eval(cfg: RunConfig, args, metric: str) -> int:
 
 def cmd_confusion(cfg: RunConfig, args) -> int:
     _check_ratios("--beta", [args.beta])
-    ds, clips, labels = _test_split(args.data or cfg.paths.data_dir)
+    p, ds, clips, labels = _test_split(args.data or cfg.paths.data_dir)
     if "neutral" not in ds.class_names:
         raise DatasetError("confusion requires a dataset with a 'neutral' class")
-    models, ckpt_hashes = _load_models(cfg, args, cfg.dataset.clip_length)
+    models, ckpt_hashes = _load_models(cfg, args, p, ds.spec.sample_rate, ds.spec.clip_length)
     mat = confusion_after_removal(clips, labels, len(ds.class_names), models, args.beta)
     out = Path(args.out or Path(cfg.paths.report_dir) / "confusion.json")
     out.parent.mkdir(parents=True, exist_ok=True)

@@ -24,7 +24,7 @@ from . import autodiff as ad
 from .autodiff import _conv, _conv_t, _kernel_grad, _taps
 from .audio import AudioClip, LengthError, NonFiniteError
 from .checkpoint import Checkpoint
-from .optim import Adam, AdamConfig
+from .optim import AdamConfig, minibatch_adam
 
 ENCODE_ROWS = 8  # waveforms per numpy encoder pass; bounds the activations one pass holds
 
@@ -271,32 +271,12 @@ def train_autoencoder(
     clips = np.asarray(clips, dtype=np.float32)
     if clips.ndim != 2 or clips.shape[0] == 0:
         raise ValueError("training set must be a nonempty (M, N) array")
-    if train.epochs < 1:
-        raise ValueError("epochs must be >= 1")
     x_all = pad_for_encode(clips, config)
-    m = x_all.shape[0]
-    rng = np.random.default_rng(seed)
     params = init_codec_params(config, seed)
-    opt = Adam(params, AdamConfig(lr=train.lr, beta1=train.beta1, beta2=train.beta2))
-    epoch_losses = []
-    for _epoch in range(train.epochs):
-        perm = rng.permutation(m)
-        total = 0.0
-        for start in range(0, m, train.batch_size):
-            xb = x_all[perm[start : start + train.batch_size]]
-            loss, grads = _step_grads(xb, params, config)
-            opt.step(grads)
-            total += loss * len(xb)
-        epoch_losses.append(total / m)
-    return Checkpoint(
-        kind="codec",
-        config=config.to_dict(),
-        params=params,
-        metadata={
-            "seed": seed,
-            "epochs": train.epochs,
-            "final_loss": epoch_losses[-1],
-            "initial_loss": epoch_losses[0],
-            "epoch_losses": epoch_losses,
-        },
+    losses = minibatch_adam(
+        params, lambda idx: _step_grads(x_all[idx], params, config), len(x_all),
+        train.batch_size, train.epochs, np.random.default_rng(seed),
+        AdamConfig(lr=train.lr, beta1=train.beta1, beta2=train.beta2),
     )
+    return Checkpoint(kind="codec", config=config.to_dict(), params=params,
+                      metadata={"seed": seed, **losses})

@@ -1,4 +1,4 @@
-"""Adam optimizer over named parameter arrays."""
+"""Adam optimizer over named parameter arrays, and the one minibatch training loop."""
 
 from __future__ import annotations
 
@@ -41,3 +41,30 @@ class Adam:
             m_hat = self.m[k] / bc1
             v_hat = self.v[k] / bc2
             p -= (c.lr * m_hat / (np.sqrt(v_hat) + c.eps)).astype(p.dtype)
+
+
+def minibatch_adam(params: dict, step, rows: int, batch_size: int, epochs: int,
+                   rng: np.random.Generator, config: AdamConfig) -> dict:
+    """Train ``params`` in place by Adam over minibatches of ``rows`` training rows.
+
+    Each epoch draws one permutation from ``rng`` and walks it in batches of
+    ``batch_size`` (the last one may be short). ``step(idx)`` returns the batch's mean
+    loss and the gradients for the rows ``idx``; each batch is one ``Adam.step``.
+    Returns the loss metadata: the epoch count and every epoch's mean loss, each
+    batch weighted by its size.
+    """
+    if epochs < 1:
+        raise ValueError("epochs must be >= 1")
+    opt = Adam(params, config)
+    epoch_losses = []
+    for _epoch in range(epochs):
+        perm = rng.permutation(rows)
+        total = 0.0
+        for start in range(0, rows, batch_size):
+            idx = perm[start : start + batch_size]
+            loss, grads = step(idx)
+            opt.step(grads)
+            total += loss * len(idx)
+        epoch_losses.append(total / rows)
+    return {"epochs": epochs, "final_loss": epoch_losses[-1],
+            "initial_loss": epoch_losses[0], "epoch_losses": epoch_losses}

@@ -611,3 +611,195 @@ class TestEvalCommands:
         root, cfg = workspace
         code = main(["--config", str(cfg), "confusion", "--out", str(tmp_path / "c.json")])
         assert code == EXIT_DATA_ERROR
+
+
+class TestCorpusFactsComeFromTheCorpus:
+    """Clip length and sample rate are read from the corpus, not the config's dataset section."""
+
+    def test_baseline_sized_by_the_corpus_clip_length(self, workspace, tmp_path):
+        root, cfg = workspace
+        raw = json.loads(cfg.read_text())
+        raw["dataset"]["clip_length"] = 8192  # the corpus holds 4,096-sample clips
+        longer = tmp_path / "longer.json"
+        longer.write_text(json.dumps(raw))
+        for config, out in ((cfg, tmp_path / "a"), (longer, tmp_path / "b")):
+            assert main(["--config", str(config), "eval-fidelity", "--methods", "latent-ig",
+                         "--out", str(out)]) == 0
+        for name in ("agreement_latent-ig.json", "agreement_latent-ig.csv"):
+            assert filecmp.cmp(tmp_path / "a" / name, tmp_path / "b" / name, shallow=False)
+
+    @pytest.fixture(scope="class")
+    def slow_workspace(self, tmp_path_factory):
+        """An 8 kHz corpus, its codec trained under a config that sets no sample rate."""
+        root = tmp_path_factory.mktemp("slow")
+        cfg = write_config(root)
+        raw = json.loads(cfg.read_text())
+        raw["dataset"]["sample_rate"] = 8000
+        synth = root / "synth.json"
+        synth.write_text(json.dumps(raw))
+        assert main(["--config", str(synth), "synth-data"]) == 0
+        assert main(["--config", str(cfg), "train-codec"]) == 0
+        assert main(["--config", str(cfg), "train-classifier"]) == 0
+        return root, cfg
+
+    def test_codec_stamped_with_the_corpus_rate(self, slow_workspace, tmp_path):
+        root, cfg = slow_workspace
+        assert read_checkpoint(root / "ckpt" / "codec.ckpt").config["sample_rate"] == 8000
+        clip_path = next((root / "data" / "clips").glob("*.wav"))
+        assert main(["--config", str(cfg), "explain", "--input", str(clip_path),
+                     "--alpha", "0.5", "--out", str(tmp_path / "expl.wav")]) == 0
+        assert wav_read(tmp_path / "expl.wav").sample_rate == 8000
+
+    @pytest.mark.parametrize("command", ["eval-fidelity", "confusion", "train-classifier"])
+    def test_corpus_at_another_rate_than_the_codec_exits_4(self, workspace, slow_workspace,
+                                                          tmp_path, capsys, command):
+        """The 8 kHz corpus scored or trained on with the 16 kHz codec of the workspace."""
+        root, cfg = workspace
+        data = tmp_path / "data"
+        shutil.copytree(slow_workspace[0] / "data", data)
+        manifest = json.loads((data / "manifest.json").read_text())
+        manifest["class_names"][0] = "neutral"  # so that confusion gets past its own check
+        (data / "manifest.json").write_text(json.dumps(manifest))
+        out = tmp_path / "out"
+        code = main(["--config", str(cfg), command, "--data", str(data),
+                     "--out", str(out / "o" if command != "eval-fidelity" else out)])
+        err = capsys.readouterr().err
+        assert code == EXIT_DATA_ERROR
+        assert "sample rate 8000 Hz, the codec expects 16000 Hz" in err
+        assert not out.exists()
+
+
+def _rewrite_checkpoint(src: Path, dest: Path, config=None, params=None) -> Path:
+    """A copy of the checkpoint at ``src`` with its config and tensors edited by the callables."""
+    ckpt = read_checkpoint(src)
+    if config is not None:
+        ckpt.config = config(ckpt.config)
+    if params is not None:
+        ckpt.params = params(ckpt.params)
+    write_checkpoint(ckpt, dest)
+    return dest
+
+
+def _without(d: dict, key: str) -> dict:
+    return {k: v for k, v in d.items() if k != key}
+
+
+class TestCheckpointChecked:
+    """A checkpoint config with other fields than its dataclass's, or tensors that do not fit
+    it, exits 2."""
+
+    CODEC_CASES = {
+        "config-is-a-list": (lambda c: [c], None, "exactly the keys"),
+        "extra-key": (lambda c: {**c, "dropout": 0.1}, None, "exactly the keys"),
+        "no-strides": (lambda c: _without(c, "strides"), None, "exactly the keys"),
+        "float-stride": (lambda c: {**c, "strides": [4.0, 4, 4]}, None, "config.strides"),
+        "zero-sample-rate": (lambda c: {**c, "sample_rate": 0}, None, "config.sample_rate"),
+        "channels-and-latent-differ": (lambda c: {**c, "latent_channels": 16}, None,
+                                       "latent_channels"),
+        "wider-than-its-tensors": (lambda c: {**c, "channels": [16, 24, 48],
+                                              "latent_channels": 48}, None, "do not match"),
+        "missing-tensor": (None, lambda p: _without(p, "dec2_b"), "do not match"),
+    }
+    HEAD_CASES = {
+        "extra-key": (lambda c: {**c, "dropout": 0.1}, None, "exactly the keys"),
+        "no-w1": (None, lambda p: _without(p, "w1"), "do not match"),
+        "w0-with-5-rows": (None, lambda p: {**p, "w0": p["w0"][:5]}, "do not match"),
+        "bad-pooling": (lambda c: {**c, "pooling": "max"}, None, "pooling"),
+        "string-class-count": (lambda c: {**c, "num_classes": "3"}, None, "bad classifier"),
+        "latent-channels-of-another-codec": (
+            lambda c: {**c, "latent_channels": 16}, lambda p: {**p, "w0": p["w0"][:16]},
+            "the classifier reads 16 latent channels, the codec writes 32"),
+    }
+
+    def run_explain(self, workspace, tmp_path, kind, case):
+        root, cfg = workspace
+        config, params, _ = (self.CODEC_CASES if kind == "codec" else self.HEAD_CASES)[case]
+        bad = _rewrite_checkpoint(root / "ckpt" / f"{kind}.ckpt", tmp_path / f"{kind}.ckpt",
+                                  config, params)
+        clip_path = next((root / "data" / "clips").glob("*.wav"))
+        out = tmp_path / "o" / "expl.wav"
+        return main(["--config", str(cfg), "explain", f"--{kind}", str(bad),
+                     "--input", str(clip_path), "--alpha", "0.5", "--out", str(out)])
+
+    @pytest.mark.parametrize("case", list(CODEC_CASES))
+    def test_codec(self, workspace, tmp_path, capsys, case):
+        assert self.run_explain(workspace, tmp_path, "codec", case) == EXIT_MISSING_CHECKPOINT
+        err = capsys.readouterr().err
+        assert self.CODEC_CASES[case][2] in err and "Traceback" not in err
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("case", list(HEAD_CASES))
+    def test_head(self, workspace, tmp_path, capsys, case):
+        assert self.run_explain(workspace, tmp_path, "classifier", case) == EXIT_MISSING_CHECKPOINT
+        err = capsys.readouterr().err
+        assert self.HEAD_CASES[case][2] in err and "Traceback" not in err
+        assert not (tmp_path / "o").exists()
+
+    def test_train_classifier_checks_the_codec(self, workspace, tmp_path, capsys):
+        root, cfg = workspace
+        bad = _rewrite_checkpoint(root / "ckpt" / "codec.ckpt", tmp_path / "codec.ckpt",
+                                  lambda c: _without(c, "strides"))
+        out = tmp_path / "o" / "classifier.ckpt"
+        assert main(["--config", str(cfg), "train-classifier", "--codec", str(bad),
+                     "--out", str(out)]) == EXIT_MISSING_CHECKPOINT
+        assert "exactly the keys" in capsys.readouterr().err
+        assert not out.exists()
+
+
+class TestDegenerateSplits:
+    """A split a command cannot use exits 4 and names the split, before any WAV or checkpoint
+    is read."""
+
+    @pytest.mark.parametrize("command,split,rows", [
+        ("eval-fidelity", "test_idx", "empty"),
+        ("eval-drop", "test_idx", "empty"),
+        ("confusion", "test_idx", "empty"),
+        ("train-codec", "train_idx", "empty"),
+        ("train-classifier", "train_idx", "empty"),
+        ("train-classifier", "train_idx", "one-class"),
+        ("train-classifier", "test_idx", "empty"),
+    ])
+    def test_exits_4(self, workspace, tmp_path, capsys, monkeypatch, command, split, rows):
+        root, cfg = workspace
+        data = tmp_path / "data"
+        shutil.copytree(root / "data", data)
+        manifest = json.loads((data / "manifest.json").read_text())
+        manifest["class_names"][0] = "neutral"
+        if rows == "empty":
+            manifest[split] = []
+        else:
+            manifest[split] = [i for i in manifest[split] if manifest["labels"][i] == 1]
+        (data / "manifest.json").write_text(json.dumps(manifest))
+
+        def no_read(*args):
+            raise AssertionError(f"read {args[0]} before the split was checked")
+
+        monkeypatch.setattr(cli, "read_clips", no_read)
+        monkeypatch.setattr(cli, "read_checkpoint", no_read)
+        out = tmp_path / "out"
+        code = main(["--config", str(cfg), command, "--data", str(data),
+                     "--out", str(out if command.startswith("eval") else out / "o")])
+        err = capsys.readouterr().err
+        assert code == EXIT_DATA_ERROR
+        assert f"the {split} split" in err and "Traceback" not in err
+        assert ("is empty" if rows == "empty" else "covers 1 class(es)") in err
+        assert not out.exists()
+
+
+class TestUnreadablePaths:
+    def test_config_is_a_directory_exits_3(self, tmp_path, capsys):
+        code = main(["--config", str(tmp_path), "synth-data", "--out", str(tmp_path / "o")])
+        err = capsys.readouterr().err
+        assert code == EXIT_BAD_CONFIG
+        assert "is a directory" in err and "Traceback" not in err
+        assert not (tmp_path / "o").exists()
+
+    def test_explain_input_is_a_directory_exits_4(self, workspace, tmp_path, capsys):
+        _, cfg = workspace
+        out = tmp_path / "o" / "expl.wav"
+        code = main(["--config", str(cfg), "explain", "--input", str(tmp_path),
+                     "--alpha", "0.5", "--out", str(out)])
+        err = capsys.readouterr().err
+        assert code == EXIT_DATA_ERROR
+        assert "is a directory" in err and "Traceback" not in err
+        assert not out.exists()
