@@ -18,7 +18,7 @@ from .masking import (
     select_top,
     synthesize_explanation,
 )
-from .data import SyntheticDatasetSpec, generate_emotion_dataset, generate_keyword_dataset
+from .data import SyntheticDatasetSpec, generate_dataset
 from .evalharness import (
     EvalReport,
     ExplainerModels,

@@ -4,11 +4,12 @@ Every subcommand reads a JSON run config (unknown keys rejected, flags
 override file values) and writes a provenance record next to its
 artifacts so any output can be reproduced byte-identically.
 
-Exit codes: 0 success, 2 missing or unreadable checkpoint, or one whose config or
-tensors do not fit its kind, 3 malformed config or arguments (an argument argparse
-rejects; a ``--alpha``, ``--beta`` or ``--jobs`` out of range; any config value of the
-wrong type or out of range: every value is checked by type and range when the file is
-read, before any input is read), 4 data error (including a clip shorter than one latent
+Exit codes: 0 success, 2 missing or unreadable checkpoint, one whose config or tensors
+do not fit its kind, or a head that predicts another number of classes than the scored
+corpus holds, 3 malformed config or arguments (an argument argparse rejects; a
+``--alpha``, ``--beta`` or ``--jobs`` out of range; an output path of the wrong kind; any
+config value of the wrong type or out of range: every value and the output path are
+checked before any input is read), 4 data error (including a clip shorter than one latent
 frame, audio at another sample rate than the codec's, and a split the command cannot use).
 Clip length and sample rate come from the corpus, not the config's ``dataset`` section.
 """
@@ -320,23 +321,38 @@ def _corpus(path, **least_classes):
     return p, ds
 
 
-def _test_split(path):
-    """``_corpus`` with a nonempty test split, and only that split's clips and labels."""
-    p, ds = _corpus(path, test_idx=1)
-    return p, ds, read_clips(p, ds.spec, ds.test_idx), ds.labels[ds.test_idx]
+def _out_path(path, directory: bool) -> Path:
+    """``path`` as an output, a directory if ``directory`` else a file, checked and not written.
+
+    An existing path of the other kind, or an existing ancestor that is not a directory,
+    raises ConfigError naming ``--out``.
+    """
+    p = Path(path)
+    if p.exists() and p.is_dir() != directory:
+        raise ConfigError(f"--out {p}: an existing {'file' if directory else 'directory'},"
+                          f" expected {'a directory' if directory else 'a file'}")
+    ancestor = next(a for a in p.absolute().parents if a.exists())
+    if not ancestor.is_dir():
+        raise ConfigError(f"--out {p}: {ancestor} is not a directory")
+    return p
 
 
-def _load_models(cfg: RunConfig, args, source, sample_rate: int, clip_length: int):
+def _load_models(cfg: RunConfig, args, source, sample_rate: int, clip_length: int,
+                 num_classes: int | None = None):
     """Both checkpoints, checked, and the explainer models for ``source``'s clips.
 
-    The clips are at ``sample_rate`` and ``clip_length`` samples long. Returns the models
-    and the SHA-256 of the two checkpoint files, named as in provenance.
+    The clips are at ``sample_rate`` and ``clip_length`` samples long; with
+    ``num_classes``, the head must predict that many classes. Returns the models and the
+    SHA-256 of the two checkpoint files, named as in provenance.
     """
     _, codec_ckpt, codec_cfg = _load_codec(cfg, args.codec, source, sample_rate)
     _, cls_ckpt, head_cfg = _load_checkpoint(cfg, args.classifier, "classifier")
     if head_cfg.latent_channels != codec_cfg.latent_channels:
         raise CheckpointError(f"the classifier reads {head_cfg.latent_channels} latent channels,"
                               f" the codec writes {codec_cfg.latent_channels}")
+    if num_classes is not None and head_cfg.num_classes != num_classes:
+        raise CheckpointError(f"the classifier predicts {head_cfg.num_classes} classes,"
+                              f" the corpus {source} has {num_classes}")
     models = build_models(
         codec_cfg, codec_ckpt.params, cls_ckpt.params,
         clip_length=clip_length, noise_seed=cfg.attribution.noise_seed,
@@ -347,7 +363,8 @@ def _load_models(cfg: RunConfig, args, source, sample_rate: int, clip_length: in
 
 def cmd_synth_data(cfg: RunConfig, args) -> int:
     spec = cfg.dataset
-    out = Path(args.out or cfg.paths.data_dir)
+    out = _out_path(args.out or cfg.paths.data_dir, directory=True)
+    _out_path(out / "clips", directory=True)
     ds = generate_dataset(spec)
     save_dataset(ds, out)
     _write_provenance(out, "synth-data", cfg, {}, {"clips": int(len(ds.labels))})
@@ -356,13 +373,13 @@ def cmd_synth_data(cfg: RunConfig, args) -> int:
 
 
 def cmd_train_codec(cfg: RunConfig, args) -> int:
+    out = _out_path(_checkpoint_path(cfg, args.out, "codec"), directory=False)
     p, ds = _corpus(args.data or cfg.paths.data_dir, train_idx=1)
-    clips = read_clips(p, ds.spec, range(len(ds.labels)))
     codec_cfg = replace(cfg.codec_config(), sample_rate=ds.spec.sample_rate)
     ckpt = train_autoencoder(
-        clips[ds.train_idx], codec_cfg, cfg.codec_train_config(), seed=cfg.codec.seed
+        read_clips(p, ds.spec, ds.train_idx), codec_cfg, cfg.codec_train_config(),
+        seed=cfg.codec.seed,
     )
-    out = _checkpoint_path(cfg, args.out, "codec")
     out.parent.mkdir(parents=True, exist_ok=True)
     write_checkpoint(ckpt, out)
     _write_provenance(out.parent, "train-codec", cfg, {"codec": file_sha256(out)})
@@ -371,6 +388,7 @@ def cmd_train_codec(cfg: RunConfig, args) -> int:
 
 
 def cmd_train_classifier(cfg: RunConfig, args) -> int:
+    out = _out_path(_checkpoint_path(cfg, args.out, "classifier"), directory=False)
     p, ds = _corpus(args.data or cfg.paths.data_dir, train_idx=2, test_idx=1)
     codec_path, codec_ckpt, codec_cfg = _load_codec(cfg, args.codec, p, ds.spec.sample_rate)
     latents = encode_batch(read_clips(p, ds.spec, range(len(ds.labels))), codec_ckpt.params,
@@ -402,7 +420,6 @@ def cmd_train_classifier(cfg: RunConfig, args) -> int:
     )
     acc = evaluate_accuracy(latents[ds.test_idx], ds.labels[ds.test_idx], ckpt.params)
     ckpt.metadata["test_accuracy"] = acc
-    out = _checkpoint_path(cfg, args.out, "classifier")
     out.parent.mkdir(parents=True, exist_ok=True)
     write_checkpoint(ckpt, out)
     if file_sha256(codec_path) != codec_ckpt.sha256:
@@ -418,6 +435,7 @@ def cmd_train_classifier(cfg: RunConfig, args) -> int:
 
 def cmd_explain(cfg: RunConfig, args) -> int:
     _check_ratios("--alpha", [args.alpha])
+    out = _out_path(args.out, directory=False)
     clip = wav_read(args.input)
     models, ckpt_hashes = _load_models(cfg, args, args.input, clip.sample_rate, len(clip))
     codec_cfg = models.codec_config
@@ -429,7 +447,6 @@ def cmd_explain(cfg: RunConfig, args) -> int:
     mask = select_top(att, args.alpha)
     masked = apply_mask_keep(z, mask, models.base_latent)
     explanation = decode(masked, models.codec_params, codec_cfg)
-    out = Path(args.out)
     out.parent.mkdir(parents=True, exist_ok=True)
     wav_write(explanation, out)
     _write_provenance(
@@ -446,9 +463,11 @@ def _cmd_eval(cfg: RunConfig, args, metric: str) -> int:
     for mname in methods:
         if mname not in ALL_METHODS:
             raise ConfigError(f"unknown method {mname!r}; choose from {list(ALL_METHODS)}")
-    p, ds, clips, labels = _test_split(args.data or cfg.paths.data_dir)
-    models, ckpt_hashes = _load_models(cfg, args, p, ds.spec.sample_rate, ds.spec.clip_length)
-    out_dir = Path(args.out or cfg.paths.report_dir)
+    out_dir = _out_path(args.out or cfg.paths.report_dir, directory=True)
+    p, ds = _corpus(args.data or cfg.paths.data_dir, test_idx=1)
+    clips, labels = read_clips(p, ds.spec, ds.test_idx), ds.labels[ds.test_idx]
+    models, ckpt_hashes = _load_models(cfg, args, p, ds.spec.sample_rate, ds.spec.clip_length,
+                                       len(ds.class_names))
     out_dir.mkdir(parents=True, exist_ok=True)
     dataset_id = f"{ds.spec.task}-seed{ds.spec.seed}"
     for mname in methods:
@@ -476,12 +495,14 @@ def _cmd_eval(cfg: RunConfig, args, metric: str) -> int:
 
 def cmd_confusion(cfg: RunConfig, args) -> int:
     _check_ratios("--beta", [args.beta])
-    p, ds, clips, labels = _test_split(args.data or cfg.paths.data_dir)
+    out = _out_path(args.out or Path(cfg.paths.report_dir) / "confusion.json", directory=False)
+    p, ds = _corpus(args.data or cfg.paths.data_dir, test_idx=1)
     if "neutral" not in ds.class_names:
         raise DatasetError("confusion requires a dataset with a 'neutral' class")
-    models, ckpt_hashes = _load_models(cfg, args, p, ds.spec.sample_rate, ds.spec.clip_length)
+    clips, labels = read_clips(p, ds.spec, ds.test_idx), ds.labels[ds.test_idx]
+    models, ckpt_hashes = _load_models(cfg, args, p, ds.spec.sample_rate, ds.spec.clip_length,
+                                       len(ds.class_names))
     mat = confusion_after_removal(clips, labels, len(ds.class_names), models, args.beta)
-    out = Path(args.out or Path(cfg.paths.report_dir) / "confusion.json")
     out.parent.mkdir(parents=True, exist_ok=True)
     with open(out, "w") as f:
         json.dump(

@@ -30,7 +30,7 @@ class DatasetError(ValueError):
 
 @dataclass
 class SyntheticDatasetSpec:
-    task: str  # "keyword" or "emotion"
+    task: str  # a key of _TASKS: "keyword" or "emotion"
     num_classes: int = 8
     clips_per_class: int = 100
     clip_length: int = 16384
@@ -40,7 +40,7 @@ class SyntheticDatasetSpec:
     renditions: int = 10  # emotion task only
 
     def __post_init__(self):
-        if self.task not in ("keyword", "emotion"):
+        if self.task not in _TASKS:
             raise DatasetError(f"unknown task {self.task!r}")
         if self.num_classes < 2:
             raise DatasetError("need at least 2 classes")
@@ -88,7 +88,7 @@ def _split(m: int, seed: int, test_fraction: float = 0.2):
     return train_idx, test_idx
 
 
-def _keyword_clip(spec: SyntheticDatasetSpec, c: int, i: int) -> np.ndarray:
+def _keyword_clip(spec: SyntheticDatasetSpec, c: int, i: int) -> tuple[np.ndarray, dict]:
     rng = _rng(spec.seed, 1, c, i)
     n = spec.clip_length
     sr = spec.sample_rate
@@ -110,23 +110,7 @@ def _keyword_clip(spec: SyntheticDatasetSpec, c: int, i: int) -> np.ndarray:
     amp = 0.55 + 0.1 * rng.uniform()
     sig *= amp / max(np.abs(sig).max(), 1e-9)
     sig += rng.uniform(-NOISE_FLOOR_AMPLITUDE, NOISE_FLOOR_AMPLITUDE, size=n)
-    return sig.astype(np.float32)
-
-
-def generate_keyword_dataset(spec: SyntheticDatasetSpec) -> LabeledAudioDataset:
-    if spec.task != "keyword":
-        raise DatasetError("spec.task must be 'keyword'")
-    names = [KEYWORD_NAMES[c] if c < len(KEYWORD_NAMES) else f"kw{c}" for c in range(spec.num_classes)]
-    clips, labels = [], []
-    for c in range(spec.num_classes):
-        for i in range(spec.clips_per_class):
-            clips.append(_keyword_clip(spec, c, i))
-            labels.append(c)
-    clips = np.stack(clips)
-    labels = np.asarray(labels, dtype=np.int64)
-    train_idx, test_idx = _split(len(labels), spec.seed)
-    return LabeledAudioDataset(clips, labels, names, train_idx, test_idx, spec,
-                               meta=[{} for _ in range(len(labels))])
+    return sig.astype(np.float32), {}
 
 
 def emotion_carrier(spec: SyntheticDatasetSpec, word: int, rendition: int) -> np.ndarray:
@@ -190,32 +174,31 @@ def _prosody_component(spec: SyntheticDatasetSpec, c: int, word: int, rendition:
     return sig
 
 
-def generate_emotion_dataset(spec: SyntheticDatasetSpec) -> LabeledAudioDataset:
-    if spec.task != "emotion":
-        raise DatasetError("spec.task must be 'emotion'")
-    names = [EMOTION_NAMES[c] if c < len(EMOTION_NAMES) else f"emo{c}" for c in range(spec.num_classes)]
-    clips, labels, meta = [], [], []
-    for c in range(spec.num_classes):
-        for word in range(spec.words):
-            for r in range(spec.renditions):
-                carrier = emotion_carrier(spec, word, r)
-                if c == 0:
-                    clip = carrier
-                else:
-                    clip = carrier + _prosody_component(spec, c, word, r)
-                clips.append(clip)
-                labels.append(c)
-                meta.append({"word": word, "rendition": r})
-    clips = np.stack(clips)
-    labels = np.asarray(labels, dtype=np.int64)
-    train_idx, test_idx = _split(len(labels), spec.seed)
-    return LabeledAudioDataset(clips, labels, names, train_idx, test_idx, spec, meta)
+def _emotion_clip(spec: SyntheticDatasetSpec, c: int, i: int) -> tuple[np.ndarray, dict]:
+    """Row ``i`` of class ``c``: word ``i // renditions``'s carrier, plus prosody unless neutral."""
+    word, r = divmod(i, spec.renditions)
+    clip = emotion_carrier(spec, word, r)
+    if c != 0:
+        clip = clip + _prosody_component(spec, c, word, r)
+    return clip, {"word": word, "rendition": r}
+
+
+# task -> its class names, the name prefix of the classes past them, and its clip function
+_TASKS = {"keyword": (KEYWORD_NAMES, "kw", _keyword_clip),
+          "emotion": (EMOTION_NAMES, "emo", _emotion_clip)}
 
 
 def generate_dataset(spec: SyntheticDatasetSpec) -> LabeledAudioDataset:
-    if spec.task == "keyword":
-        return generate_keyword_dataset(spec)
-    return generate_emotion_dataset(spec)
+    """The corpus of ``spec``: ``clips_per_class`` rows per class, class-major, split by seed."""
+    names, prefix, clip = _TASKS[spec.task]
+    rows = [(c, *clip(spec, c, i)) for c in range(spec.num_classes)
+            for i in range(spec.clips_per_class)]
+    labels, clips, meta = zip(*rows)
+    train_idx, test_idx = _split(len(labels), spec.seed)
+    return LabeledAudioDataset(
+        np.stack(clips), np.asarray(labels, dtype=np.int64),
+        [names[c] if c < len(names) else f"{prefix}{c}" for c in range(spec.num_classes)],
+        train_idx, test_idx, spec, list(meta))
 
 
 def save_dataset(ds: LabeledAudioDataset, directory) -> None:

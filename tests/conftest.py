@@ -1,8 +1,9 @@
 """Session fixtures: synthetic datasets and trained checkpoints.
 
 Training the two codecs takes a few minutes, so trained checkpoints are
-cached under .artifacts/ keyed by the training configuration; delete the
-directory to force retraining.
+cached under .artifacts/ by name only (codec_kw, codec_emo, cls_kw, cls_emo):
+a cached file is reused whatever recipe the fixture now holds, so delete the
+directory after changing a recipe, or to force retraining.
 """
 
 import json
@@ -14,7 +15,7 @@ import pytest
 from latentexplain.checkpoint import read_checkpoint, write_checkpoint
 from latentexplain.classifier import ClassifierConfig, train_classifier
 from latentexplain.codec import CodecConfig, CodecTrainConfig, encode_batch, train_autoencoder
-from latentexplain.data import SyntheticDatasetSpec, generate_emotion_dataset, generate_keyword_dataset
+from latentexplain.data import SyntheticDatasetSpec, generate_dataset
 from latentexplain.evalharness import build_models
 
 ARTIFACT_DIR = Path(__file__).resolve().parent.parent / ".artifacts"
@@ -48,12 +49,12 @@ def emo_spec():
 
 @pytest.fixture(scope="session")
 def kw_data(kw_spec):
-    return generate_keyword_dataset(kw_spec)
+    return generate_dataset(kw_spec)
 
 
 @pytest.fixture(scope="session")
 def emo_data(emo_spec):
-    return generate_emotion_dataset(emo_spec)
+    return generate_dataset(emo_spec)
 
 
 @pytest.fixture(scope="session")

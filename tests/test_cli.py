@@ -315,11 +315,13 @@ class TestCorpusClipsMatchTheSpec:
         root, _ = workspace
         shutil.copytree(root / "data", tmp_path / "data")
         cfg = write_config(tmp_path)
-        clip_path = tmp_path / "data" / "clips" / "clip_00003.wav"
+        manifest = json.loads((tmp_path / "data" / "manifest.json").read_text())
+        name = f"clip_{manifest['train_idx'][0]:05d}.wav"  # train-codec reads the train split
+        clip_path = tmp_path / "data" / "clips" / name
         wav_write(AudioClip(wav_read(clip_path).samples[:length], rate), clip_path)
         assert main(["--config", str(cfg), "train-codec"]) == EXIT_DATA_ERROR
         err = capsys.readouterr().err
-        assert "clip_00003.wav" in err and message in err and "Traceback" not in err
+        assert name in err and message in err and "Traceback" not in err
         assert not (tmp_path / "ckpt").exists()
 
 
@@ -612,6 +614,21 @@ class TestEvalCommands:
         code = main(["--config", str(cfg), "confusion", "--out", str(tmp_path / "c.json")])
         assert code == EXIT_DATA_ERROR
 
+    def test_confusion_checks_for_neutral_before_reading_a_wav(self, workspace, tmp_path,
+                                                              capsys):
+        root, cfg = workspace
+        data = tmp_path / "data"
+        shutil.copytree(root / "data", data)
+        manifest = json.loads((data / "manifest.json").read_text())
+        (data / "clips" / f"clip_{manifest['test_idx'][0]:05d}.wav").write_bytes(b"RIFF")
+        out = tmp_path / "out"
+        code = main(["--config", str(cfg), "confusion", "--data", str(data),
+                     "--out", str(out / "c.json")])
+        err = capsys.readouterr().err
+        assert code == EXIT_DATA_ERROR
+        assert "'neutral' class" in err and ".wav" not in err and "Traceback" not in err
+        assert not out.exists()
+
 
 class TestCorpusFactsComeFromTheCorpus:
     """Clip length and sample rate are read from the corpus, not the config's dataset section."""
@@ -803,3 +820,95 @@ class TestUnreadablePaths:
         assert code == EXIT_DATA_ERROR
         assert "is a directory" in err and "Traceback" not in err
         assert not out.exists()
+
+
+class TestTrainCodecReadsOnlyTheTrainSplit:
+    def test_bad_clip_in_the_test_split_changes_no_byte(self, workspace, tmp_path):
+        root, cfg = workspace
+        for name in ("clean", "bad"):
+            shutil.copytree(root / "data", tmp_path / name)
+        manifest = json.loads((tmp_path / "bad" / "manifest.json").read_text())
+        (tmp_path / "bad" / "clips" / f"clip_{manifest['test_idx'][0]:05d}.wav").write_bytes(
+            b"RIFF")
+        for name in ("clean", "bad"):
+            assert main(["--config", str(cfg), "train-codec", "--data", str(tmp_path / name),
+                         "--out", str(tmp_path / f"{name}.ckpt")]) == 0
+        assert filecmp.cmp(tmp_path / "clean.ckpt", tmp_path / "bad.ckpt", shallow=False)
+        assert filecmp.cmp(tmp_path / "clean.ckpt", root / "ckpt" / "codec.ckpt", shallow=False)
+
+
+class TestHeadFitsTheCorpus:
+    """A head that predicts another number of classes than the corpus holds exits 2."""
+
+    @pytest.mark.parametrize("command", ["eval-fidelity", "eval-drop", "confusion"])
+    def test_exits_2(self, workspace, tmp_path, capsys, command):
+        root, cfg = workspace
+        scoring = TestScoringCommandsReadOnlyTheTestSplit
+        data, _ = scoring.corpus(workspace, tmp_path)
+        two = _rewrite_checkpoint(
+            root / "ckpt" / "classifier.ckpt", tmp_path / "two.ckpt",
+            lambda c: {**c, "num_classes": 2},
+            lambda p: {**p, "w2": p["w2"][:, :2], "b2": p["b2"][:2]})
+        out = tmp_path / "out"
+        code = main(["--config", str(cfg), *scoring.COMMANDS[command], "--data", str(data),
+                     "--classifier", str(two),
+                     "--out", str(out / "c.json" if command == "confusion" else out)])
+        err = capsys.readouterr().err
+        assert code == EXIT_MISSING_CHECKPOINT
+        assert f"the classifier predicts 2 classes, the corpus {data} has 3" in err
+        assert "Traceback" not in err and not out.exists()
+
+
+class TestOutputPathCheckedFirst:
+    """An ``--out`` of the wrong kind exits 3 and names ``--out`` before any input is read."""
+
+    # command -> its arguments, and whether its --out is a directory
+    COMMANDS = {
+        "synth-data": ([], True),
+        "train-codec": ([], False),
+        "train-classifier": ([], False),
+        "explain": (["--input", "IN", "--alpha", "0.5"], False),
+        "eval-fidelity": (["--methods", "latent-ig"], True),
+        "eval-drop": (["--methods", "latent-ig"], True),
+        "confusion": (["--beta", "0.5"], False),
+    }
+
+    def run(self, workspace, monkeypatch, command, out):
+        root, cfg = workspace
+
+        def no_read(*args):
+            raise AssertionError(f"read {args[0]} before --out was checked")
+
+        for name in ("read_manifest", "read_clips", "read_checkpoint", "wav_read",
+                     "generate_dataset"):
+            monkeypatch.setattr(cli, name, no_read)
+        clip = str(next((root / "data" / "clips").glob("*.wav")))
+        extra = [clip if a == "IN" else a for a in self.COMMANDS[command][0]]
+        return main(["--config", str(cfg), command, *extra, "--out", str(out)])
+
+    @pytest.mark.parametrize("command", list(COMMANDS))
+    def test_wrong_kind_exits_3(self, workspace, tmp_path, capsys, monkeypatch, command):
+        out = tmp_path / "taken"
+        if self.COMMANDS[command][1]:
+            out.write_bytes(b"a file")
+        else:
+            out.mkdir()
+        before = sorted(tmp_path.rglob("*"))
+        assert self.run(workspace, monkeypatch, command, out) == EXIT_BAD_CONFIG
+        err = capsys.readouterr().err
+        assert f"--out {out}" in err and "Traceback" not in err
+        assert sorted(tmp_path.rglob("*")) == before
+
+    @pytest.mark.parametrize("command", ["eval-drop", "train-codec"])
+    def test_under_a_file_exits_3(self, workspace, tmp_path, capsys, monkeypatch, command):
+        (tmp_path / "file").write_bytes(b"a file")
+        out = tmp_path / "file" / "sub" / "o"
+        assert self.run(workspace, monkeypatch, command, out) == EXIT_BAD_CONFIG
+        err = capsys.readouterr().err
+        assert f"{tmp_path / 'file'} is not a directory" in err and "Traceback" not in err
+
+    def test_synth_data_clips_is_a_file_exits_3(self, workspace, tmp_path, capsys, monkeypatch):
+        (tmp_path / "clips").write_bytes(b"a file")
+        assert self.run(workspace, monkeypatch, "synth-data", tmp_path) == EXIT_BAD_CONFIG
+        err = capsys.readouterr().err
+        assert f"--out {tmp_path / 'clips'}" in err and "Traceback" not in err

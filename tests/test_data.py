@@ -1,12 +1,13 @@
 import numpy as np
 import pytest
 
+from latentexplain import data
 from latentexplain.data import (
     DatasetError,
+    LabeledAudioDataset,
     SyntheticDatasetSpec,
     emotion_carrier,
-    generate_emotion_dataset,
-    generate_keyword_dataset,
+    generate_dataset,
     load_dataset,
     read_clips,
     read_manifest,
@@ -21,7 +22,7 @@ def kw_spec():
 
 @pytest.fixture(scope="module")
 def kw_ds(kw_spec):
-    return generate_keyword_dataset(kw_spec)
+    return generate_dataset(kw_spec)
 
 
 @pytest.fixture(scope="module")
@@ -33,7 +34,78 @@ def emo_spec():
 
 @pytest.fixture(scope="module")
 def emo_ds(emo_spec):
-    return generate_emotion_dataset(emo_spec)
+    return generate_dataset(emo_spec)
+
+
+# The two per-task generators the corpus was built by before ``generate_dataset`` ran one
+# loop over the task table, kept as the oracle it must reproduce field for field.
+
+def oracle_generate_keyword_dataset(spec):
+    names = [data.KEYWORD_NAMES[c] if c < len(data.KEYWORD_NAMES) else f"kw{c}"
+             for c in range(spec.num_classes)]
+    clips, labels = [], []
+    for c in range(spec.num_classes):
+        for i in range(spec.clips_per_class):
+            clips.append(data._keyword_clip(spec, c, i)[0])
+            labels.append(c)
+    clips = np.stack(clips)
+    labels = np.asarray(labels, dtype=np.int64)
+    train_idx, test_idx = data._split(len(labels), spec.seed)
+    return LabeledAudioDataset(clips, labels, names, train_idx, test_idx, spec,
+                               meta=[{} for _ in range(len(labels))])
+
+
+def oracle_generate_emotion_dataset(spec):
+    names = [data.EMOTION_NAMES[c] if c < len(data.EMOTION_NAMES) else f"emo{c}"
+             for c in range(spec.num_classes)]
+    clips, labels, meta = [], [], []
+    for c in range(spec.num_classes):
+        for word in range(spec.words):
+            for r in range(spec.renditions):
+                carrier = emotion_carrier(spec, word, r)
+                if c == 0:
+                    clip = carrier
+                else:
+                    clip = carrier + data._prosody_component(spec, c, word, r)
+                clips.append(clip)
+                labels.append(c)
+                meta.append({"word": word, "rendition": r})
+    clips = np.stack(clips)
+    labels = np.asarray(labels, dtype=np.int64)
+    train_idx, test_idx = data._split(len(labels), spec.seed)
+    return LabeledAudioDataset(clips, labels, names, train_idx, test_idx, spec, meta)
+
+
+ORACLE_SPECS = {
+    "keyword-default": (oracle_generate_keyword_dataset,
+                        dict(task="keyword", num_classes=8, clips_per_class=100)),
+    "emotion-default": (oracle_generate_emotion_dataset,
+                        dict(task="emotion", num_classes=5, clips_per_class=100, words=10,
+                             renditions=10)),
+    # past the 8 keyword names: kw8, kw9
+    "keyword-10-classes": (oracle_generate_keyword_dataset,
+                           dict(task="keyword", num_classes=10, clips_per_class=6,
+                                clip_length=2048, seed=3)),
+    # past the 5 emotion names, wrapping the prosody table; words != renditions so that a
+    # swapped divmod gives other meta and other clips
+    "emotion-8-classes": (oracle_generate_emotion_dataset,
+                          dict(task="emotion", num_classes=8, clips_per_class=12, words=3,
+                               renditions=4, clip_length=4096, seed=5)),
+}
+
+
+@pytest.mark.parametrize("case", list(ORACLE_SPECS))
+def test_generate_dataset_equals_the_per_task_generators(case):
+    oracle, kwargs = ORACLE_SPECS[case]
+    spec = SyntheticDatasetSpec(**kwargs)
+    got, want = generate_dataset(spec), oracle(spec)
+    assert got.clips.dtype == want.clips.dtype == np.float32
+    assert got.clips.shape == want.clips.shape and np.array_equal(got.clips, want.clips)
+    assert got.labels.dtype == want.labels.dtype and np.array_equal(got.labels, want.labels)
+    assert got.class_names == want.class_names
+    assert np.array_equal(got.train_idx, want.train_idx)
+    assert np.array_equal(got.test_idx, want.test_idx)
+    assert got.spec is spec and got.meta == want.meta
 
 
 class TestKeywordDataset:
@@ -47,7 +119,7 @@ class TestKeywordDataset:
         assert np.all(counts == 100)
 
     def test_determinism(self, kw_spec, kw_ds):
-        again = generate_keyword_dataset(kw_spec)
+        again = generate_dataset(kw_spec)
         assert np.array_equal(again.clips, kw_ds.clips)
         assert np.array_equal(again.test_idx, kw_ds.test_idx)
 
@@ -91,7 +163,7 @@ class TestEmotionDataset:
         assert len(pairs) == 5 * 10
 
     def test_determinism(self, emo_spec, emo_ds):
-        again = generate_emotion_dataset(emo_spec)
+        again = generate_dataset(emo_spec)
         assert np.array_equal(again.clips, emo_ds.clips)
 
     def test_neutral_class_designated(self, emo_ds):
@@ -116,7 +188,7 @@ class TestSpecValidation:
 class TestMaterialization:
     def test_round_trip(self, tmp_path):
         spec = SyntheticDatasetSpec(task="keyword", num_classes=2, clips_per_class=5, seed=3)
-        ds = generate_keyword_dataset(spec)
+        ds = generate_dataset(spec)
         save_dataset(ds, tmp_path / "d")
         back = load_dataset(tmp_path / "d")
         assert np.array_equal(back.labels, ds.labels)
@@ -127,7 +199,7 @@ class TestMaterialization:
 
     def test_split_indices_persisted(self, tmp_path):
         spec = SyntheticDatasetSpec(task="keyword", num_classes=2, clips_per_class=5, seed=3)
-        ds = generate_keyword_dataset(spec)
+        ds = generate_dataset(spec)
         save_dataset(ds, tmp_path / "d")
         first = load_dataset(tmp_path / "d")
         second = load_dataset(tmp_path / "d")
@@ -135,7 +207,7 @@ class TestMaterialization:
 
     def test_split_rows_read_alone_equal_the_full_load(self, tmp_path):
         spec = SyntheticDatasetSpec(task="keyword", num_classes=2, clips_per_class=5, seed=3)
-        save_dataset(generate_keyword_dataset(spec), tmp_path / "d")
+        save_dataset(generate_dataset(spec), tmp_path / "d")
         full = load_dataset(tmp_path / "d")
         head = read_manifest(tmp_path / "d")
         assert head.clips is None and np.array_equal(head.test_idx, full.test_idx)
