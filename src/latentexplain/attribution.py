@@ -12,7 +12,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .autodiff import DimensionError
-from .codec import ENCODE_ROWS, CodecConfig, LatentGrid, encoder_forward, encoder_vjp, pad_for_encode
+from .codec import (ENCODE_ROWS, CodecConfig, EncoderWorkspace, LatentGrid, _conv, _conv_t,
+                    encoder_forward, encoder_vjp, pad_for_encode)
 from .classifier import _head_from_preact, _head_vjp, _logits_np, _onehot, _pool_gate, _preact_grad
 
 DEFAULT_IG_STEPS = 64
@@ -130,8 +131,12 @@ def integrated_gradients_input(
 ) -> AttributionMap:
     """IG of the target logit w.r.t. the waveform, through encoder + head.
 
-    Per chunk of ENCODE_ROWS path points: the numpy encoder forward, the head's
-    backward for the target logit at each point, then the encoder's input VJP.
+    One encoder workspace serves the call. Layer 0 is linear and the path is
+    ``base + a * delta``, so its pre-activation at each step is ``p0 + a * d0``, from
+    two one-row convs per call. Per chunk of ENCODE_ROWS path points: the rest of the
+    encoder forward, the head's backward for the target logit at each point, and the
+    encoder's VJP down to layer 0's pre-activation, summed over the points. Layer 0's
+    transposed conv then runs once, on that sum.
     """
     x = np.asarray(x, dtype=np.float32).reshape(-1)
     baseline = np.asarray(baseline, dtype=np.float32).reshape(-1)
@@ -143,16 +148,23 @@ def integrated_gradients_input(
     bp = pad_for_encode(baseline, codec_config)
     delta = xp - bp
     w0, b0 = cls_params["w0"], cls_params["b0"]
-    grad_sum = np.zeros_like(xp)
+    ws = EncoderWorkspace(codec_params, codec_config, np.float32, min(steps, ENCODE_ROWS), len(xp))
+    s0, t0 = codec_config.strides[0], ws.out[0].shape[1]
+    p0, d0 = _conv(np.stack([bp, delta])[:, :, None], ws.taps[0], s0, t0)
+    p0 += ws.bias[0]
+    g0_sum = np.zeros_like(p0)
     alphas = _midpoints(steps)
     for start in range(0, steps, ENCODE_ROWS):
         a = alphas[start : start + ENCODE_ROWS]
-        z, acts = encoder_forward(bp[None, :] + a[:, None] * delta[None, :],
-                                  codec_params, codec_config)  # (b, T, L)
+        pre0 = np.multiply(a[:, None, None], d0, out=ws.out[0][: len(a)])
+        pre0 += p0
+        z, acts = encoder_forward(None, codec_params, codec_config, ws, pre0)  # (b, T, L)
         fwd = _head_from_preact(z @ w0 + b0, cls_params)
         d_logits = _onehot(target, len(a), cls_params["w2"].shape[1])
         g_pre = _preact_grad(*_head_vjp(fwd, cls_params, d_logits), cls_params)
-        grad_sum += encoder_vjp(acts, g_pre @ w0.T, codec_params, codec_config).sum(axis=0)
+        g0_sum += encoder_vjp(acts, g_pre @ w0.T, codec_params, codec_config, ws=ws,
+                              pre0=True).sum(axis=0)
+    grad_sum = _conv_t(g0_sum[None], ws.taps[0], s0, len(xp))[0, :, 0]
     scores = (delta * (grad_sum / steps))[: len(x)]
     return AttributionMap(
         scores=scores.astype(np.float32),

@@ -196,23 +196,24 @@ def relu(x: Tensor) -> Tensor:
     return Tensor(out_data, _parents=(x,), _backward=bwd, _op="relu")
 
 
-def elu_array(x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+def elu_array(x: np.ndarray, out: np.ndarray | None = None,
+              neg: np.ndarray | None = None) -> np.ndarray:
     """ELU of a plain array, in the array's dtype; ``out=x`` computes it in place.
 
     expm1(min(x, 0)) + max(x, 0) equals np.where(x > 0, x, expm1(x)) bit for bit,
     except that -0.0 comes out as +0.0, and is several times faster: a where over a
-    mask that is half true branches badly.
+    mask that is half true branches badly. ``neg``, if given, holds the negative part.
     """
-    neg = np.minimum(x, 0.0)
+    neg = np.minimum(x, 0.0, out=neg)
     np.expm1(neg, out=neg)
     out = np.maximum(x, 0.0, out=out)
     out += neg
     return out
 
 
-def elu_vjp(out: np.ndarray, g: np.ndarray) -> np.ndarray:
-    """g * elu'(x), from the ELU's output: elu'(x) = min(elu(x), 0) + 1."""
-    d = np.minimum(out, 0.0)
+def elu_vjp(out: np.ndarray, g: np.ndarray, d: np.ndarray | None = None) -> np.ndarray:
+    """g * elu'(x), from the ELU's output: elu'(x) = min(elu(x), 0) + 1; into ``d`` if given."""
+    d = np.minimum(out, 0.0, out=d)
     d += 1.0
     return np.multiply(d, g, out=d)
 
@@ -260,24 +261,35 @@ def _blocks(h: np.ndarray, nb: int, s: int) -> np.ndarray:
     return _fit(h, nb * s).reshape(h.shape[0], nb, s * h.shape[2])
 
 
-def _conv(h: np.ndarray, taps: np.ndarray, s: int, nout: int) -> np.ndarray:
-    """Stride-S conv of (B, N, C_in) to (B, nout, C_out): one GEMM per tap over the blocks."""
+def _conv(h: np.ndarray, taps: np.ndarray, s: int, nout: int, out: np.ndarray | None = None,
+          prod: np.ndarray | None = None) -> np.ndarray:
+    """Stride-S conv of (B, N, C_in) to (B, nout, C_out): one GEMM per tap over the blocks.
+
+    Writes into ``out`` and each later tap's product into ``prod`` where given, both
+    (B, nout, C_out); allocates them otherwise.
+    """
     blocks = _blocks(h, nout + len(taps) - 1, s)
-    out = blocks[:, :nout] @ taps[0]
+    out = np.matmul(blocks[:, :nout], taps[0], out=out)
     for a in range(1, len(taps)):
-        out += blocks[:, a : a + nout] @ taps[a]
+        out += np.matmul(blocks[:, a : a + nout], taps[a], out=prod)
     return out
 
 
-def _conv_t(g: np.ndarray, taps: np.ndarray, s: int, n: int) -> np.ndarray:
-    """Transpose of ``_conv``, (B, nout, C_out) to (B, n, C_in): g @ tapᵀ added onto the blocks."""
+def _conv_t(g: np.ndarray, taps: np.ndarray, s: int, n: int, gb: np.ndarray | None = None,
+            prod: np.ndarray | None = None) -> np.ndarray:
+    """Transpose of ``_conv``, (B, nout, C_out) to (B, n, C_in): g @ tapᵀ added onto the blocks.
+
+    The block gradient goes into ``gb`` (B, nout + m - 1, S * C_in) and each later tap's
+    product into ``prod`` (B, nout, S * C_in) where given; the result may be a view of ``gb``.
+    """
     b, nout, _ = g.shape
     nb = nout + len(taps) - 1
-    gb = np.empty((b, nb, taps.shape[1]), dtype=g.dtype)
+    if gb is None:
+        gb = np.empty((b, nb, taps.shape[1]), dtype=g.dtype)
     np.matmul(g, taps[0].T, out=gb[:, :nout])
     gb[:, nout:] = 0.0
     for a in range(1, len(taps)):
-        gb[:, a : a + nout] += g @ taps[a].T
+        gb[:, a : a + nout] += np.matmul(g, taps[a].T, out=prod)
     return _fit(gb.reshape(b, nb * s, -1), n)
 
 

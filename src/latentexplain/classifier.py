@@ -61,22 +61,25 @@ class ClassifierConfig:
             raise ValueError(f"pooling must be one of {POOLINGS}, got {self.pooling!r}")
 
 
+def classifier_param_shapes(config: ClassifierConfig) -> dict:
+    """Name -> shape of every head tensor, in the order ``init_classifier_params`` draws them."""
+    l, h, c = config.latent_channels, config.hidden, config.num_classes
+    return {"w0": (l, h), "b0": (h,), "w1": (h, h), "b1": (h,), "w2": (h, c), "b2": (c,),
+            "pool_max": (1,)}
+
+
 def init_classifier_params(config: ClassifierConfig, seed: int) -> dict:
     rng = np.random.default_rng(seed)
-    l, h, c = config.latent_channels, config.hidden, config.num_classes
-    bl = np.sqrt(1.0 / l)
-    bh = np.sqrt(1.0 / h)
-    return {
-        "w0": rng.uniform(-bl, bl, size=(l, h)).astype(np.float32),
-        "b0": np.zeros(h, dtype=np.float32),
-        "w1": rng.uniform(-bh, bh, size=(h, h)).astype(np.float32),
-        "b1": np.zeros(h, dtype=np.float32),
-        "w2": rng.uniform(-bh, bh, size=(h, c)).astype(np.float32),
-        "b2": np.zeros(c, dtype=np.float32),
-        # constant gate, not trained: 1.0 adds the max-pool term
-        "pool_max": np.asarray([1.0 if config.pooling == "mean-max" else 0.0],
-                               dtype=np.float32),
-    }
+    params = {}
+    for name, shape in classifier_param_shapes(config).items():
+        if name.startswith("w"):
+            bound = np.sqrt(1.0 / shape[0])
+            params[name] = rng.uniform(-bound, bound, size=shape).astype(np.float32)
+        else:
+            params[name] = np.zeros(shape, dtype=np.float32)
+    # constant gate, not trained: 1.0 adds the max-pool term
+    params["pool_max"][0] = 1.0 if config.pooling == "mean-max" else 0.0
+    return params
 
 
 def logits_from_latent(z: ad.Tensor, pt: dict) -> ad.Tensor:
@@ -102,18 +105,22 @@ def _pool_gate(params: dict) -> float:
 def _head_from_preact(pre: np.ndarray, params: dict):
     """The head after its first affine layer, on (B, T, H) frame pre-activations.
 
-    Returns the frame embeddings ``elu(pre)``, computed in place over ``pre``, the
-    pooled embedding (B, H), the pre-activation of the hidden layer (B, H), its ELU
-    and the logits (B, C): everything ``_head_vjp`` reads.
+    Returns the frame embeddings ``elu(pre)``, computed in place over ``pre``, each
+    channel's first-argmax frame (B, H) when a pool gate adds the max term (else None),
+    the pooled embedding (B, H), the pre-activation of the hidden layer (B, H), its ELU
+    and the logits (B, C): everything ``_head_vjp`` reads. The max term is gathered at
+    the argmax, so the frame axis is reduced once for both.
     """
     emb = ad.elu_array(pre, out=pre)
     pooled = emb.mean(axis=1)
     gate = _pool_gate(params)
+    arg = None
     if gate:
-        pooled = pooled + gate * emb.max(axis=1)
+        arg = emb.argmax(axis=1)
+        pooled = pooled + gate * np.take_along_axis(emb, arg[:, None, :], axis=1)[:, 0]
     hidden = pooled @ params["w1"] + params["b1"]
     act = ad.elu_array(hidden)
-    return emb, pooled, hidden, act, act @ params["w2"] + params["b2"]
+    return emb, arg, pooled, hidden, act, act @ params["w2"] + params["b2"]
 
 
 def _head_vjp(fwd: tuple, params: dict, d_logits: np.ndarray, grads: dict | None = None):
@@ -125,7 +132,7 @@ def _head_vjp(fwd: tuple, params: dict, d_logits: np.ndarray, grads: dict | None
     (B, H) and the ELU factor there. Given a ``grads`` dict, also stores the gradients
     of w1, b1, w2 and b2 there.
     """
-    emb, pooled, hidden, act, _ = fwd
+    emb, arg, pooled, hidden, act, _ = fwd
     # elu'(x) = exp(min(x, 0))
     d_hidden = (d_logits @ params["w2"].T) * np.exp(np.minimum(hidden, 0.0))
     d_pooled = d_hidden @ params["w1"].T
@@ -135,9 +142,8 @@ def _head_vjp(fwd: tuple, params: dict, d_logits: np.ndarray, grads: dict | None
     # elu'(pre) = min(elu(pre), 0) + 1, with no second exp over (B, T, H)
     d_emb = np.minimum(emb, 0.0)
     d_emb += 1.0
-    if not _pool_gate(params):
+    if arg is None:
         return d_pooled, d_emb, None
-    arg = emb.argmax(axis=1)
     return d_pooled, d_emb, (arg, np.take_along_axis(d_emb, arg[:, None, :], axis=1)[:, 0])
 
 

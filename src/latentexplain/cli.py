@@ -27,9 +27,9 @@ from pathlib import Path
 from . import __version__
 from .audio import LengthError, NonFiniteError, WavFormatError, wav_read, wav_write
 from .checkpoint import CheckpointError, file_sha256, read_checkpoint, write_checkpoint
-from .classifier import (POOLINGS, ClassifierConfig, evaluate_accuracy, init_classifier_params,
+from .classifier import (POOLINGS, ClassifierConfig, classifier_param_shapes, evaluate_accuracy,
                          predict_batch, train_classifier)
-from .codec import (CodecConfig, CodecTrainConfig, decode, encode, encode_batch, init_codec_params,
+from .codec import (CodecConfig, CodecTrainConfig, codec_param_shapes, decode, encode, encode_batch,
                     train_autoencoder)
 from .data import (DatasetError, SyntheticDatasetSpec, generate_dataset, read_clips, read_manifest,
                    save_dataset)
@@ -255,9 +255,9 @@ def _checkpoint_path(cfg: RunConfig, given, kind: str) -> Path:
     return Path(given or Path(cfg.paths.checkpoint_dir) / f"{kind}.ckpt")
 
 
-# checkpoint kind -> its config dataclass and the function that builds its tensors
-_CHECKPOINT_KINDS = {"codec": (CodecConfig, init_codec_params),
-                     "classifier": (ClassifierConfig, init_classifier_params)}
+# checkpoint kind -> its config dataclass and the function that gives its tensors' shapes
+_CHECKPOINT_KINDS = {"codec": (CodecConfig, codec_param_shapes),
+                     "classifier": (ClassifierConfig, classifier_param_shapes)}
 
 
 def _load_checkpoint(cfg: RunConfig, given, kind: str):
@@ -265,7 +265,7 @@ def _load_checkpoint(cfg: RunConfig, given, kind: str):
 
     The config must have exactly the fields of the kind's dataclass (a codec's values
     also keep the run config's rules), and the tensors the names and shapes that the
-    kind's init function builds for it; CheckpointError otherwise.
+    kind's shape function gives for it, which builds no tensor; CheckpointError otherwise.
     """
     p = _checkpoint_path(cfg, given, kind)
     if not p.is_file():
@@ -273,7 +273,7 @@ def _load_checkpoint(cfg: RunConfig, given, kind: str):
     ckpt = read_checkpoint(p)
     if ckpt.kind != kind:
         raise CheckpointError(f"{p} holds a {ckpt.kind!r} checkpoint, expected {kind!r}")
-    cls, init = _CHECKPOINT_KINDS[kind]
+    cls, param_shapes = _CHECKPOINT_KINDS[kind]
     keys = sorted(f.name for f in fields(cls))
     if not isinstance(ckpt.config, dict) or sorted(ckpt.config) != keys:
         raise CheckpointError(f"{p}: the {kind} config must have exactly the keys {keys}")
@@ -282,7 +282,10 @@ def _load_checkpoint(cfg: RunConfig, given, kind: str):
             for key, default in CodecConfig().to_dict().items():
                 _check_value(f"config.{key}", key, default, ckpt.config[key])
         config = cls(**ckpt.config)
-        want = {name: t.shape for name, t in init(config, 0).items()}
+        want = param_shapes(config)
+        for shape in want.values():  # no tensor is built, so check the widths are integers here
+            for width in shape:
+                _check_int("tensor width", width, 0)
     except (TypeError, ValueError) as e:
         raise CheckpointError(f"{p}: bad {kind} config: {e}") from e
     got = {name: t.shape for name, t in ckpt.params.items()}

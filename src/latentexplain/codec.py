@@ -11,7 +11,9 @@ Everything runs on numpy, channels-last, on the kernel pair in ``autodiff``:
 ``_conv_t``. The encoder is ``_conv`` and its input VJP ``_conv_t``; the
 decoder is ``_conv_t`` and its backward ``_conv``; ``_kernel_grad`` gives both
 weight gradients. Encoding, waveform IG, ``decode`` and ``train_autoencoder``
-call them directly and build no autodiff graph.
+call them directly and build no autodiff graph. ``encode_batch`` and waveform
+IG run every encoder pass of one call on one ``EncoderWorkspace``: the taps
+built once, and buffers that each pass reuses.
 """
 
 from __future__ import annotations
@@ -26,7 +28,7 @@ from .audio import AudioClip, LengthError, NonFiniteError
 from .checkpoint import Checkpoint
 from .optim import AdamConfig, minibatch_adam
 
-ENCODE_ROWS = 8  # waveforms per numpy encoder pass; bounds the activations one pass holds
+ENCODE_ROWS = 8  # waveforms per numpy encoder pass; bounds the buffers of a workspace
 
 
 @dataclass
@@ -107,23 +109,33 @@ class CodecTrainConfig:
     epochs: int = 30
 
 
-def init_codec_params(config: CodecConfig, seed: int) -> dict:
-    """He-uniform seeded initialization; returns name -> float32 ndarray."""
-    rng = np.random.default_rng(seed)
-    params = {}
+def codec_param_shapes(config: CodecConfig) -> dict:
+    """Name -> shape of every codec tensor, in the order ``init_codec_params`` draws them."""
+    shapes = {}
     cin = 1
     for i, (c, k) in enumerate(zip(config.channels, config.kernel_sizes)):
-        bound = np.sqrt(1.0 / (cin * k))
-        params[f"enc{i}_w"] = rng.uniform(-bound, bound, size=(c, cin, k)).astype(np.float32)
-        params[f"enc{i}_b"] = np.zeros(c, dtype=np.float32)
+        shapes[f"enc{i}_w"], shapes[f"enc{i}_b"] = (c, cin, k), (c,)
         cin = c
     dec_channels = list(reversed((1,) + config.channels[:-1]))
     cin = config.latent_channels
     for i, (c, k) in enumerate(zip(dec_channels, reversed(config.kernel_sizes))):
-        bound = np.sqrt(1.0 / (cin * k))
-        params[f"dec{i}_w"] = rng.uniform(-bound, bound, size=(cin, c, k)).astype(np.float32)
-        params[f"dec{i}_b"] = np.zeros(c, dtype=np.float32)
+        shapes[f"dec{i}_w"], shapes[f"dec{i}_b"] = (cin, c, k), (c,)
         cin = c
+    return shapes
+
+
+def init_codec_params(config: CodecConfig, seed: int) -> dict:
+    """He-uniform seeded initialization; returns name -> float32 ndarray."""
+    rng = np.random.default_rng(seed)
+    params = {}
+    for name, shape in codec_param_shapes(config).items():
+        if name.endswith("_b"):
+            params[name] = np.zeros(shape, dtype=np.float32)
+            continue
+        # fan-in C_in * K: an encoder kernel is (C_out, C_in, K), a decoder kernel (C_in, C_out, K)
+        cin = shape[1] if name.startswith("enc") else shape[0]
+        bound = np.sqrt(1.0 / (cin * shape[2]))
+        params[name] = rng.uniform(-bound, bound, size=shape).astype(np.float32)
     return params
 
 
@@ -144,42 +156,99 @@ def pad_for_encode(samples: np.ndarray, config: CodecConfig) -> np.ndarray:
     return np.pad(samples, [(0, 0)] * (samples.ndim - 1) + [(0, need - n)])
 
 
-def encoder_forward(x: np.ndarray, params: dict, config: CodecConfig):
+def _dtype(x: np.ndarray):
+    """The encoder's compute dtype for ``x``: float64 input in float64, anything else in float32."""
+    return np.float64 if x.dtype == np.float64 else np.float32
+
+
+class EncoderWorkspace:
+    """The encoder's taps and biases in one dtype and, given ``rows`` and the padded
+    length ``n``, the buffers of its passes over up to ``rows`` waveforms.
+
+    Per layer i: ``out[i]`` its output; ``scratch[i]``, of the same shape, which its tap
+    products, its ELU's negative part and ``elu_vjp``'s factor take turns using; and
+    ``gb[i]`` and ``gprod[i]``, the block gradient and tap product of its ``_conv_t``.
+    A pass of b rows uses the first b rows of each. Without ``rows`` there are no
+    buffers and every pass allocates its own.
+    """
+
+    def __init__(self, params: dict, config: CodecConfig, dtype=np.float32, rows: int = 0,
+                 n: int = 0):
+        self.taps, self.bias, self.out, self.scratch, self.gb, self.gprod = [], [], [], [], [], []
+        cin = 1
+        for i, (c, k, s) in enumerate(zip(config.channels, config.kernel_sizes, config.strides)):
+            taps = _taps(params[f"enc{i}_w"], s, dtype)
+            self.taps.append(taps)
+            self.bias.append(params[f"enc{i}_b"].astype(dtype))
+            n = (n - k) // s + 1
+            for bufs, shape in ((self.out, (n, c)), (self.scratch, (n, c)),
+                                (self.gb, (n + len(taps) - 1, s * cin)), (self.gprod, (n, s * cin))):
+                bufs.append(np.empty((rows,) + shape, dtype=dtype) if rows else None)
+            cin = c
+
+    @staticmethod
+    def view(bufs: list, i: int, b: int):
+        """The first b rows of layer i's buffer in ``bufs``, or None without buffers."""
+        return None if bufs[i] is None else bufs[i][:b]
+
+
+def encoder_forward(x: np.ndarray | None, params: dict, config: CodecConfig,
+                    ws: EncoderWorkspace | None = None, pre0: np.ndarray | None = None):
     """Encoder on padded (B, N) waveforms: latents (B, T, L) and each layer's input.
 
     Channels-last: each layer is ``_conv`` on its taps, plus bias and ELU.
-    float64 input is computed in float64, anything else in float32.
+    float64 input is computed in float64, anything else in float32. Runs on the
+    buffers of ``ws`` where given; the latents and acts are then views of them, valid
+    until its next pass. Given ``pre0``, layer 0's (B, T0, C0) pre-activation with its
+    bias (waveform IG builds it in closed form), ``x`` is not read and layer 0 runs
+    only its ELU; its input in the acts is None.
     """
-    dtype = np.float64 if x.dtype == np.float64 else np.float32
-    h = np.asarray(x, dtype=dtype)[:, :, None]
+    h = None if pre0 is not None else np.asarray(x, dtype=_dtype(x))[:, :, None]
+    first = pre0 if h is None else h
+    if ws is None:
+        ws = EncoderWorkspace(params, config, first.dtype)
+    b = len(first)
     acts = []
     last = len(config.channels) - 1
     for i, (k, s) in enumerate(zip(config.kernel_sizes, config.strides)):
         acts.append(h)
-        out = _conv(h, _taps(params[f"enc{i}_w"], s, dtype), s, (h.shape[1] - k) // s + 1)
-        out += params[f"enc{i}_b"].astype(dtype)
-        h = ad.elu_array(out, out=out) if i < last else out
+        out, scratch = ws.view(ws.out, i, b), ws.view(ws.scratch, i, b)
+        if h is None:
+            out = pre0
+        else:
+            out = _conv(h, ws.taps[i], s, (h.shape[1] - k) // s + 1, out, scratch)
+            out += ws.bias[i]
+        h = ad.elu_array(out, out=out, neg=scratch) if i < last else out
     return h, acts
 
 
 def encoder_vjp(acts: list, g: np.ndarray, params: dict, config: CodecConfig,
-                grads: dict | None = None):
+                grads: dict | None = None, ws: EncoderWorkspace | None = None,
+                pre0: bool = False):
     """Gradient of sum(latents * g) w.r.t. the (B, N) waveforms, from ``encoder_forward``'s acts.
 
     Given a ``grads`` dict, stores the gradients of the encoder's weights and biases
-    there instead and returns None: training needs no waveform gradient.
+    there instead and returns None: training needs no waveform gradient. With ``pre0``,
+    returns the (B, T0, C0) gradient w.r.t. layer 0's pre-activation and leaves out
+    layer 0's transposed conv. Runs on the buffers of ``ws`` where given.
     """
+    if ws is None:
+        ws = EncoderWorkspace(params, config, g.dtype)
+    b = len(g)
     last = len(acts) - 1
     for i in range(last, -1, -1):
         if i < last:
-            g = ad.elu_vjp(acts[i + 1], g)
+            g = ad.elu_vjp(acts[i + 1], g, ws.view(ws.scratch, i, b))
         s, w = config.strides[i], params[f"enc{i}_w"]
         if grads is not None:
             grads[f"enc{i}_w"] = _kernel_grad(acts[i], g, s, w.shape[2])
             grads[f"enc{i}_b"] = g.sum(axis=(0, 1))
             if i == 0:
                 return None
-        g = _conv_t(g, _taps(w, s, g.dtype), s, acts[i].shape[1])
+        if i == 0 and pre0:
+            return g
+        g = _conv_t(g, ws.taps[i], s, acts[i].shape[1], ws.view(ws.gb, i, b),
+                    ws.view(ws.gprod, i, b))
     return g[:, :, 0]
 
 
@@ -228,10 +297,18 @@ def encode(clip: AudioClip, params: dict, config: CodecConfig) -> LatentGrid:
 
 
 def encode_batch(samples: np.ndarray, params: dict, config: CodecConfig) -> np.ndarray:
-    """Encode (B, N) waveforms to (B, T, L) latents, ENCODE_ROWS waveforms per encoder pass."""
+    """Encode (B, N) waveforms to (B, T, L) latents, ENCODE_ROWS waveforms per encoder pass.
+
+    The passes share one workspace; each pass's latents are copied out before the next.
+    """
     x = pad_for_encode(samples, config)
-    return np.concatenate([encoder_forward(x[i : i + ENCODE_ROWS], params, config)[0]
-                           for i in range(0, max(len(x), 1), ENCODE_ROWS)])
+    dtype = _dtype(x)
+    ws = EncoderWorkspace(params, config, dtype, min(len(x), ENCODE_ROWS), x.shape[1])
+    z = np.empty((len(x), config.frames_for_length(samples.shape[-1]), config.latent_channels),
+                 dtype=dtype)
+    for i in range(0, len(x), ENCODE_ROWS):
+        z[i : i + ENCODE_ROWS] = encoder_forward(x[i : i + ENCODE_ROWS], params, config, ws)[0]
+    return z
 
 
 def decode(z: LatentGrid, params: dict, config: CodecConfig) -> AudioClip:

@@ -3,13 +3,17 @@
 Its conv nodes are a sliding-window ``einsum`` conv of their own, so the reference shares
 no code with the ``autodiff`` conv kernels (``_conv``, ``_conv_t``, ``_kernel_grad``) that
 the codec and the tape's ``conv1d``/``conv1d_transpose`` run.
+
+``per_pass_input_ig`` is the one numpy reference here: waveform IG with every encoder
+layer in the step loop, as it ran before layer 0 was taken out of it.
 """
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from latentexplain import autodiff as ad
-from latentexplain.codec import CodecConfig
+from latentexplain.classifier import _head_from_preact, _head_vjp, _onehot, _preact_grad
+from latentexplain.codec import ENCODE_ROWS, CodecConfig, encoder_forward, encoder_vjp, pad_for_encode
 
 
 def tape(params: dict, requires_grad: bool = False) -> dict:
@@ -80,3 +84,24 @@ def decode_tensor(z: ad.Tensor, pt: dict, config: CodecConfig) -> ad.Tensor:
         if i < n_layers - 1:
             h = ad.elu(h)
     return ad.tanh(h)
+
+
+def per_pass_input_ig(x, baseline, codec_params, codec_config, cls_params, target, steps):
+    """Waveform IG scores: per chunk of ENCODE_ROWS path points, the whole encoder forward,
+    the head's backward for the target logit and the encoder's input VJP, summed per row."""
+    x = np.asarray(x, dtype=np.float32).reshape(-1)
+    xp = pad_for_encode(x, codec_config)
+    bp = pad_for_encode(np.asarray(baseline, dtype=np.float32).reshape(-1), codec_config)
+    delta = xp - bp
+    w0, b0 = cls_params["w0"], cls_params["b0"]
+    grad_sum = np.zeros_like(xp)
+    alphas = ((np.arange(steps, dtype=np.float64) + 0.5) / steps).astype(np.float32)
+    for start in range(0, steps, ENCODE_ROWS):
+        a = alphas[start : start + ENCODE_ROWS]
+        z, acts = encoder_forward(bp[None, :] + a[:, None] * delta[None, :],
+                                  codec_params, codec_config)
+        fwd = _head_from_preact(z @ w0 + b0, cls_params)
+        d_logits = _onehot(target, len(a), cls_params["w2"].shape[1])
+        g_pre = _preact_grad(*_head_vjp(fwd, cls_params, d_logits), cls_params)
+        grad_sum += encoder_vjp(acts, g_pre @ w0.T, codec_params, codec_config).sum(axis=0)
+    return (delta * (grad_sum / steps))[: len(x)]

@@ -1,5 +1,8 @@
 """Integrated-gradients properties: closed form on affine heads, completeness, stability."""
 
+import sys
+from concurrent.futures import ThreadPoolExecutor
+
 import numpy as np
 import pytest
 
@@ -33,7 +36,7 @@ from latentexplain.codec import (
     init_codec_params,
     pad_for_encode,
 )
-from tape_reference import encode_tensor
+from tape_reference import encode_tensor, per_pass_input_ig
 
 
 def affine_head_params(l=6, h=5, c=3, seed=0):
@@ -277,6 +280,70 @@ class TestInputIGMatchesTape:
             assert np.max(np.abs(got - ref)) <= 1e-5 * np.max(np.abs(ref))
 
 
+class TestInputIGMatchesPerPassOracle:
+    """The closed-form layer 0 and its one transposed conv move the scores only by rounding."""
+
+    @pytest.mark.parametrize("steps", [1, 5, ENCODE_ROWS, 13, 64])  # partial last chunks
+    @pytest.mark.parametrize("task", ["kw", "emo"])
+    def test_cached_codec_and_head(self, task, steps, request, codec_config):
+        data = request.getfixturevalue(f"{task}_data")
+        codec = request.getfixturevalue(f"codec_{task}").params
+        head = request.getfixturevalue(f"cls_{task}").params
+        noise = request.getfixturevalue(f"models_{task}").noise_clip.samples
+        i = data.test_idx[1]
+        target = int(data.labels[i])
+        got = integrated_gradients_input(data.clips[i], noise, codec, codec_config, head, target,
+                                         steps).scores
+        ref = per_pass_input_ig(data.clips[i], noise, codec, codec_config, head, target, steps)
+        assert np.max(np.abs(got - ref)) <= 1e-6 * np.max(np.abs(ref))
+
+
+class TestInputIGBuildsTapsOnce:
+    @pytest.mark.parametrize("steps", [1, 20])
+    def test_once_per_layer_per_call(self, steps, monkeypatch):
+        from latentexplain import codec as codec_module
+
+        calls = []
+        taps = codec_module._taps
+
+        def counted(*args):
+            calls.append(args)
+            return taps(*args)
+
+        monkeypatch.setattr(codec_module, "_taps", counted)
+        cfg = CodecConfig()
+        head = random_head_params("mean-max", l=cfg.latent_channels, seed=1)
+        x = np.random.default_rng(2).uniform(-0.5, 0.5, 1024).astype(np.float32)
+        for _ in range(2):
+            calls.clear()
+            integrated_gradients_input(x, 0.01 * x, init_codec_params(cfg, 0), cfg, head, 0, steps)
+            assert len(calls) == len(cfg.channels)
+
+
+class TestInputIGOnThreads:
+    def test_concurrent_calls_match_serial_ones(self):
+        """Each call holds its own encoder workspace: calls on four threads at once give the
+        serial maps bit for bit."""
+        cfg = CodecConfig()
+        codec = init_codec_params(cfg, 0)
+        head = random_head_params("mean-max", l=cfg.latent_channels, seed=1)
+        xs = np.random.default_rng(3).uniform(-0.5, 0.5, (16, 4096)).astype(np.float32)
+
+        def ig(x):
+            return integrated_gradients_input(x, 0.01 * x, codec, cfg, head, 0, steps=24).scores
+
+        serial = [ig(x) for x in xs]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ThreadPoolExecutor(4) as pool:
+                threaded = [f.result(timeout=120) for f in [pool.submit(ig, x) for x in xs]]
+        finally:
+            sys.setswitchinterval(interval)
+        for a, b in zip(serial, threaded):
+            assert np.array_equal(a, b)
+
+
 class TestInferenceOffTheTape:
     """Encoding and waveform IG build no autodiff graph."""
 
@@ -323,7 +390,7 @@ class TestRandomBaselineMethod:
 
 def one_target_head_vjp(fwd, params, d_logits, grads=None):
     """The head backward for the target logit alone, as IG ran it before per-row cotangents."""
-    emb, _, hidden, _, _ = fwd
+    emb, _, _, hidden, _, _ = fwd
     target = int(np.argmax(d_logits[0]))
     onehot = np.eye(len(params["b2"]), dtype=np.float32)[[target] * len(emb)]
     assert np.array_equal(d_logits, onehot)

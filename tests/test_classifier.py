@@ -6,6 +6,9 @@ from latentexplain.checkpoint import params_sha256
 from latentexplain.classifier import (
     ClassifierConfig,
     _head_from_preact,
+    _head_vjp,
+    _onehot,
+    _preact_grad,
     _logits_np,
     _step_grads,
     classify,
@@ -60,6 +63,28 @@ class TestHeadForwardsAgree:
         tape = logits_from_latent(ad.Tensor(lat), {k: ad.Tensor(v) for k, v in params.items()})
         got = _logits_np(lat, params)
         assert np.max(np.abs(got - tape.data)) <= 1e-5 * np.max(np.abs(tape.data))
+
+
+class TestMaxTermFromTheFirstArgmax:
+    """A mean-max head reduces the frame axis once: the max is gathered at the first argmax."""
+
+    def test_tied_frames(self):
+        params = init_classifier_params(ClassifierConfig(num_classes=4, pooling="mean-max"), 3)
+        rng = np.random.default_rng(8)
+        # three distinct frames, repeated: every channel's max is tied three ways
+        lat = np.tile(rng.standard_normal((5, 3, 32)).astype(np.float32), (1, 3, 1))
+        pre = lat @ params["w0"] + params["b0"]
+        fwd = _head_from_preact(pre.copy(), params)
+        emb, arg = fwd[0], fwd[1]
+        assert np.array_equal(arg, emb.argmax(axis=1)) and np.all(arg < 3)
+        # the logits of the pooled mean + max, with the max taken by emb.max
+        pooled = emb.mean(axis=1) + np.float32(1.0) * emb.max(axis=1)
+        act = ad.elu_array(pooled @ params["w1"] + params["b1"])
+        assert np.array_equal(fwd[-1], act @ params["w2"] + params["b2"])
+        g = _preact_grad(*_head_vjp(fwd, params, _onehot(2, 5, 4)), params)
+        # the max term lands on the first copy of the max frame only
+        assert not np.array_equal(g[:, :3], g[:, 3:6])
+        assert np.array_equal(g[:, 3:6], g[:, 6:9])
 
 
 class TestHeadStepMatchesTape:

@@ -576,6 +576,15 @@ class TestEvalCommands:
             assert filecmp.cmp(a / f"{stem}.json", b / f"{stem}.json", shallow=False)
             assert filecmp.cmp(a / f"{stem}.csv", b / f"{stem}.csv", shallow=False)
 
+    def test_input_ig_reports_same_at_one_and_two_jobs(self, workspace, tmp_path):
+        """Each waveform IG call holds its own encoder workspace, so threads share none."""
+        root, cfg = workspace
+        for jobs in ("1", "2"):
+            assert main(["--config", str(cfg), "eval-fidelity", "--methods", "input-ig",
+                         "--jobs", jobs, "--out", str(tmp_path / jobs)]) == 0
+        for name in ("agreement_input-ig.json", "agreement_input-ig.csv"):
+            assert filecmp.cmp(tmp_path / "1" / name, tmp_path / "2" / name, shallow=False)
+
     def test_report_row_counts(self, workspace, tmp_path):
         root, cfg = workspace
         out = tmp_path / "rep"
@@ -761,6 +770,41 @@ class TestCheckpointChecked:
                      "--out", str(out)]) == EXIT_MISSING_CHECKPOINT
         assert "exactly the keys" in capsys.readouterr().err
         assert not out.exists()
+
+
+class TestCheckpointShapesBuildNoTensor:
+    """Checkpoint checks compare shapes from the config alone: no init function runs."""
+
+    @pytest.fixture
+    def no_init(self, monkeypatch):
+        from latentexplain import classifier, codec
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("a checkpoint check drew tensors")
+
+        for module, name in ((codec, "init_codec_params"),
+                             (classifier, "init_classifier_params")):
+            monkeypatch.setattr(module, name, refuse)
+        # the init functions draw from a generator; references held elsewhere reach it too
+        monkeypatch.setattr(np.random, "default_rng", refuse)
+
+    def test_good_checkpoints_load(self, workspace, no_init):
+        root, _ = workspace
+        for kind in ("codec", "classifier"):
+            _, ckpt, _ = cli._load_checkpoint(RunConfig(), root / "ckpt" / f"{kind}.ckpt", kind)
+            assert ckpt.kind == kind
+
+    def test_huge_widths_exit_2(self, workspace, tmp_path, capsys, no_init):
+        root, cfg = workspace
+        bad = _rewrite_checkpoint(root / "ckpt" / "codec.ckpt", tmp_path / "codec.ckpt",
+                                  lambda c: {**c, "channels": [1048576, 1048576, 32]})
+        out = tmp_path / "o" / "expl.wav"
+        clip_path = next((root / "data" / "clips").glob("*.wav"))
+        assert main(["--config", str(cfg), "explain", "--codec", str(bad), "--input",
+                     str(clip_path), "--alpha", "0.5", "--out", str(out)]) == EXIT_MISSING_CHECKPOINT
+        err = capsys.readouterr().err
+        assert "do not match" in err and "Traceback" not in err
+        assert not out.parent.exists()
 
 
 class TestDegenerateSplits:

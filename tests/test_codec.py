@@ -271,6 +271,17 @@ def test_encode_batch_of_no_clips(cfg, params):
     assert encode_batch(np.zeros((0, 4096), np.float32), params, cfg).shape == (0, 64, 32)
 
 
+@pytest.mark.parametrize("rows", [0, 1, ENCODE_ROWS, 13])
+def test_encode_batch_equals_encode_per_clip(kw_data, codec_kw, codec_config, rows):
+    """Passes share one workspace: no pass may overwrite the latents of an earlier one."""
+    clips = kw_data.clips[kw_data.test_idx[:rows]]
+    got = encode_batch(clips, codec_kw.params, codec_config)
+    assert got.shape == (rows, 256, codec_config.latent_channels) and got.dtype == np.float32
+    for z, clip in zip(got, clips):
+        want = encode(AudioClip(clip, codec_config.sample_rate), codec_kw.params, codec_config)
+        assert z.tobytes() == want.values.tobytes()
+
+
 class TestNonFiniteSamples:
     """NaN or infinite samples are rejected where they enter, before any conv work."""
 
