@@ -83,9 +83,10 @@ def integrated_gradients_latent(
 
     The path ``base + a * delta`` is linear and the head's first layer is a
     per-frame affine map, so the pre-activations at every step are
-    ``P0 + a * dP`` and the forward needs two (T, H) matmuls. The backward is
-    written out for the target logit; the per-step gradients are summed over
-    the steps before the one product with ``w0.T``.
+    ``P0 + a * dP`` and the forward needs two (T, H) matmuls. All steps share one
+    pre-activation buffer, which the head turns into elu'(pre) in place. The
+    backward is written out for the target logit; the per-step gradients are summed
+    over the steps by one ``einsum`` before the one product with ``w0.T``.
     """
     if z.values.shape != baseline.values.shape:
         raise DimensionError(
@@ -99,9 +100,11 @@ def integrated_gradients_latent(
     p0 = w0t @ baseline.values.T + params["b0"][:, None]  # (H, T)
     dp = w0t @ delta.T
     h, t = p0.shape
-    # (S, H, T) in memory, so that the head's reductions over time run along rows
-    pre = (alphas[:, None, None] * dp + p0).transpose(0, 2, 1)
-    d_pooled, d_emb, top = _head_vjp(_head_from_preact(pre, params), params,
+    # one (S, H, T) step buffer, so that the head's reductions over time run along rows;
+    # the head works through it in place and leaves elu'(pre) there
+    pre = np.multiply(alphas[:, None, None], dp, out=np.empty((steps, h, t), dtype=p0.dtype))
+    pre += p0
+    d_pooled, d_emb, top = _head_vjp(_head_from_preact(pre.transpose(0, 2, 1), params), params,
                                      _onehot(target, steps, params["w2"].shape[1]))
     # sum over steps of d logit / d pre, divided by S: the time mean spreads each
     # step's d_pooled over all T frames ...

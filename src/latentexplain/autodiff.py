@@ -239,6 +239,20 @@ def scale(x: Tensor, c: float) -> Tensor:
     return Tensor(out_data, _parents=(x,), _backward=bwd, _op="scale")
 
 
+def _zero_pad(x: np.ndarray, n: int, axis: int = -1) -> np.ndarray:
+    """``x`` zero-padded at the end of ``axis`` to length n >= x.shape[axis].
+
+    np.pad's values, from one fresh buffer and a slice copy: np.pad costs several
+    times as much per call on the small arrays of the conv and encoder paths.
+    """
+    shape = list(x.shape)
+    lead = (slice(None),) * (axis % x.ndim)
+    shape[axis] = n
+    out = np.zeros(shape, dtype=x.dtype)
+    out[lead + (slice(0, x.shape[axis]),)] = x
+    return out
+
+
 def _taps(w: np.ndarray, stride: int, dtype) -> np.ndarray:
     """A (C_out, C_in, K) kernel, zero-padded to m = ceil(K / S) taps of (S * C_in, C_out).
 
@@ -247,13 +261,13 @@ def _taps(w: np.ndarray, stride: int, dtype) -> np.ndarray:
     """
     cout, cin, k = w.shape
     m = -(-k // stride)
-    wp = np.pad(w.astype(dtype), ((0, 0), (0, 0), (0, m * stride - k)))
+    wp = _zero_pad(w.astype(dtype, copy=False), m * stride)
     return wp.reshape(cout, cin, m, stride).transpose(2, 3, 1, 0).reshape(m, stride * cin, cout)
 
 
 def _fit(h: np.ndarray, n: int) -> np.ndarray:
     """(B, N', C) cut or zero-padded along time to N samples."""
-    return h[:, :n] if h.shape[1] >= n else np.pad(h, ((0, 0), (0, n - h.shape[1]), (0, 0)))
+    return h[:, :n] if h.shape[1] >= n else _zero_pad(h, n, axis=1)
 
 
 def _blocks(h: np.ndarray, nb: int, s: int) -> np.ndarray:

@@ -15,7 +15,8 @@ only the parameter dict. The encoder stays frozen; this module only
 ever sees latents.
 
 The head runs on numpy for inference, IG and training alike: ``_head_from_preact``
-is the forward after the first affine layer and ``_head_vjp`` its one backward,
+is the forward after the first affine layer, worked in place through the
+pre-activations in cache-sized tiles of rows, and ``_head_vjp`` its one backward,
 from per-row logit cotangents. ``logits_from_latent`` is the same head on the
 autodiff tape, kept as the reference the numpy head is tested against.
 
@@ -102,46 +103,67 @@ def _pool_gate(params: dict) -> float:
     return float(params["pool_max"][0]) if "pool_max" in params else 0.0
 
 
-def _head_from_preact(pre: np.ndarray, params: dict):
+# Cells of the (B, T, H) pre-activations the head works through per tile: 2^17 cells
+# (512 KB of float32). The tile bounds the head's scratch, so one latent IG call peaks
+# near 1.2x its step buffer, not 2x. Per IG call at 1 BLAS thread (2 MB of L2 per core),
+# 2^17 cells took 2.4-2.7 ms; 2^15 took 2.7-3.2, 2^19 2.9-3.2 and one whole-array pass 4.6-4.9.
+_TILE_CELLS = 1 << 17
+
+
+def _head_from_preact(pre: np.ndarray, params: dict, grad: bool = True):
     """The head after its first affine layer, on (B, T, H) frame pre-activations.
 
-    Returns the frame embeddings ``elu(pre)``, computed in place over ``pre``, each
-    channel's first-argmax frame (B, H) when a pool gate adds the max term (else None),
-    the pooled embedding (B, H), the pre-activation of the hidden layer (B, H), its ELU
-    and the logits (B, C): everything ``_head_vjp`` reads. The max term is gathered at
-    the argmax, so the frame axis is reduced once for both.
+    Works through ``pre`` in place, in tiles of whole rows of about ``_TILE_CELLS``
+    cells, with one tile-sized scratch in ``pre``'s memory layout. Per tile: the ELU,
+    the time mean and, when a pool gate adds the max term, each channel's max. With
+    ``grad``, the max is gathered at each channel's first-argmax frame, and the tile is
+    then overwritten with elu'(pre) = expm1(min(pre, 0)) + 1 from the ELU's negative
+    part, which equals min(elu(pre), 0) + 1 bit for bit. Without it (inference), the
+    max comes from ``max`` and ``pre`` is left holding elu(pre).
+
+    Returns ``pre``, each channel's first-argmax frame (B, H) (None without a gate or
+    without ``grad``), the pooled embedding (B, H), the pre-activation of the hidden
+    layer (B, H), its ELU and the logits (B, C): everything ``_head_vjp`` reads.
     """
-    emb = ad.elu_array(pre, out=pre)
-    pooled = emb.mean(axis=1)
+    b, t, h = pre.shape
     gate = _pool_gate(params)
-    arg = None
-    if gate:
-        arg = emb.argmax(axis=1)
-        pooled = pooled + gate * np.take_along_axis(emb, arg[:, None, :], axis=1)[:, 0]
+    pooled = np.empty((b, h), dtype=pre.dtype)
+    arg = np.empty((b, h), dtype=np.intp) if gate and grad else None
+    rows = max(1, _TILE_CELLS // max(1, t * h))
+    scratch = np.empty_like(pre[:rows])
+    for r in range(0, b, rows):
+        tile, pool = pre[r : r + rows], pooled[r : r + rows]
+        neg = scratch[: len(tile)]
+        ad.elu_array(tile, out=tile, neg=neg)
+        tile.mean(axis=1, out=pool)
+        if gate and grad:
+            top = tile.argmax(axis=1, out=arg[r : r + rows])
+            pool += gate * np.take_along_axis(tile, top[:, None, :], axis=1)[:, 0]
+        elif gate:
+            pool += gate * tile.max(axis=1)
+        if grad:
+            np.add(neg, 1.0, out=tile)
     hidden = pooled @ params["w1"] + params["b1"]
     act = ad.elu_array(hidden)
-    return emb, arg, pooled, hidden, act, act @ params["w2"] + params["b2"]
+    return pre, arg, pooled, hidden, act, act @ params["w2"] + params["b2"]
 
 
 def _head_vjp(fwd: tuple, params: dict, d_logits: np.ndarray, grads: dict | None = None):
     """Backward of sum(logits * d_logits) through the head, from ``_head_from_preact``'s output.
 
     ``d_logits`` holds one cotangent row per row of pre-activations (IG passes one-hot
-    rows). Returns d/d pooled (B, H), the ELU factor elu'(pre) (B, T, H) and the
-    max-frame term: None without a pool gate, else each channel's first-argmax frame
-    (B, H) and the ELU factor there. Given a ``grads`` dict, also stores the gradients
-    of w1, b1, w2 and b2 there.
+    rows). Returns d/d pooled (B, H), the ELU factor elu'(pre) (B, T, H) that the
+    forward left in the pre-activation buffer, and the max-frame term: None without a
+    pool gate, else each channel's first-argmax frame (B, H) and the ELU factor there.
+    Given a ``grads`` dict, also stores the gradients of w1, b1, w2 and b2 there.
     """
-    emb, arg, pooled, hidden, act, _ = fwd
+    d_emb, arg, pooled, hidden, act, _ = fwd
     # elu'(x) = exp(min(x, 0))
     d_hidden = (d_logits @ params["w2"].T) * np.exp(np.minimum(hidden, 0.0))
     d_pooled = d_hidden @ params["w1"].T
     if grads is not None:
         grads.update(w1=pooled.T @ d_hidden, b1=d_hidden.sum(axis=0),
                      w2=act.T @ d_logits, b2=d_logits.sum(axis=0))
-    # elu'(pre) = min(elu(pre), 0) + 1, with no second exp over (B, T, H)
-    d_emb = np.minimum(emb, 0.0)
-    d_emb += 1.0
     if arg is None:
         return d_pooled, d_emb, None
     return d_pooled, d_emb, (arg, np.take_along_axis(d_emb, arg[:, None, :], axis=1)[:, 0])
@@ -168,7 +190,9 @@ def _onehot(target: int, rows: int, classes: int) -> np.ndarray:
 
 
 def _logits_np(latents: np.ndarray, params: dict) -> np.ndarray:
-    return _head_from_preact(latents @ params["w0"] + params["b0"], params)[-1]
+    pre = latents @ params["w0"]
+    pre += params["b0"]
+    return _head_from_preact(pre, params, grad=False)[-1]
 
 
 def classify(z: LatentGrid, params: dict) -> np.ndarray:

@@ -222,18 +222,16 @@ class RunConfig:
             batch_size=self.codec.batch_size, epochs=self.codec.epochs,
         )
 
-    def sha256(self) -> str:
-        blob = json.dumps(asdict(self), sort_keys=True, separators=(",", ":"))
-        return hashlib.sha256(blob.encode()).hexdigest()
-
 
 def _write_provenance(out_dir: Path, command: str, config: RunConfig, checkpoints: dict,
                       extra: dict | None = None) -> None:
+    settings = asdict(config)
+    blob = json.dumps(settings, sort_keys=True, separators=(",", ":"))
     record = {
         "command": command,
         "package_version": __version__,
-        "config_sha256": config.sha256(),
-        "config": asdict(config),
+        "config_sha256": hashlib.sha256(blob.encode()).hexdigest(),
+        "config": settings,
         "checkpoint_sha256": checkpoints,
         "seeds": {
             "dataset": config.dataset.seed,

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import autodiff as ad
-from .autodiff import _conv, _conv_t, _kernel_grad, _taps
+from .autodiff import _conv, _conv_t, _kernel_grad, _taps, _zero_pad
 from .audio import AudioClip, LengthError, NonFiniteError
 from .checkpoint import Checkpoint
 from .optim import AdamConfig, minibatch_adam
@@ -153,7 +153,7 @@ def pad_for_encode(samples: np.ndarray, config: CodecConfig) -> np.ndarray:
     need = config.required_input_length(frames)
     if need <= n:
         return samples[..., :need]
-    return np.pad(samples, [(0, 0)] * (samples.ndim - 1) + [(0, need - n)])
+    return _zero_pad(samples, need)
 
 
 def _dtype(x: np.ndarray):

@@ -4,15 +4,19 @@ Its conv nodes are a sliding-window ``einsum`` conv of their own, so the referen
 no code with the ``autodiff`` conv kernels (``_conv``, ``_conv_t``, ``_kernel_grad``) that
 the codec and the tape's ``conv1d``/``conv1d_transpose`` run.
 
-``per_pass_input_ig`` is the one numpy reference here: waveform IG with every encoder
-layer in the step loop, as it ran before layer 0 was taken out of it.
+The numpy references here are waveform IG with every encoder layer in the step loop
+(``per_pass_input_ig``), as it ran before layer 0 was taken out of it, and the head
+forward, backward and latent IG over whole arrays (``whole_array_head_from_preact``,
+``whole_array_head_vjp``, ``whole_array_latent_ig``), as they ran before the head
+worked through its pre-activations in tiles.
 """
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from latentexplain import autodiff as ad
-from latentexplain.classifier import _head_from_preact, _head_vjp, _onehot, _preact_grad
+from latentexplain.classifier import (_head_from_preact, _head_vjp, _onehot, _pool_gate,
+                                      _preact_grad)
 from latentexplain.codec import ENCODE_ROWS, CodecConfig, encoder_forward, encoder_vjp, pad_for_encode
 
 
@@ -105,3 +109,49 @@ def per_pass_input_ig(x, baseline, codec_params, codec_config, cls_params, targe
         g_pre = _preact_grad(*_head_vjp(fwd, cls_params, d_logits), cls_params)
         grad_sum += encoder_vjp(acts, g_pre @ w0.T, codec_params, codec_config).sum(axis=0)
     return (delta * (grad_sum / steps))[: len(x)]
+
+
+def whole_array_head_from_preact(pre, params):
+    """The head after its first affine layer over the whole (B, T, H) array at once: returns
+    elu(pre) (over ``pre``), the first-argmax frames or None, pooled, hidden, act, logits."""
+    emb = ad.elu_array(pre, out=pre)
+    pooled = emb.mean(axis=1)
+    gate = _pool_gate(params)
+    arg = None
+    if gate:
+        arg = emb.argmax(axis=1)
+        pooled = pooled + gate * np.take_along_axis(emb, arg[:, None, :], axis=1)[:, 0]
+    hidden = pooled @ params["w1"] + params["b1"]
+    act = ad.elu_array(hidden)
+    return emb, arg, pooled, hidden, act, act @ params["w2"] + params["b2"]
+
+
+def whole_array_head_vjp(fwd, params, d_logits, grads=None):
+    """``_head_vjp`` on ``whole_array_head_from_preact``'s output, with elu'(pre)
+    recomputed as min(elu(pre), 0) + 1 over a fresh array."""
+    d_emb = np.minimum(fwd[0], 0.0)
+    d_emb += 1.0
+    return _head_vjp((d_emb, *fwd[1:]), params, d_logits, grads)
+
+
+def whole_array_logits(latents, params):
+    return whole_array_head_from_preact(latents @ params["w0"] + params["b0"], params)[-1]
+
+
+def whole_array_latent_ig(z, base, params, target, steps):
+    """Latent IG scores with every step's temporaries allocated afresh over whole arrays."""
+    delta = z - base
+    alphas = ((np.arange(steps, dtype=np.float64) + 0.5) / steps).astype(np.float32)
+    w0t = params["w0"].T
+    p0 = w0t @ base.T + params["b0"][:, None]
+    dp = w0t @ delta.T
+    h, t = p0.shape
+    pre = (alphas[:, None, None] * dp + p0).transpose(0, 2, 1)
+    d_pooled, d_emb, top = whole_array_head_vjp(
+        whole_array_head_from_preact(pre, params), params,
+        _onehot(target, steps, params["w2"].shape[1]))
+    g_pre = np.einsum("sh,sth->th", d_pooled / np.float32(t * steps), d_emb)
+    if top is not None:
+        arg, at_max = top
+        np.add.at(g_pre, (arg, np.arange(h)), (_pool_gate(params) / steps) * d_pooled * at_max)
+    return (delta * (g_pre @ w0t)).astype(np.float32)

@@ -1,6 +1,7 @@
 """Integrated-gradients properties: closed form on affine heads, completeness, stability."""
 
 import sys
+import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
@@ -36,7 +37,7 @@ from latentexplain.codec import (
     init_codec_params,
     pad_for_encode,
 )
-from tape_reference import encode_tensor, per_pass_input_ig
+from tape_reference import encode_tensor, per_pass_input_ig, whole_array_latent_ig
 
 
 def affine_head_params(l=6, h=5, c=3, seed=0):
@@ -388,9 +389,10 @@ class TestRandomBaselineMethod:
         assert np.all(att.scores >= 0) and np.all(att.scores < 1)
 
 
-def one_target_head_vjp(fwd, params, d_logits, grads=None):
-    """The head backward for the target logit alone, as IG ran it before per-row cotangents."""
-    emb, _, _, hidden, _, _ = fwd
+def one_target_head_vjp(emb, fwd, params, d_logits):
+    """The head backward for the target logit alone, as IG ran it before per-row cotangents,
+    from the frame embeddings ``emb`` = elu(pre)."""
+    hidden = fwd[3]
     target = int(np.argmax(d_logits[0]))
     onehot = np.eye(len(params["b2"]), dtype=np.float32)[[target] * len(emb)]
     assert np.array_equal(d_logits, onehot)
@@ -424,6 +426,57 @@ class TestOneHotRowsKeepTheScores:
             )
 
         got = maps()
-        monkeypatch.setattr(attribution, "_head_vjp", one_target_head_vjp)
+        # the head leaves elu'(pre) in its buffer, so the embeddings come from a copy
+        embs = []
+        head_forward = attribution._head_from_preact
+
+        def forward_keeping_emb(pre, params):
+            embs.append(ad.elu_array(pre.copy()))
+            return head_forward(pre, params)
+
+        monkeypatch.setattr(attribution, "_head_from_preact", forward_keeping_emb)
+        monkeypatch.setattr(attribution, "_head_vjp",
+                            lambda fwd, params, d_logits: one_target_head_vjp(
+                                embs.pop(), fwd, params, d_logits))
         for new, old in zip(got, maps()):
             assert np.array_equal(new, old)
+        assert not embs
+
+
+class TestLatentIGKeepsTheBytes:
+    """Latent IG on one step buffer, through the head in tiles, gives the whole-array bytes."""
+
+    @pytest.mark.parametrize("task", ["kw", "emo"])
+    def test_against_the_whole_array_oracle(self, task, request):
+        data = request.getfixturevalue(f"{task}_data")
+        latents = request.getfixturevalue(f"{task}_latents")
+        head = request.getfixturevalue(f"cls_{task}").params
+        i, j = data.test_idx[2:4]
+        classes = len(head["b2"])
+        own = int(predict_batch(latents[i : i + 1], head)[0])
+        other = (own + 1 + int(np.random.default_rng(3).integers(classes - 1))) % classes
+        for target in (own, other):
+            for steps in (1, 7, 8, 9, 63, 64, 65, 129):
+                got = integrated_gradients_latent(LatentGrid(latents[i]), LatentGrid(latents[j]),
+                                                  head, target, steps).scores
+                ref = whole_array_latent_ig(latents[i], latents[j], head, target, steps)
+                assert got.tobytes() == ref.tobytes(), (target, steps)
+
+
+class TestLatentIGMemory:
+    @pytest.mark.parametrize("pooling", ["mean", "mean-max"])
+    def test_peak_near_one_step_buffer(self, pooling):
+        """One call's traced peak is at most 1.3x its (S, T, H) float32 pre-activations."""
+        steps, t, h = 64, 256, 64
+        head = random_head_params(pooling, l=32, h=h, c=5, seed=4)
+        rng = np.random.default_rng(5)
+        z, base = (LatentGrid(rng.standard_normal((t, 32)).astype(np.float32)) for _ in range(2))
+        integrated_gradients_latent(z, base, head, 1, steps)
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            integrated_gradients_latent(z, base, head, 1, steps)
+            peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.3 * steps * t * h * 4

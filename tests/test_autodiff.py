@@ -105,6 +105,26 @@ class TestConv1dTranspose:
         assert abs(lhs - rhs) <= 1e-5 * max(1.0, abs(lhs))
 
 
+@pytest.mark.parametrize("shape,n,axis", [
+    # _taps: a (C_out, C_in, K) kernel to m * S taps
+    ((3, 2, 8), 8, -1), ((3, 2, 7), 8, -1), ((3, 2, 5), 6, -1), ((3, 2, 1), 3, -1),
+    # _fit: (B, N', C) along time
+    ((2, 9, 3), 9, 1), ((2, 9, 3), 10, 1), ((2, 9, 3), 16, 1),
+    # pad_for_encode: clips along their last axis
+    ((16383,), 16467, -1), ((3, 16467), 16467, -1), ((3, 16384), 16467, -1),
+])
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_zero_pad_matches_np_pad(shape, n, axis, dtype):
+    """np.pad's values and dtype, zero-width pads and non-contiguous views included."""
+    x = np.random.default_rng(n).standard_normal(shape).astype(dtype)
+    widths = [(0, 0)] * x.ndim
+    widths[axis] = (0, n - shape[axis])
+    ref = np.pad(x, widths).tobytes()
+    got = ad._zero_pad(x, n, axis)
+    assert got.dtype == dtype and got.tobytes() == ref
+    assert ad._zero_pad(x.T.copy().T, n, axis).tobytes() == ref
+
+
 class TestUnary:
     def test_tanh_fixed_point(self):
         assert ad.tanh(t([0.0])).data[0] == 0.0

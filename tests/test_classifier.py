@@ -2,8 +2,11 @@ import numpy as np
 import pytest
 
 from latentexplain import autodiff as ad
+from latentexplain import classifier
+from latentexplain.attribution import integrated_gradients_latent
 from latentexplain.checkpoint import params_sha256
 from latentexplain.classifier import (
+    POOLINGS,
     ClassifierConfig,
     _head_from_preact,
     _head_vjp,
@@ -19,6 +22,7 @@ from latentexplain.classifier import (
     train_classifier,
 )
 from latentexplain.codec import LatentGrid
+from tape_reference import whole_array_head_from_preact, whole_array_head_vjp, whole_array_logits
 
 
 def random_latents(m, t=16, l=32, seed=0):
@@ -74,8 +78,9 @@ class TestMaxTermFromTheFirstArgmax:
         # three distinct frames, repeated: every channel's max is tied three ways
         lat = np.tile(rng.standard_normal((5, 3, 32)).astype(np.float32), (1, 3, 1))
         pre = lat @ params["w0"] + params["b0"]
+        emb = ad.elu_array(pre.copy())
         fwd = _head_from_preact(pre.copy(), params)
-        emb, arg = fwd[0], fwd[1]
+        arg = fwd[1]
         assert np.array_equal(arg, emb.argmax(axis=1)) and np.all(arg < 3)
         # the logits of the pooled mean + max, with the max taken by emb.max
         pooled = emb.mean(axis=1) + np.float32(1.0) * emb.max(axis=1)
@@ -85,6 +90,87 @@ class TestMaxTermFromTheFirstArgmax:
         # the max term lands on the first copy of the max frame only
         assert not np.array_equal(g[:, :3], g[:, 3:6])
         assert np.array_equal(g[:, 3:6], g[:, 6:9])
+
+
+class TestInferenceSkipsTheArgmax:
+    """Without ``grad`` a mean-max head takes the max by ``max``, with no argmax and no elu' pass."""
+
+    def test_tied_maxima_give_the_same_logits(self):
+        params = init_classifier_params(ClassifierConfig(num_classes=4, pooling="mean-max"), 3)
+        rng = np.random.default_rng(9)
+        # 500 rows of 9 frames span three tiles; every channel's max is tied three ways
+        lat = np.tile(rng.standard_normal((500, 3, 32)).astype(np.float32), (1, 3, 1))
+        pre = lat @ params["w0"] + params["b0"]
+        assert len(pre) > 2 * classifier._TILE_CELLS // (9 * 64)
+        trained = _head_from_preact(pre.copy(), params)
+        inferred = _head_from_preact(pre.copy(), params, grad=False)
+        assert inferred[1] is None
+        assert inferred[-1].tobytes() == trained[-1].tobytes()
+        assert inferred[0].tobytes() == ad.elu_array(pre.copy()).tobytes()
+        assert _logits_np(lat, params).tobytes() == trained[-1].tobytes()
+
+
+def zero_width_head(pooling, l=32, c=4):
+    """A head whose hidden layers have no units: its logits are b2 whatever the latent."""
+    return {"w0": np.zeros((l, 0), np.float32), "b0": np.zeros(0, np.float32),
+            "w1": np.zeros((0, 0), np.float32), "b1": np.zeros(0, np.float32),
+            "w2": np.zeros((0, c), np.float32), "b2": np.arange(c, dtype=np.float32),
+            "pool_max": np.array([1.0 if pooling == "mean-max" else 0.0], np.float32)}
+
+
+class TestHeadEdgeCases:
+    """No rows or no hidden units: nothing divides by zero in the tile size."""
+
+    @pytest.mark.parametrize("pooling", POOLINGS)
+    def test_empty_batch(self, pooling):
+        params = init_classifier_params(ClassifierConfig(num_classes=4, pooling=pooling), 0)
+        lat = np.zeros((0, 16, 32), np.float32)
+        assert _logits_np(lat, params).shape == (0, 4)
+        assert predict_batch(lat, params).shape == (0,)
+        fwd = _head_from_preact(np.zeros((0, 16, 64), np.float32), params)
+        g = _preact_grad(*_head_vjp(fwd, params, np.zeros((0, 4), np.float32)), params)
+        assert g.shape == (0, 16, 64)
+
+    @pytest.mark.parametrize("pooling", POOLINGS)
+    def test_zero_width_head(self, pooling):
+        params = zero_width_head(pooling)
+        lat = random_latents(3, seed=2)
+        assert np.array_equal(_logits_np(lat, params), np.tile(params["b2"], (3, 1)))
+        ig = integrated_gradients_latent(LatentGrid(lat[0]), LatentGrid(lat[1]), params, 1, 5)
+        assert ig.scores.shape == (16, 32) and not np.any(ig.scores)
+
+
+class TestTiledHeadKeepsTheBytes:
+    """The head in tiles, in place, gives the whole-array head's bytes on the cached tasks."""
+
+    @pytest.mark.parametrize("task", ["kw", "emo"])
+    def test_logits(self, task, request):
+        latents = request.getfixturevalue(f"{task}_latents")
+        head = request.getfixturevalue(f"cls_{task}").params
+        for rows in (0, 1, 7, 8, 9, 33):
+            got = _logits_np(latents[:rows], head)
+            assert got.tobytes() == whole_array_logits(latents[:rows], head).tobytes(), rows
+            assert np.array_equal(predict_batch(latents[:rows], head), got.argmax(axis=1))
+
+    @pytest.mark.parametrize("pooling", POOLINGS)
+    @pytest.mark.parametrize("task", ["kw", "emo"])
+    def test_training_with_substitution(self, task, pooling, request, monkeypatch):
+        data = request.getfixturevalue(f"{task}_data")
+        latents = request.getfixturevalue(f"{task}_latents")
+        rows = data.train_idx[::8]
+        cfg = ClassifierConfig(num_classes=len(data.class_names), pooling=pooling, epochs=2,
+                               batch_size=20, anchor_class=0, substitution_max_ratio=0.6)
+
+        def train():
+            return train_classifier(latents[rows], data.labels[rows], cfg, seed=2,
+                                    substitution_base=latents[data.test_idx[0]])
+
+        got = train()
+        monkeypatch.setattr(classifier, "_head_from_preact", whole_array_head_from_preact)
+        monkeypatch.setattr(classifier, "_head_vjp", whole_array_head_vjp)
+        ref = train()
+        assert params_sha256(got.params) == params_sha256(ref.params)
+        assert got.metadata == ref.metadata
 
 
 class TestHeadStepMatchesTape:
@@ -106,7 +192,7 @@ class TestHeadStepMatchesTape:
         lat[:, 4] = 20.0 * params["w0"][:, h] / np.linalg.norm(params["w0"][:, h])
         lat[:, 9] = lat[:, 4]
         lat[:, 9, l] += 1.0
-        emb = _head_from_preact(lat @ params["w0"] + params["b0"], params)[0]
+        emb = ad.elu_array((lat @ params["w0"] + params["b0"]).copy())
         assert np.all(emb[:, 4, h] == emb[:, 9, h]) and np.all(emb[:, :, h].argmax(axis=1) == 4)
         labels = np.array([0, 1, 2, 3, 4, 2])
         loss, grads = _step_grads(lat, labels, params)

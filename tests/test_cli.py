@@ -1,6 +1,7 @@
 """End-to-end CLI tests on a miniature workspace: exit codes, artifacts, determinism."""
 
 import filecmp
+import hashlib
 import json
 import re
 import shutil
@@ -451,6 +452,25 @@ class TestExplain:
         rec = json.loads((tmp_path / "provenance_explain.json").read_text())
         assert set(rec["checkpoint_sha256"]) == {"codec", "classifier"}
         assert all(len(v) == 64 for v in rec["checkpoint_sha256"].values())
+
+    def test_config_copied_once_per_provenance(self, workspace, tmp_path, monkeypatch):
+        """The provenance record hashes the same config dict it stores."""
+        root, cfg = workspace
+        clip_path = next((root / "data" / "clips").glob("*.wav"))
+        copies = []
+        real = cli.asdict
+
+        def counted(obj):
+            copies.append(obj)
+            return real(obj)
+
+        monkeypatch.setattr(cli, "asdict", counted)
+        assert main(["--config", str(cfg), "explain", "--input", str(clip_path),
+                     "--alpha", "0.5", "--out", str(tmp_path / "expl.wav")]) == 0
+        assert len(copies) == 1
+        rec = json.loads((tmp_path / "provenance_explain.json").read_text())
+        blob = json.dumps(rec["config"], sort_keys=True, separators=(",", ":"))
+        assert rec["config_sha256"] == hashlib.sha256(blob.encode()).hexdigest()
 
     def test_each_checkpoint_read_once(self, workspace, tmp_path, monkeypatch):
         root, cfg = workspace
