@@ -19,14 +19,16 @@ Every command goes through ``cli.main``:
 The sweeps run ``eval.runs`` 3 with ``--jobs 2``, and ``explain`` takes the first 20
 test clips of each task, on both sides alike. The work directory must be new or empty;
 the script exits 2 rather than delete anything. Provenance files record the paths they
-were given, so compare runs made with the same ``--workdir``, ``--artifacts`` and
-``--corpus``.
+were given, so ``explain`` reads copies of its clips made under the work directory: two
+runs with the same ``--workdir`` compare equal when their ``--artifacts`` and ``--corpus``
+hold the same bytes, wherever those are.
 """
 
 import argparse
 import contextlib
 import hashlib
 import json
+import shutil
 import sys
 from pathlib import Path
 
@@ -87,12 +89,15 @@ def cached_models(work: Path, task: str, artifacts: Path, corpus: Path) -> None:
         for beta in ("0.1", "0.4"):
             _run(["--config", cfg, "confusion", "--data", str(data), *models, "--beta", beta,
                   "--out", str(root / f"confusion_{beta}.json")])
-    test_idx = json.loads((data / "manifest.json").read_text())["test_idx"][:EXPLAIN_CLIPS]
+    # explain records its --input path, so it reads copies under the work directory
+    inputs = root / "inputs"
+    inputs.mkdir()
+    for i in json.loads((data / "manifest.json").read_text())["test_idx"][:EXPLAIN_CLIPS]:
+        shutil.copyfile(data / "clips" / f"clip_{i:05d}.wav", inputs / f"clip_{i:05d}.wav")
     for alpha in ("0.1", "0.3"):
-        for i in test_idx:
-            _run(["--config", cfg, "explain", *models,
-                  "--input", str(data / "clips" / f"clip_{i:05d}.wav"), "--alpha", alpha,
-                  "--out", str(root / "explain" / f"clip_{i:05d}_a{alpha}.wav")])
+        for clip in sorted(inputs.iterdir()):
+            _run(["--config", cfg, "explain", *models, "--input", str(clip), "--alpha", alpha,
+                  "--out", str(root / "explain" / f"{clip.stem}_a{alpha}.wav")])
 
 
 def main(argv=None) -> int:

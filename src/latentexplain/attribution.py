@@ -161,12 +161,11 @@ def integrated_gradients_input(
         a = alphas[start : start + ENCODE_ROWS]
         pre0 = np.multiply(a[:, None, None], d0, out=ws.out[0][: len(a)])
         pre0 += p0
-        z, acts = encoder_forward(None, codec_params, codec_config, ws, pre0)  # (b, T, L)
+        z, acts = encoder_forward(None, codec_config, ws, pre0)  # (b, T, L)
         fwd = _head_from_preact(z @ w0 + b0, cls_params)
         d_logits = _onehot(target, len(a), cls_params["w2"].shape[1])
         g_pre = _preact_grad(*_head_vjp(fwd, cls_params, d_logits), cls_params)
-        g0_sum += encoder_vjp(acts, g_pre @ w0.T, codec_params, codec_config, ws=ws,
-                              pre0=True).sum(axis=0)
+        g0_sum += encoder_vjp(acts, g_pre @ w0.T, codec_config, ws, pre0=True).sum(axis=0)
     grad_sum = _conv_t(g0_sum[None], ws.taps[0], s0, len(xp))[0, :, 0]
     scores = (delta * (grad_sum / steps))[: len(x)]
     return AttributionMap(

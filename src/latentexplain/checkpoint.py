@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 import struct
 from dataclasses import dataclass, field
 
@@ -78,7 +79,7 @@ def read_checkpoint(path) -> Checkpoint:
     params = {}
     end = base  # blobs are written back to back, in table order
     for name, shape, offset in table:
-        count = int(np.prod(shape)) if shape else 1
+        count = math.prod(shape)  # Python integers: np.prod wraps around on forged shapes
         if min(shape, default=0) < 0 or base + offset != end:
             raise CheckpointError(f"tensor {name!r} does not start where the last one ended")
         if end + 4 * count > len(raw):

@@ -31,8 +31,8 @@ from .classifier import (POOLINGS, ClassifierConfig, classifier_param_shapes, ev
                          predict_batch, train_classifier)
 from .codec import (CodecConfig, CodecTrainConfig, codec_param_shapes, decode, encode, encode_batch,
                     train_autoencoder)
-from .data import (DatasetError, SyntheticDatasetSpec, generate_dataset, read_clips, read_manifest,
-                   save_dataset)
+from .data import (SPEC_INT_LOW, DatasetError, SyntheticDatasetSpec, check_int, generate_dataset,
+                   read_clips, read_manifest, save_dataset)
 from .attribution import integrated_gradients_latent
 from .masking import apply_mask_keep, check_ratio, make_base_latent, select_top
 from .evalharness import (
@@ -69,16 +69,9 @@ def _check_ratios(where: str, ratios) -> None:
         raise ConfigError(f"{where}: {e}") from e
 
 
-def _check_int(where: str, value, low: int) -> None:
-    """ConfigError unless ``value`` is an integer (not a bool) of at least ``low``."""
-    if isinstance(value, bool) or not isinstance(value, int) or value < low:
-        raise ConfigError(f"{where}: expected an integer >= {low}, got {value!r}")
-
-
 # A config value's rule follows from the type of its default: an integer >= 0, a
 # finite real, a nonempty list of integers >= 1, or a string. The exceptions, by key:
-_INT_LOW = {"num_classes": 2, **dict.fromkeys((
-    "clips_per_class", "clip_length", "sample_rate", "words", "renditions",
+_INT_LOW = {**SPEC_INT_LOW, **dict.fromkeys((
     "latent_channels", "batch_size", "epochs", "hidden", "ig_steps", "runs"), 1)}
 _REAL_RULE = {"lr": (" > 0", lambda x: x > 0), "beta1": (" in [0, 1)", lambda x: 0 <= x < 1),
               "beta2": (" in [0, 1)", lambda x: 0 <= x < 1)}
@@ -95,9 +88,9 @@ def _check_value(where: str, key: str, default, value) -> None:
         if not isinstance(value, list) or not value:
             raise ConfigError(f"{where}: expected a nonempty list of integers >= 1, got {value!r}")
         for v in value:
-            _check_int(where, v, 1)
+            check_int(where, v, 1, ConfigError)
     elif isinstance(default, int):
-        _check_int(where, value, _INT_LOW.get(key, 0))
+        check_int(where, value, _INT_LOW.get(key, 0), ConfigError)
     elif isinstance(default, float):
         text, holds = _REAL_RULE.get(key, ("", lambda x: True))
         if (isinstance(value, bool) or not isinstance(value, (int, float))
@@ -183,13 +176,13 @@ class RunConfig:
     @classmethod
     def from_file(cls, path) -> "RunConfig":
         try:
-            with open(path) as f:
+            with open(path, encoding="utf-8") as f:
                 raw = json.load(f)
         except FileNotFoundError as e:
             raise ConfigError(f"config file not found: {path}") from e
         except IsADirectoryError as e:
             raise ConfigError(f"config path is a directory: {path}") from e
-        except json.JSONDecodeError as e:
+        except (UnicodeDecodeError, json.JSONDecodeError) as e:
             raise ConfigError(f"config is not valid JSON: {e}") from e
         if not isinstance(raw, dict):
             raise ConfigError("config root must be an object")
@@ -283,7 +276,7 @@ def _load_checkpoint(cfg: RunConfig, given, kind: str):
         want = param_shapes(config)
         for shape in want.values():  # no tensor is built, so check the widths are integers here
             for width in shape:
-                _check_int("tensor width", width, 0)
+                check_int("tensor width", width, 0)
     except (TypeError, ValueError) as e:
         raise CheckpointError(f"{p}: bad {kind} config: {e}") from e
     got = {name: t.shape for name, t in ckpt.params.items()}
@@ -459,7 +452,7 @@ def cmd_explain(cfg: RunConfig, args) -> int:
 
 
 def _cmd_eval(cfg: RunConfig, args, metric: str) -> int:
-    _check_int("--jobs", args.jobs, 1)
+    check_int("--jobs", args.jobs, 1, ConfigError)
     methods = args.methods.split(",") if args.methods else list(ALL_METHODS)
     for mname in methods:
         if mname not in ALL_METHODS:

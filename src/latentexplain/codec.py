@@ -11,13 +11,14 @@ Everything runs on numpy, channels-last, on the kernel pair in ``autodiff``:
 ``_conv_t``. The encoder is ``_conv`` and its input VJP ``_conv_t``; the
 decoder is ``_conv_t`` and its backward ``_conv``; ``_kernel_grad`` gives both
 weight gradients. Encoding, waveform IG, ``decode`` and ``train_autoencoder``
-call them directly and build no autodiff graph. ``encode_batch`` and waveform
-IG run every encoder pass of one call on one ``EncoderWorkspace``: the taps
-built once, and buffers that each pass reuses.
+call them directly and build no autodiff graph. Every encoder pass runs on an
+``EncoderWorkspace`` of taps and reused buffers: ``encode_batch`` (``encode`` is one
+row of it) and waveform IG hold one per call, a codec training step one per step.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -156,63 +157,55 @@ def pad_for_encode(samples: np.ndarray, config: CodecConfig) -> np.ndarray:
     return _zero_pad(samples, need)
 
 
-def _dtype(x: np.ndarray):
-    """The encoder's compute dtype for ``x``: float64 input in float64, anything else in float32."""
-    return np.float64 if x.dtype == np.float64 else np.float32
-
-
 class EncoderWorkspace:
-    """The encoder's taps and biases in one dtype and, given ``rows`` and the padded
-    length ``n``, the buffers of its passes over up to ``rows`` waveforms.
+    """The encoder's taps and biases in ``dtype``, and the buffers of its passes over up to
+    ``rows`` waveforms of padded length ``n``; a pass of b rows uses their first b rows.
 
-    Per layer i: ``out[i]`` its output; ``scratch[i]``, of the same shape, which its tap
-    products, its ELU's negative part and ``elu_vjp``'s factor take turns using; and
-    ``gb[i]`` and ``gprod[i]``, the block gradient and tap product of its ``_conv_t``.
-    A pass of b rows uses the first b rows of each. Without ``rows`` there are no
-    buffers and every pass allocates its own.
+    Per layer i: ``out[i]`` its output, which holds the acts until the next pass; ``scratch[i]``,
+    of the same shape, for its tap products, its ELU's negative part and ``elu_vjp``'s
+    factor; and ``gb[i]`` and ``gprod[i]``, the block gradient and tap product of its
+    ``_conv_t``. A layer is done with the last three before the next layer starts, so each
+    kind is a view of one flat buffer sized for the largest layer.
     """
 
-    def __init__(self, params: dict, config: CodecConfig, dtype=np.float32, rows: int = 0,
-                 n: int = 0):
-        self.taps, self.bias, self.out, self.scratch, self.gb, self.gprod = [], [], [], [], [], []
+    def __init__(self, params: dict, config: CodecConfig, dtype, rows: int, n: int):
+        self.taps, self.bias, shapes = [], [], []
         cin = 1
         for i, (c, k, s) in enumerate(zip(config.channels, config.kernel_sizes, config.strides)):
-            taps = _taps(params[f"enc{i}_w"], s, dtype)
-            self.taps.append(taps)
+            self.taps.append(_taps(params[f"enc{i}_w"], s, dtype))
             self.bias.append(params[f"enc{i}_b"].astype(dtype))
             n = (n - k) // s + 1
-            for bufs, shape in ((self.out, (n, c)), (self.scratch, (n, c)),
-                                (self.gb, (n + len(taps) - 1, s * cin)), (self.gprod, (n, s * cin))):
-                bufs.append(np.empty((rows,) + shape, dtype=dtype) if rows else None)
+            shapes.append(((rows, n, c), (rows, n + len(self.taps[i]) - 1, s * cin),
+                           (rows, n, s * cin)))
             cin = c
-
-    @staticmethod
-    def view(bufs: list, i: int, b: int):
-        """The first b rows of layer i's buffer in ``bufs``, or None without buffers."""
-        return None if bufs[i] is None else bufs[i][:b]
+        outs, gbs, gprods = zip(*shapes)
+        self.out = [np.empty(shape, dtype=dtype) for shape in outs]
+        self.scratch, self.gb, self.gprod = (_views(kind, dtype) for kind in (outs, gbs, gprods))
 
 
-def encoder_forward(x: np.ndarray | None, params: dict, config: CodecConfig,
-                    ws: EncoderWorkspace | None = None, pre0: np.ndarray | None = None):
+def _views(shapes, dtype) -> list:
+    """One array of each shape, all views of one flat buffer sized for the largest."""
+    flat = np.empty(max(map(math.prod, shapes)), dtype=dtype)
+    return [flat[: math.prod(shape)].reshape(shape) for shape in shapes]
+
+
+def encoder_forward(x: np.ndarray | None, config: CodecConfig, ws: EncoderWorkspace,
+                    pre0: np.ndarray | None = None):
     """Encoder on padded (B, N) waveforms: latents (B, T, L) and each layer's input.
 
-    Channels-last: each layer is ``_conv`` on its taps, plus bias and ELU.
-    float64 input is computed in float64, anything else in float32. Runs on the
-    buffers of ``ws`` where given; the latents and acts are then views of them, valid
-    until its next pass. Given ``pre0``, layer 0's (B, T0, C0) pre-activation with its
-    bias (waveform IG builds it in closed form), ``x`` is not read and layer 0 runs
-    only its ELU; its input in the acts is None.
+    Channels-last: each layer is ``_conv`` on the taps of ``ws``, plus bias and ELU, in the
+    workspace's dtype and on its buffers; the latents and acts are views of them, valid
+    until its next pass. Given ``pre0``, layer 0's (B, T0, C0) pre-activation with its bias
+    (waveform IG builds it in closed form), ``x`` is not read and layer 0 runs only its
+    ELU; its input in the acts is None.
     """
-    h = None if pre0 is not None else np.asarray(x, dtype=_dtype(x))[:, :, None]
-    first = pre0 if h is None else h
-    if ws is None:
-        ws = EncoderWorkspace(params, config, first.dtype)
-    b = len(first)
+    h = None if pre0 is not None else np.asarray(x, dtype=ws.bias[0].dtype)[:, :, None]
+    b = len(pre0 if h is None else h)
     acts = []
     last = len(config.channels) - 1
     for i, (k, s) in enumerate(zip(config.kernel_sizes, config.strides)):
         acts.append(h)
-        out, scratch = ws.view(ws.out, i, b), ws.view(ws.scratch, i, b)
+        out, scratch = ws.out[i][:b], ws.scratch[i][:b]
         if h is None:
             out = pre0
         else:
@@ -222,33 +215,30 @@ def encoder_forward(x: np.ndarray | None, params: dict, config: CodecConfig,
     return h, acts
 
 
-def encoder_vjp(acts: list, g: np.ndarray, params: dict, config: CodecConfig,
-                grads: dict | None = None, ws: EncoderWorkspace | None = None,
-                pre0: bool = False):
+def encoder_vjp(acts: list, g: np.ndarray, config: CodecConfig, ws: EncoderWorkspace,
+                grads: dict | None = None, pre0: bool = False):
     """Gradient of sum(latents * g) w.r.t. the (B, N) waveforms, from ``encoder_forward``'s acts.
 
-    Given a ``grads`` dict, stores the gradients of the encoder's weights and biases
-    there instead and returns None: training needs no waveform gradient. With ``pre0``,
-    returns the (B, T0, C0) gradient w.r.t. layer 0's pre-activation and leaves out
-    layer 0's transposed conv. Runs on the buffers of ``ws`` where given.
+    Runs on the taps and buffers of the workspace of that forward pass; the gradient
+    returned is a view of them, valid until its next pass. Given a ``grads`` dict, stores
+    the gradients of the encoder's weights and biases there instead and returns None:
+    training needs no waveform gradient. With ``pre0``, returns the (B, T0, C0) gradient
+    w.r.t. layer 0's pre-activation and leaves out layer 0's transposed conv.
     """
-    if ws is None:
-        ws = EncoderWorkspace(params, config, g.dtype)
     b = len(g)
     last = len(acts) - 1
     for i in range(last, -1, -1):
         if i < last:
-            g = ad.elu_vjp(acts[i + 1], g, ws.view(ws.scratch, i, b))
-        s, w = config.strides[i], params[f"enc{i}_w"]
+            g = ad.elu_vjp(acts[i + 1], g, ws.scratch[i][:b])
+        s = config.strides[i]
         if grads is not None:
-            grads[f"enc{i}_w"] = _kernel_grad(acts[i], g, s, w.shape[2])
+            grads[f"enc{i}_w"] = _kernel_grad(acts[i], g, s, config.kernel_sizes[i])
             grads[f"enc{i}_b"] = g.sum(axis=(0, 1))
             if i == 0:
                 return None
         if i == 0 and pre0:
             return g
-        g = _conv_t(g, ws.taps[i], s, acts[i].shape[1], ws.view(ws.gb, i, b),
-                    ws.view(ws.gprod, i, b))
+        g = _conv_t(g, ws.taps[i], s, acts[i].shape[1], ws.gb[i][:b], ws.gprod[i][:b])
     return g[:, :, 0]
 
 
@@ -292,22 +282,21 @@ def _decoder_vjp(acts: list, y: np.ndarray, g: np.ndarray, params: dict, config:
 
 def encode(clip: AudioClip, params: dict, config: CodecConfig) -> LatentGrid:
     """Encode a clip to its T x L latent grid (T = floor(N / stride_product))."""
-    z, _ = encoder_forward(pad_for_encode(clip.samples, config)[None], params, config)
-    return LatentGrid(z[0])
+    return LatentGrid(encode_batch(clip.samples[None], params, config)[0])
 
 
 def encode_batch(samples: np.ndarray, params: dict, config: CodecConfig) -> np.ndarray:
     """Encode (B, N) waveforms to (B, T, L) latents, ENCODE_ROWS waveforms per encoder pass.
 
-    The passes share one workspace; each pass's latents are copied out before the next.
+    float64 waveforms are encoded in float64, any others in float32. The passes share one
+    workspace; each pass's latents are copied out before the next.
     """
     x = pad_for_encode(samples, config)
-    dtype = _dtype(x)
+    dtype = np.float64 if x.dtype == np.float64 else np.float32
     ws = EncoderWorkspace(params, config, dtype, min(len(x), ENCODE_ROWS), x.shape[1])
-    z = np.empty((len(x), config.frames_for_length(samples.shape[-1]), config.latent_channels),
-                 dtype=dtype)
+    z = np.empty((len(x),) + ws.out[-1].shape[1:], dtype=dtype)
     for i in range(0, len(x), ENCODE_ROWS):
-        z[i : i + ENCODE_ROWS] = encoder_forward(x[i : i + ENCODE_ROWS], params, config, ws)[0]
+        z[i : i + ENCODE_ROWS] = encoder_forward(x[i : i + ENCODE_ROWS], config, ws)[0]
     return z
 
 
@@ -322,13 +311,16 @@ def decode(z: LatentGrid, params: dict, config: CodecConfig) -> AudioClip:
 
 
 def _step_grads(x: np.ndarray, params: dict, config: CodecConfig):
-    """Waveform MSE of reconstructing exact-length (B, N) waveforms, and its parameter gradients."""
-    z, enc_acts = encoder_forward(x, params, config)
+    """Waveform MSE of reconstructing exact-length (B, N) float32 or float64 waveforms, and
+    its parameter gradients. The encoder forward and VJP share one workspace of these params.
+    """
+    ws = EncoderWorkspace(params, config, x.dtype, len(x), x.shape[1])
+    z, enc_acts = encoder_forward(x, config, ws)
     y, dec_acts = decoder_forward(z, params, config)
     diff = y - x
     grads = {}
     dz = _decoder_vjp(dec_acts, y, diff * (2.0 / diff.size), params, config, grads)
-    encoder_vjp(enc_acts, dz, params, config, grads)
+    encoder_vjp(enc_acts, dz, config, ws, grads)
     return float(np.mean(diff * diff)), grads
 
 

@@ -28,6 +28,17 @@ class DatasetError(ValueError):
     pass
 
 
+def check_int(where: str, value, low: int, error=ValueError) -> None:
+    """``error`` unless ``value`` is an integer (not a bool) of at least ``low``."""
+    if isinstance(value, bool) or not isinstance(value, int) or value < low:
+        raise error(f"{where}: expected an integer >= {low}, got {value!r}")
+
+
+# the least value of each integer field of a spec, for run configs and manifests alike
+SPEC_INT_LOW = {"num_classes": 2, "seed": 0, **dict.fromkeys(
+    ("clips_per_class", "clip_length", "sample_rate", "words", "renditions"), 1)}
+
+
 @dataclass
 class SyntheticDatasetSpec:
     task: str  # a key of _TASKS: "keyword" or "emotion"
@@ -40,10 +51,10 @@ class SyntheticDatasetSpec:
     renditions: int = 10  # emotion task only
 
     def __post_init__(self):
-        if self.task not in _TASKS:
+        if not isinstance(self.task, str) or self.task not in _TASKS:
             raise DatasetError(f"unknown task {self.task!r}")
-        if self.num_classes < 2:
-            raise DatasetError("need at least 2 classes")
+        for key, low in SPEC_INT_LOW.items():
+            check_int(key, getattr(self, key), low, DatasetError)
         if self.task == "emotion":
             if self.num_classes < 3:
                 raise DatasetError("emotion task needs >= 3 classes (incl. neutral)")

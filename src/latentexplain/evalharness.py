@@ -31,18 +31,18 @@ from .attribution import (
     integrated_gradients_latent,
     random_attribution,
 )
-from .audio import AudioClip, generate_noise_clip
+from .audio import AudioClip
 from .classifier import predict_batch
-from .codec import CodecConfig, LatentGrid, encode, encode_batch
+from .codec import CodecConfig, LatentGrid, encode_batch
 # bench/workloads.py reads the four mask functions from this module, so they stay bound here
 from .masking import (
-    BASE_NOISE_AMPLITUDE,
     KEEP_TOP,
     REMOVE_TOP,
     apply_mask_keep,
     apply_mask_remove,
     mask_input_space,
     mask_input_space_remove,
+    noise_baseline,
     select_top,
     splice,
 )
@@ -110,10 +110,7 @@ def build_models(
     noise_seed: int = 7,
     ig_steps: int = 64,
 ) -> ExplainerModels:
-    # the noise clip is the input-space baseline and its encoding the latent one
-    noise = generate_noise_clip(clip_length, BASE_NOISE_AMPLITUDE, noise_seed,
-                                codec_config.sample_rate)
-    base = encode(noise, codec_params, codec_config)
+    noise, base = noise_baseline(codec_params, codec_config, clip_length, noise_seed)
     return ExplainerModels(codec_config, codec_params, cls_params, base, noise, ig_steps)
 
 

@@ -83,10 +83,16 @@ def apply_mask_remove(z: LatentGrid, mask: SelectionMask, z_base: LatentGrid) ->
     return LatentGrid(splice(z.values, z_base.values, mask, REMOVE_TOP))
 
 
-def make_base_latent(enc_params: dict, config: CodecConfig, length: int, seed: int) -> LatentGrid:
-    """Encode seeded quiet uniform noise of the given length into the base latent."""
+def noise_baseline(enc_params: dict, config: CodecConfig, length: int,
+                   seed: int) -> tuple[AudioClip, LatentGrid]:
+    """The input-space baseline (seeded quiet uniform noise of this length) and its encoding."""
     noise = generate_noise_clip(length, BASE_NOISE_AMPLITUDE, seed, config.sample_rate)
-    return encode(noise, enc_params, config)
+    return noise, encode(noise, enc_params, config)
+
+
+def make_base_latent(enc_params: dict, config: CodecConfig, length: int, seed: int) -> LatentGrid:
+    """The base latent of ``noise_baseline``."""
+    return noise_baseline(enc_params, config, length, seed)[1]
 
 
 def synthesize_explanation(z_masked: LatentGrid, dec_params: dict, config: CodecConfig) -> AudioClip:

@@ -17,7 +17,8 @@ from numpy.lib.stride_tricks import sliding_window_view
 from latentexplain import autodiff as ad
 from latentexplain.classifier import (_head_from_preact, _head_vjp, _onehot, _pool_gate,
                                       _preact_grad)
-from latentexplain.codec import ENCODE_ROWS, CodecConfig, encoder_forward, encoder_vjp, pad_for_encode
+from latentexplain.codec import (ENCODE_ROWS, CodecConfig, EncoderWorkspace, encoder_forward,
+                                 encoder_vjp, pad_for_encode)
 
 
 def tape(params: dict, requires_grad: bool = False) -> dict:
@@ -99,15 +100,15 @@ def per_pass_input_ig(x, baseline, codec_params, codec_config, cls_params, targe
     delta = xp - bp
     w0, b0 = cls_params["w0"], cls_params["b0"]
     grad_sum = np.zeros_like(xp)
+    ws = EncoderWorkspace(codec_params, codec_config, np.float32, ENCODE_ROWS, len(xp))
     alphas = ((np.arange(steps, dtype=np.float64) + 0.5) / steps).astype(np.float32)
     for start in range(0, steps, ENCODE_ROWS):
         a = alphas[start : start + ENCODE_ROWS]
-        z, acts = encoder_forward(bp[None, :] + a[:, None] * delta[None, :],
-                                  codec_params, codec_config)
+        z, acts = encoder_forward(bp[None, :] + a[:, None] * delta[None, :], codec_config, ws)
         fwd = _head_from_preact(z @ w0 + b0, cls_params)
         d_logits = _onehot(target, len(a), cls_params["w2"].shape[1])
         g_pre = _preact_grad(*_head_vjp(fwd, cls_params, d_logits), cls_params)
-        grad_sum += encoder_vjp(acts, g_pre @ w0.T, codec_params, codec_config).sum(axis=0)
+        grad_sum += encoder_vjp(acts, g_pre @ w0.T, codec_config, ws).sum(axis=0)
     return (delta * (grad_sum / steps))[: len(x)]
 
 

@@ -78,10 +78,13 @@ class TestExitCodes:
         path.write_text(json.dumps({"schema_version": 2}))
         assert main(["--config", str(path), "synth-data"]) == EXIT_BAD_CONFIG
 
-    def test_invalid_json(self, tmp_path):
+    @pytest.mark.parametrize("raw", [b"{nope", b'\xff{"schema_version": 1}'],
+                             ids=["not-json", "not-utf8"])
+    def test_invalid_json(self, tmp_path, capsys, raw):
         path = tmp_path / "bad.json"
-        path.write_text("{nope")
+        path.write_bytes(raw)
         assert main(["--config", str(path), "synth-data"]) == EXIT_BAD_CONFIG
+        assert "config is not valid JSON" in capsys.readouterr().err
 
     def test_missing_dataset(self, tmp_path):
         cfg = write_config(tmp_path)
@@ -294,6 +297,27 @@ class TestMalformedManifest:
         assert message in capsys.readouterr().err
         assert not (tmp_path / "ckpt").exists() and not (tmp_path / "reports").exists()
 
+    @pytest.mark.parametrize("key,value,message", [
+        ("clip_length", -1, "clip_length: expected an integer >= 1"),
+        ("clip_length", "abc", "clip_length: expected an integer >= 1"),
+        ("clip_length", 16384.0, "clip_length: expected an integer >= 1"),
+        ("num_classes", 1, "num_classes: expected an integer >= 2"),
+        ("seed", True, "seed: expected an integer >= 0"),
+        ("task", ["keyword"], "unknown task"),
+    ])
+    def test_spec_value_exits_4(self, workspace, tmp_path, capsys, key, value, message):
+        """A manifest's spec keeps the run config's rule for its dataset section."""
+        root, cfg = workspace
+        manifest = json.loads((root / "data" / "manifest.json").read_text())
+        manifest["spec"][key] = value
+        (tmp_path / "data").mkdir()
+        (tmp_path / "data" / "manifest.json").write_text(json.dumps(manifest))
+        out = tmp_path / "reports"
+        assert main(["--config", str(cfg), "eval-fidelity", "--data", str(tmp_path / "data"),
+                     "--out", str(out)]) == EXIT_DATA_ERROR
+        assert message in capsys.readouterr().err
+        assert not out.exists()
+
     @pytest.mark.parametrize("labels", [[0, 2], [-1, 1]], ids=["equal-to-class-count", "negative"])
     def test_label_outside_the_classes_exits_4(self, tmp_path, capsys, labels):
         """Checked when the manifest is read, before any clip is read or encoded."""
@@ -498,12 +522,20 @@ class TestExplain:
         assert "sample rate 8000" in capsys.readouterr().err
         assert not out.exists()
 
-    @pytest.mark.parametrize("cut", ["header", "blobs"])
+    @pytest.mark.parametrize("cut", ["header", "blobs", "huge-shape"])
     def test_truncated_checkpoint_is_a_typed_error(self, workspace, tmp_path, capsys, cut):
+        """A header shape whose element count overflows int64 reads as too long, not as 0."""
         root, cfg = workspace
         raw = (root / "ckpt" / "codec.ckpt").read_bytes()
         bad = tmp_path / "codec.ckpt"
-        bad.write_bytes(b"AXG1\0\0" if cut == "header" else raw[:-100])
+        if cut == "huge-shape":
+            (hlen,) = struct.unpack_from("<I", raw, 4)
+            header = json.loads(raw[8 : 8 + hlen])
+            header["tensors"][0]["shape"] = [2**32, 2**32]
+            forged = json.dumps(header).encode()
+            bad.write_bytes(b"AXG1" + struct.pack("<I", len(forged)) + forged + raw[8 + hlen :])
+        else:
+            bad.write_bytes(b"AXG1\0\0" if cut == "header" else raw[:-100])
         clip_path = next((root / "data" / "clips").glob("*.wav"))
         code = main(["--config", str(cfg), "explain", "--codec", str(bad),
                      "--input", str(clip_path), "--alpha", "0.5",

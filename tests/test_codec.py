@@ -1,4 +1,5 @@
 import hashlib
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -18,6 +19,7 @@ from latentexplain.codec import (
     ENCODE_ROWS,
     CodecConfig,
     CodecTrainConfig,
+    EncoderWorkspace,
     LatentGrid,
     _step_grads,
     decode,
@@ -125,14 +127,15 @@ class TestEncoderMatchesTape:
             if n.endswith("_b"):
                 params[n] = 0.3 * rng.standard_normal(params[n].shape)
         x = rng.uniform(-1, 1, (2, cfg.required_input_length(3) + extra))
-        z, acts = encoder_forward(x, params, cfg)
+        ws = EncoderWorkspace(params, cfg, np.float64, len(x), x.shape[1])
+        z, acts = encoder_forward(x, cfg, ws)
         g = rng.standard_normal(z.shape)
         xt = ad.Tensor(x[:, None, :], requires_grad=True)
         zt = encode_tensor(xt, tape(params), cfg)
         ad.tsum(ad.mul(zt, ad.Tensor(g.transpose(0, 2, 1)))).backward()
         assert z.dtype == np.float64 and z.shape == (2, 3, 5)
         assert np.max(np.abs(z - zt.data.transpose(0, 2, 1))) <= 1e-12
-        gx = encoder_vjp(acts, g, params, cfg)
+        gx = encoder_vjp(acts, g, cfg, ws)
         assert gx.dtype == np.float64 and gx.shape == x.shape
         assert np.max(np.abs(gx - xt.grad[:, 0, :])) <= 1e-12 * np.max(np.abs(xt.grad))
 
@@ -170,10 +173,11 @@ class TestTrainingMatchesTape:
     def test_encoder_weight_grads_in_float64(self, ks, ss, extra):
         cfg, params, rng = small_float64_codec(ks, ss)
         x = rng.uniform(-1, 1, (2, cfg.required_input_length(3) + extra))
-        z, acts = encoder_forward(x, params, cfg)
+        ws = EncoderWorkspace(params, cfg, np.float64, len(x), x.shape[1])
+        z, acts = encoder_forward(x, cfg, ws)
         g = rng.standard_normal(z.shape)
         grads = {}
-        assert encoder_vjp(acts, g, params, cfg, grads) is None
+        assert encoder_vjp(acts, g, cfg, ws, grads) is None
         pt = tape(params, requires_grad=True)
         zt = encode_tensor(ad.Tensor(x[:, None, :]), pt, cfg)
         ad.tsum(ad.mul(zt, ad.Tensor(g.transpose(0, 2, 1)))).backward()
@@ -280,6 +284,29 @@ def test_encode_batch_equals_encode_per_clip(kw_data, codec_kw, codec_config, ro
     for z, clip in zip(got, clips):
         want = encode(AudioClip(clip, codec_config.sample_rate), codec_kw.params, codec_config)
         assert z.tobytes() == want.values.tobytes()
+
+
+def test_encode_batch_peak_memory(cfg, params):
+    """An encode of ENCODE_ROWS clips holds each layer's output and one buffer of each other
+    kind (scratch, block gradient, tap product) sized for the largest layer, besides its
+    padded input and its latents; 128 KiB covers the taps and their temporaries."""
+    n = cfg.required_input_length(256)
+    io = ENCODE_ROWS * (n + 256 * cfg.latent_channels) * 4
+    outs = largest = 0
+    cin = 1
+    for c, k, s in zip(cfg.channels, cfg.kernel_sizes, cfg.strides):
+        n, taps = (n - k) // s + 1, -(-k // s)
+        outs += ENCODE_ROWS * n * c * 4
+        largest = max(largest, ENCODE_ROWS * max(n * c, (n + taps - 1) * s * cin) * 4)
+        cin = c
+    x = np.random.default_rng(0).uniform(-0.5, 0.5, (ENCODE_ROWS, 16384)).astype(np.float32)
+    tracemalloc.start()
+    try:
+        encode_batch(x, params, cfg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < outs + 3 * largest + io + 2**17
 
 
 class TestNonFiniteSamples:
