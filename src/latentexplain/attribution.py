@@ -30,7 +30,6 @@ class AttributionMap:
     target_class: int
     method: str
     ig_steps: int | None = None
-    baseline: dict = field(default_factory=dict)
     _ranked: tuple | None = field(default=None, init=False, repr=False, compare=False)
 
     def rank(self) -> np.ndarray:
@@ -114,13 +113,7 @@ def integrated_gradients_latent(
         arg, at_max = top
         np.add.at(g_pre, (arg, np.arange(h)), (_pool_gate(params) / steps) * d_pooled * at_max)
     avg_grad = g_pre @ w0t
-    return AttributionMap(
-        scores=(delta * avg_grad).astype(np.float32),
-        target_class=int(target),
-        method=LATENT_IG,
-        ig_steps=steps,
-        baseline={"kind": "latent"},
-    )
+    return AttributionMap((delta * avg_grad).astype(np.float32), int(target), LATENT_IG, steps)
 
 
 def integrated_gradients_input(
@@ -165,23 +158,17 @@ def integrated_gradients_input(
         fwd = _head_from_preact(z @ w0 + b0, cls_params)
         d_logits = _onehot(target, len(a), cls_params["w2"].shape[1])
         g_pre = _preact_grad(*_head_vjp(fwd, cls_params, d_logits), cls_params)
-        g0_sum += encoder_vjp(acts, g_pre @ w0.T, codec_config, ws, pre0=True).sum(axis=0)
+        g0_sum += encoder_vjp(acts, g_pre @ w0.T, codec_config, ws).sum(axis=0)
     grad_sum = _conv_t(g0_sum[None], ws.taps[0], s0, len(xp))[0, :, 0]
     scores = (delta * (grad_sum / steps))[: len(x)]
-    return AttributionMap(
-        scores=scores.astype(np.float32),
-        target_class=int(target),
-        method=INPUT_IG,
-        ig_steps=steps,
-        baseline={"kind": "input-noise"},
-    )
+    return AttributionMap(scores.astype(np.float32), int(target), INPUT_IG, steps)
 
 
 def random_attribution(shape, seed: int, method: str = RANDOM_LATENT) -> AttributionMap:
     """Seeded i.i.d. uniform scores; top-ratio of it is a uniform random subset."""
     rng = np.random.default_rng(seed)
     scores = rng.random(size=shape).astype(np.float32)
-    return AttributionMap(scores=scores, target_class=-1, method=method, baseline={"seed": seed})
+    return AttributionMap(scores=scores, target_class=-1, method=method)
 
 
 def target_logit_latent(values: np.ndarray, params: dict, target: int) -> float:

@@ -14,6 +14,8 @@ weight gradients. Encoding, waveform IG, ``decode`` and ``train_autoencoder``
 call them directly and build no autodiff graph. Every encoder pass runs on an
 ``EncoderWorkspace`` of taps and reused buffers: ``encode_batch`` (``encode`` is one
 row of it) and waveform IG hold one per call, a codec training step one per step.
+``encode_batch`` encodes in float32. The encoder's VJP ends at layer 0's pre-activation;
+waveform IG runs layer 0's transposed conv itself, once per call.
 """
 
 from __future__ import annotations
@@ -216,14 +218,15 @@ def encoder_forward(x: np.ndarray | None, config: CodecConfig, ws: EncoderWorksp
 
 
 def encoder_vjp(acts: list, g: np.ndarray, config: CodecConfig, ws: EncoderWorkspace,
-                grads: dict | None = None, pre0: bool = False):
-    """Gradient of sum(latents * g) w.r.t. the (B, N) waveforms, from ``encoder_forward``'s acts.
+                grads: dict | None = None) -> np.ndarray:
+    """Gradient of sum(latents * g) w.r.t. layer 0's (B, T0, C0) pre-activation, from
+    ``encoder_forward``'s acts.
 
     Runs on the taps and buffers of the workspace of that forward pass; the gradient
-    returned is a view of them, valid until its next pass. Given a ``grads`` dict, stores
-    the gradients of the encoder's weights and biases there instead and returns None:
-    training needs no waveform gradient. With ``pre0``, returns the (B, T0, C0) gradient
-    w.r.t. layer 0's pre-activation and leaves out layer 0's transposed conv.
+    returned is a view of them, valid until its next pass. Given a ``grads`` dict, also
+    stores the gradients of the encoder's weights and biases there. The VJP ends at
+    layer 0's pre-activation: ``_conv_t`` of the result on layer 0's taps is the waveform
+    gradient, which waveform IG takes once per call, on the sum over its steps.
     """
     b = len(g)
     last = len(acts) - 1
@@ -234,12 +237,9 @@ def encoder_vjp(acts: list, g: np.ndarray, config: CodecConfig, ws: EncoderWorks
         if grads is not None:
             grads[f"enc{i}_w"] = _kernel_grad(acts[i], g, s, config.kernel_sizes[i])
             grads[f"enc{i}_b"] = g.sum(axis=(0, 1))
-            if i == 0:
-                return None
-        if i == 0 and pre0:
-            return g
-        g = _conv_t(g, ws.taps[i], s, acts[i].shape[1], ws.gb[i][:b], ws.gprod[i][:b])
-    return g[:, :, 0]
+        if i > 0:
+            g = _conv_t(g, ws.taps[i], s, acts[i].shape[1], ws.gb[i][:b], ws.gprod[i][:b])
+    return g
 
 
 def decoder_forward(z: np.ndarray, params: dict, config: CodecConfig):
@@ -286,15 +286,13 @@ def encode(clip: AudioClip, params: dict, config: CodecConfig) -> LatentGrid:
 
 
 def encode_batch(samples: np.ndarray, params: dict, config: CodecConfig) -> np.ndarray:
-    """Encode (B, N) waveforms to (B, T, L) latents, ENCODE_ROWS waveforms per encoder pass.
-
-    float64 waveforms are encoded in float64, any others in float32. The passes share one
-    workspace; each pass's latents are copied out before the next.
+    """Encode (B, N) waveforms of any float dtype to (B, T, L) latents in float32,
+    ENCODE_ROWS waveforms per encoder pass. The passes share one workspace; each pass's
+    latents are copied out before the next.
     """
     x = pad_for_encode(samples, config)
-    dtype = np.float64 if x.dtype == np.float64 else np.float32
-    ws = EncoderWorkspace(params, config, dtype, min(len(x), ENCODE_ROWS), x.shape[1])
-    z = np.empty((len(x),) + ws.out[-1].shape[1:], dtype=dtype)
+    ws = EncoderWorkspace(params, config, np.float32, min(len(x), ENCODE_ROWS), x.shape[1])
+    z = np.empty((len(x),) + ws.out[-1].shape[1:], dtype=np.float32)
     for i in range(0, len(x), ENCODE_ROWS):
         z[i : i + ENCODE_ROWS] = encoder_forward(x[i : i + ENCODE_ROWS], config, ws)[0]
     return z

@@ -93,7 +93,8 @@ def decode_tensor(z: ad.Tensor, pt: dict, config: CodecConfig) -> ad.Tensor:
 
 def per_pass_input_ig(x, baseline, codec_params, codec_config, cls_params, target, steps):
     """Waveform IG scores: per chunk of ENCODE_ROWS path points, the whole encoder forward,
-    the head's backward for the target logit and the encoder's input VJP, summed per row."""
+    the head's backward for the target logit, the encoder's VJP and layer 0's transposed conv,
+    summed per row."""
     x = np.asarray(x, dtype=np.float32).reshape(-1)
     xp = pad_for_encode(x, codec_config)
     bp = pad_for_encode(np.asarray(baseline, dtype=np.float32).reshape(-1), codec_config)
@@ -108,7 +109,8 @@ def per_pass_input_ig(x, baseline, codec_params, codec_config, cls_params, targe
         fwd = _head_from_preact(z @ w0 + b0, cls_params)
         d_logits = _onehot(target, len(a), cls_params["w2"].shape[1])
         g_pre = _preact_grad(*_head_vjp(fwd, cls_params, d_logits), cls_params)
-        grad_sum += encoder_vjp(acts, g_pre @ w0.T, codec_config, ws).sum(axis=0)
+        g0 = encoder_vjp(acts, g_pre @ w0.T, codec_config, ws)  # layer 0's pre-activation
+        grad_sum += ad._conv_t(g0, ws.taps[0], codec_config.strides[0], len(xp)).sum(axis=0)[:, 0]
     return (delta * (grad_sum / steps))[: len(x)]
 
 

@@ -6,11 +6,14 @@ import json
 import re
 import shutil
 import struct
+from contextlib import redirect_stderr, redirect_stdout
 from dataclasses import fields
+from io import StringIO
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from latentexplain import cli
 from latentexplain.audio import AudioClip, wav_read, wav_write
@@ -1008,3 +1011,51 @@ class TestOutputPathCheckedFirst:
         assert self.run(workspace, monkeypatch, "synth-data", tmp_path) == EXIT_BAD_CONFIG
         err = capsys.readouterr().err
         assert f"--out {tmp_path / 'clips'}" in err and "Traceback" not in err
+
+
+# one bit flipped (position taken modulo the file length), the tail cut (the length kept is
+# taken modulo the file length) or bytes appended
+MUTATIONS = st.one_of(
+    st.tuples(st.just("flip"), st.integers(0, 2**32), st.integers(0, 7)),
+    st.tuples(st.just("truncate"), st.integers(0, 2**32)),
+    st.tuples(st.just("extend"), st.binary(min_size=1, max_size=64)),
+)
+
+
+def _mutated(raw: bytes, mutation) -> bytes:
+    kind, arg = mutation[0], mutation[1:]
+    if kind == "flip":
+        pos = arg[0] % len(raw)
+        return raw[:pos] + bytes([raw[pos] ^ 1 << arg[1]]) + raw[pos + 1 :]
+    if kind == "truncate":
+        return raw[: arg[0] % len(raw)]
+    return raw + arg[0]
+
+
+class TestExplainFuzz:
+    """A damaged checkpoint or WAV ends ``explain`` with exit 0, 2 or 4 and, on an error, one
+    ``error code=N msg=...`` line; never exit 1 or a traceback."""
+
+    @pytest.fixture(scope="class")
+    def scratch(self, tmp_path_factory):
+        return tmp_path_factory.mktemp("fuzz")
+
+    @pytest.mark.parametrize("kind", ["codec", "classifier", "wav"])
+    @settings(max_examples=40, derandomize=True, database=None, deadline=None)
+    @given(mutation=MUTATIONS)
+    def test_exit_is_documented(self, workspace, scratch, kind, mutation):
+        root, cfg = workspace
+        clip_path = next((root / "data" / "clips").glob("*.wav"))
+        src = clip_path if kind == "wav" else root / "ckpt" / f"{kind}.ckpt"
+        bad = scratch / src.name
+        bad.write_bytes(_mutated(src.read_bytes(), mutation))
+        wav, ckpt = (bad, []) if kind == "wav" else (clip_path, [f"--{kind}", str(bad)])
+        argv = ["--config", str(cfg), "explain", "--input", str(wav), *ckpt,
+                "--alpha", "0.5", "--out", str(scratch / "o.wav")]
+        err = StringIO()
+        with redirect_stderr(err), redirect_stdout(StringIO()):
+            code = main(argv)
+        assert code in (0, EXIT_MISSING_CHECKPOINT, EXIT_DATA_ERROR), err.getvalue()
+        assert "Traceback" not in err.getvalue()
+        if code:
+            assert re.fullmatch(rf"error code={code} msg=[^\n]+\n", err.getvalue())

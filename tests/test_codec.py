@@ -6,7 +6,7 @@ import pytest
 
 from latentexplain import autodiff as ad
 from latentexplain.audio import AudioClip, LengthError, NonFiniteError, reconstruction_snr
-from latentexplain.autodiff import DimensionError
+from latentexplain.autodiff import DimensionError, _conv_t
 from latentexplain.checkpoint import (
     Checkpoint,
     CheckpointError,
@@ -135,8 +135,10 @@ class TestEncoderMatchesTape:
         ad.tsum(ad.mul(zt, ad.Tensor(g.transpose(0, 2, 1)))).backward()
         assert z.dtype == np.float64 and z.shape == (2, 3, 5)
         assert np.max(np.abs(z - zt.data.transpose(0, 2, 1))) <= 1e-12
-        gx = encoder_vjp(acts, g, cfg, ws)
-        assert gx.dtype == np.float64 and gx.shape == x.shape
+        g0 = encoder_vjp(acts, g, cfg, ws)
+        assert g0.dtype == np.float64 and g0.shape == ws.out[0].shape
+        gx = _conv_t(g0, ws.taps[0], s, x.shape[1])[:, :, 0]
+        assert gx.shape == x.shape
         assert np.max(np.abs(gx - xt.grad[:, 0, :])) <= 1e-12 * np.max(np.abs(xt.grad))
 
 
@@ -176,12 +178,16 @@ class TestTrainingMatchesTape:
         ws = EncoderWorkspace(params, cfg, np.float64, len(x), x.shape[1])
         z, acts = encoder_forward(x, cfg, ws)
         g = rng.standard_normal(z.shape)
+        g0 = encoder_vjp(acts, g, cfg, ws).copy()
         grads = {}
-        assert encoder_vjp(acts, g, cfg, ws, grads) is None
+        assert encoder_vjp(acts, g, cfg, ws, grads).tobytes() == g0.tobytes()
+        xt = ad.Tensor(x[:, None, :], requires_grad=True)
         pt = tape(params, requires_grad=True)
-        zt = encode_tensor(ad.Tensor(x[:, None, :]), pt, cfg)
+        zt = encode_tensor(xt, pt, cfg)
         ad.tsum(ad.mul(zt, ad.Tensor(g.transpose(0, 2, 1)))).backward()
         assert_grads_match(grads, pt, [n for n in params if n.startswith("enc")])
+        gx = _conv_t(g0, ws.taps[0], ss[0], x.shape[1])[:, :, 0]
+        assert np.max(np.abs(gx - xt.grad[:, 0, :])) <= 1e-12 * np.max(np.abs(xt.grad))
 
     @pytest.mark.parametrize("ks,ss", LAYERS)
     def test_step_grads_in_float64(self, ks, ss):
@@ -273,6 +279,14 @@ class TestTrainingOffTheTape:
 
 def test_encode_batch_of_no_clips(cfg, params):
     assert encode_batch(np.zeros((0, 4096), np.float32), params, cfg).shape == (0, 64, 32)
+
+
+def test_encode_batch_is_float32(cfg, params):
+    """float64 waveforms encode as their float32 cast does, to float32 latents."""
+    x = np.random.default_rng(1).uniform(-0.5, 0.5, (ENCODE_ROWS + 2, 4096))
+    got = encode_batch(x, params, cfg)
+    assert got.dtype == np.float32
+    assert got.tobytes() == encode_batch(x.astype(np.float32), params, cfg).tobytes()
 
 
 @pytest.mark.parametrize("rows", [0, 1, ENCODE_ROWS, 13])
