@@ -14,7 +14,11 @@ Every command goes through ``cli.main``:
   ``.bench_out/corpus/`` (both built by ``bench/prepare.py``): ``eval-fidelity`` and
   ``eval-drop`` for the four methods on both tasks' full test splits (32 reports, JSON
   and CSV), ``confusion`` on the emotion corpus at two betas, and ``explain`` on the
-  first test clips of each task at two alphas.
+  first test clips of each task at two alphas;
+- with the same models and corpora, through the package's functions: the float32 bytes
+  of the latent-IG and input-IG maps of each task's first 4 test clips at 1, 2, 3, 5 and
+  64 steps, for the class the head predicts (80 files). A change to the maps shows here
+  even where it moves no report row.
 
 The sweeps run ``eval.runs`` 3 with ``--jobs 2``, and ``explain`` takes the first 20
 test clips of each task, on both sides alike. The work directory must be new or empty;
@@ -32,11 +36,21 @@ import shutil
 import sys
 from pathlib import Path
 
+import numpy as np
+
+from latentexplain.attribution import integrated_gradients_input, integrated_gradients_latent
+from latentexplain.checkpoint import read_checkpoint
+from latentexplain.classifier import predict_batch
 from latentexplain.cli import main as cli
+from latentexplain.codec import CodecConfig, LatentGrid, encode_batch
+from latentexplain.data import read_clips, read_manifest
+from latentexplain.evalharness import build_models
 
 ROOT = Path(__file__).resolve().parent.parent
 METHODS = "latent-ig,random-latent,input-ig,random-input"
 RUNS = 3  # eval.runs of the sweeps
+MAP_CLIPS = 4  # first test clips per task whose IG maps are written
+MAP_STEPS = (1, 2, 3, 5, 64)
 JOBS = 2
 EXPLAIN_CLIPS = 20  # test clips per task
 TASKS = {
@@ -100,6 +114,31 @@ def cached_models(work: Path, task: str, artifacts: Path, corpus: Path) -> None:
                   "--out", str(root / "explain" / f"{clip.stem}_a{alpha}.wav")])
 
 
+def ig_maps(work: Path, task: str, artifacts: Path, corpus: Path) -> None:
+    """The raw float32 bytes of both IG methods' maps on the first test clips."""
+    root = work / f"maps_{task}"
+    root.mkdir()
+    codec = read_checkpoint(artifacts / f"codec_{SHORT[task]}.ckpt")
+    head = read_checkpoint(artifacts / f"cls_{SHORT[task]}.ckpt").params
+    config = CodecConfig.from_dict(codec.config)
+    ds = read_manifest(corpus / task)
+    rows = ds.test_idx[:MAP_CLIPS]
+    clips = read_clips(corpus / task, ds.spec, rows)
+    models = build_models(config, codec.params, head, clips.shape[1])
+    latents = encode_batch(clips, codec.params, config)
+    for i, x, z, target in zip(rows, clips, latents, predict_batch(latents, head)):
+        for steps in MAP_STEPS:
+            maps = {
+                "latent-ig": integrated_gradients_latent(LatentGrid(z), models.base_latent, head,
+                                                         int(target), steps),
+                "input-ig": integrated_gradients_input(x, models.noise_clip.samples, codec.params,
+                                                       config, head, int(target), steps),
+            }
+            for method, att in maps.items():
+                scores = np.ascontiguousarray(att.scores, dtype=np.float32)
+                (root / f"{method}_clip{i:05d}_steps{steps}.f32").write_bytes(scores.tobytes())
+
+
 def main(argv=None) -> int:
     p = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     p.add_argument("--workdir", required=True, help="new or empty; filled with every output")
@@ -115,6 +154,7 @@ def main(argv=None) -> int:
         for task in TASKS:
             small_pipeline(work, task)
             cached_models(work, task, Path(args.artifacts), Path(args.corpus))
+            ig_maps(work, task, Path(args.artifacts), Path(args.corpus))
     files = sorted(f for f in work.rglob("*") if f.is_file())
     for f in files:
         print(hashlib.sha256(f.read_bytes()).hexdigest(), f.relative_to(work))

@@ -2,7 +2,10 @@
 
 The attributed function is always the pre-softmax logit of the target
 class. The path integral uses the midpoint Riemann rule with ``steps``
-evaluation points between the baseline and the input.
+evaluation points between the baseline and the input. Waveform IG takes the
+points in chunks of ``ENCODE_ROWS``, the order its sum follows; a chunk of at
+least ``SPLIT_ROWS`` points runs as two halves of at least two rows, on the
+caller and on the codec's one helper thread.
 """
 
 from __future__ import annotations
@@ -12,8 +15,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .autodiff import DimensionError
-from .codec import (ENCODE_ROWS, CodecConfig, EncoderWorkspace, LatentGrid, _conv, _conv_t,
-                    encoder_forward, encoder_vjp, pad_for_encode)
+from .codec import (ENCODE_ROWS, CodecConfig, LatentGrid, _conv, _conv_t, encoder_forward,
+                    encoder_vjp, pad_for_encode, pass_workspaces, run_pass)
 from .classifier import _head_from_preact, _head_vjp, _logits_np, _onehot, _pool_gate, _preact_grad
 
 DEFAULT_IG_STEPS = 64
@@ -127,12 +130,17 @@ def integrated_gradients_input(
 ) -> AttributionMap:
     """IG of the target logit w.r.t. the waveform, through encoder + head.
 
-    One encoder workspace serves the call. Layer 0 is linear and the path is
-    ``base + a * delta``, so its pre-activation at each step is ``p0 + a * d0``, from
-    two one-row convs per call. Per chunk of ENCODE_ROWS path points: the rest of the
-    encoder forward, the head's backward for the target logit at each point, and the
-    encoder's VJP down to layer 0's pre-activation, summed over the points. Layer 0's
-    transposed conv then runs once, on that sum.
+    Layer 0 is linear and the path is ``base + a * delta``, so its pre-activation at each
+    step is ``p0 + a * d0``, from two one-row convs per call. Per chunk of ENCODE_ROWS path
+    points: the rest of the encoder forward, the head's backward for the target logit at
+    each point, and the encoder's VJP down to layer 0's pre-activation, summed over the
+    points. Layer 0's transposed conv then runs once, on that sum.
+
+    A chunk of at least SPLIT_ROWS points runs as two halves at once, on the caller and on
+    the codec's helper thread (``run_pass``), each on its own workspace of one build of the
+    taps. No half has one row, whose head would round otherwise. The chunk is summed as one
+    pass summed it: the first half's rows by ``sum(axis=0)``, then the second half's rows
+    one at a time, so the maps do not depend on the split.
     """
     x = np.asarray(x, dtype=np.float32).reshape(-1)
     baseline = np.asarray(baseline, dtype=np.float32).reshape(-1)
@@ -144,22 +152,32 @@ def integrated_gradients_input(
     bp = pad_for_encode(baseline, codec_config)
     delta = xp - bp
     w0, b0 = cls_params["w0"], cls_params["b0"]
-    ws = EncoderWorkspace(codec_params, codec_config, np.float32, min(steps, ENCODE_ROWS), len(xp))
-    s0, t0 = codec_config.strides[0], ws.out[0].shape[1]
-    p0, d0 = _conv(np.stack([bp, delta])[:, :, None], ws.taps[0], s0, t0)
-    p0 += ws.bias[0]
-    g0_sum = np.zeros_like(p0)
+    wss = pass_workspaces(codec_params, codec_config, min(steps, ENCODE_ROWS), len(xp))
+    taps0, s0, t0 = wss[0].taps[0], codec_config.strides[0], wss[0].out[0].shape[1]
+    p0, d0 = _conv(np.stack([bp, delta])[:, :, None], taps0, s0, t0)
+    p0 += wss[0].bias[0]
     alphas = _midpoints(steps)
-    for start in range(0, steps, ENCODE_ROWS):
-        a = alphas[start : start + ENCODE_ROWS]
+
+    def vjp_rows(lo, hi, ws):
+        """d logit / d layer 0's pre-activation at path points [lo, hi), one row each."""
+        a = alphas[lo:hi]
         pre0 = np.multiply(a[:, None, None], d0, out=ws.out[0][: len(a)])
         pre0 += p0
         z, acts = encoder_forward(None, codec_config, ws, pre0)  # (b, T, L)
         fwd = _head_from_preact(z @ w0 + b0, cls_params)
         d_logits = _onehot(target, len(a), cls_params["w2"].shape[1])
         g_pre = _preact_grad(*_head_vjp(fwd, cls_params, d_logits), cls_params)
-        g0_sum += encoder_vjp(acts, g_pre @ w0.T, codec_config, ws).sum(axis=0)
-    grad_sum = _conv_t(g0_sum[None], ws.taps[0], s0, len(xp))[0, :, 0]
+        return encoder_vjp(acts, g_pre @ w0.T, codec_config, ws)
+
+    g0_sum = np.zeros_like(p0)
+    for lo in range(0, steps, ENCODE_ROWS):
+        first, *second = run_pass(vjp_rows, lo, min(lo + ENCODE_ROWS, steps), wss)
+        chunk = first.sum(axis=0)
+        for half in second:
+            for row in half:
+                chunk += row
+        g0_sum += chunk
+    grad_sum = _conv_t(g0_sum[None], taps0, s0, len(xp))[0, :, 0]
     scores = (delta * (grad_sum / steps))[: len(x)]
     return AttributionMap(scores.astype(np.float32), int(target), INPUT_IG, steps)
 

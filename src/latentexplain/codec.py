@@ -13,14 +13,28 @@ decoder is ``_conv_t`` and its backward ``_conv``; ``_kernel_grad`` gives both
 weight gradients. Encoding, waveform IG, ``decode`` and ``train_autoencoder``
 call them directly and build no autodiff graph. Every encoder pass runs on an
 ``EncoderWorkspace`` of taps and reused buffers: ``encode_batch`` (``encode`` is one
-row of it) and waveform IG hold one per call, a codec training step one per step.
+row of it) and waveform IG hold theirs per call, a codec training step one per step.
 ``encode_batch`` encodes in float32. The encoder's VJP ends at layer 0's pre-activation;
 waveform IG runs layer 0's transposed conv itself, once per call.
+
+``encode_batch`` and waveform IG run each pass of at least ``SPLIT_ROWS`` rows as two row
+halves at once (``run_pass``): the caller takes the first and one long-lived helper thread
+the second, each on a workspace of its own, built on one set of taps, so the two together
+hold the buffers of one workspace for the whole pass. No half has one row: the head
+scores a 1-row batch through a matrix-vector product, whose last bits differ from the same
+row's in a larger batch, so waveform IG maps would change. A caller that finds the helper
+busy runs both halves itself. ``ENCODE_ROWS`` is waveform IG's chunk of path points and
+so fixes the order in which it sums its steps; ``encode_batch``'s latents do not depend on
+how rows are grouped into passes.
 """
 
 from __future__ import annotations
 
+import copy
 import math
+import os
+import queue
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -31,7 +45,8 @@ from .audio import AudioClip, LengthError, NonFiniteError
 from .checkpoint import Checkpoint
 from .optim import AdamConfig, minibatch_adam
 
-ENCODE_ROWS = 8  # waveforms per numpy encoder pass; bounds the buffers of a workspace
+ENCODE_ROWS = 8  # waveform IG's chunk of path points: fixes the order in which it sums them
+SPLIT_ROWS = 4  # fewest rows of a pass that runs as two halves, so that no half has one row
 
 
 @dataclass
@@ -171,18 +186,100 @@ class EncoderWorkspace:
     """
 
     def __init__(self, params: dict, config: CodecConfig, dtype, rows: int, n: int):
-        self.taps, self.bias, shapes = [], [], []
+        self.taps, self.bias, self._row_shapes = [], [], []
         cin = 1
         for i, (c, k, s) in enumerate(zip(config.channels, config.kernel_sizes, config.strides)):
             self.taps.append(_taps(params[f"enc{i}_w"], s, dtype))
             self.bias.append(params[f"enc{i}_b"].astype(dtype))
             n = (n - k) // s + 1
-            shapes.append(((rows, n, c), (rows, n + len(self.taps[i]) - 1, s * cin),
-                           (rows, n, s * cin)))
+            self._row_shapes.append(((n, c), (n + len(self.taps[i]) - 1, s * cin), (n, s * cin)))
             cin = c
-        outs, gbs, gprods = zip(*shapes)
+        self._buffers(rows)
+
+    def _buffers(self, rows: int) -> None:
+        dtype = self.bias[0].dtype
+        outs, gbs, gprods = ([(rows,) + shape for shape in kind] for kind in zip(*self._row_shapes))
         self.out = [np.empty(shape, dtype=dtype) for shape in outs]
         self.scratch, self.gb, self.gprod = (_views(kind, dtype) for kind in (outs, gbs, gprods))
+
+    def resized(self, rows: int) -> "EncoderWorkspace":
+        """A workspace on the same taps and biases, with buffers of its own for ``rows`` rows."""
+        ws = copy.copy(self)
+        ws._buffers(rows)
+        return ws
+
+
+def pass_workspaces(params: dict, config: CodecConfig, rows: int, n: int) -> list:
+    """Float32 workspaces for ``run_pass`` over passes of up to ``rows`` rows of padded length
+    n: one under SPLIT_ROWS rows, else one per row half (``rows - rows // 2`` and
+    ``rows // 2`` rows) on one build of the taps; together they hold the buffers of one
+    ``rows``-row workspace. The first holds the larger half, so a short last pass after
+    passes of ENCODE_ROWS rows fits it whole."""
+    if rows < SPLIT_ROWS:
+        return [EncoderWorkspace(params, config, np.float32, rows, n)]
+    first = EncoderWorkspace(params, config, np.float32, rows - rows // 2, n)
+    return [first, first.resized(rows // 2)]
+
+
+class _Helper:
+    """One daemon thread that runs the second half of a pass while its caller runs the
+    first. One caller holds it at a time; a caller that finds it held runs both halves
+    itself, so concurrent callers never queue behind it."""
+
+    def __init__(self):
+        self._held = threading.Lock()
+        self._jobs = queue.SimpleQueue()
+        self._thread = None
+
+    def _serve(self) -> None:
+        while True:
+            fn, done, out = self._jobs.get()
+            try:
+                out.append(fn())
+            except BaseException as exc:  # raised again in the caller
+                out.append(exc)
+            done.set()
+            del fn, out  # keep no workspace of a finished pass alive while idle
+
+    def run(self, first, second) -> tuple:
+        """first() on the calling thread and second() on the helper at once; both results.
+        An exception in either is raised here, once both have ended."""
+        if not self._held.acquire(blocking=False):
+            return first(), second()
+        try:
+            if self._thread is None:
+                self._thread = threading.Thread(target=self._serve, name="encoder-half",
+                                                daemon=True)
+                self._thread.start()
+            done, out = threading.Event(), []
+            self._jobs.put((second, done, out))
+            try:
+                a = first()
+            finally:
+                done.wait()
+        finally:
+            self._held.release()
+        if isinstance(out[0], BaseException):
+            raise out[0]
+        return a, out[0]
+
+
+_HELPER = _Helper()
+os.register_at_fork(after_in_child=_HELPER.__init__)  # a child has no helper thread
+
+
+def run_pass(fn, lo: int, hi: int, workspaces: list) -> tuple:
+    """``fn(lo, hi, ws)`` over rows [lo, hi) of a pass, on ``pass_workspaces``' workspaces.
+
+    Under SPLIT_ROWS rows the caller runs it whole on the first workspace. Otherwise the
+    rows split into halves of at least two, ``hi - lo - (hi - lo) // 2`` rows first: the
+    caller runs the first half on the first workspace while the helper thread runs the
+    second on the second. Returns the results in row order.
+    """
+    if hi - lo < SPLIT_ROWS:
+        return (fn(lo, hi, workspaces[0]),)
+    mid = hi - (hi - lo) // 2
+    return _HELPER.run(lambda: fn(lo, mid, workspaces[0]), lambda: fn(mid, hi, workspaces[1]))
 
 
 def _views(shapes, dtype) -> list:
@@ -286,15 +383,26 @@ def encode(clip: AudioClip, params: dict, config: CodecConfig) -> LatentGrid:
 
 
 def encode_batch(samples: np.ndarray, params: dict, config: CodecConfig) -> np.ndarray:
-    """Encode (B, N) waveforms of any float dtype to (B, T, L) latents in float32,
-    ENCODE_ROWS waveforms per encoder pass. The passes share one workspace; each pass's
-    latents are copied out before the next.
+    """Encode (B, N) waveforms of any float dtype to (B, T, L) latents in float32.
+
+    Passes of SPLIT_ROWS waveforms, each as two 2-row halves on two threads (``run_pass``);
+    a remainder too short to split joins the last pass. The passes share their
+    workspaces, sized for the last pass; each half's latents are copied out before its
+    next pass. No latent depends on how the rows are grouped into passes.
     """
     x = pad_for_encode(samples, config)
-    ws = EncoderWorkspace(params, config, np.float32, min(len(x), ENCODE_ROWS), x.shape[1])
-    z = np.empty((len(x),) + ws.out[-1].shape[1:], dtype=np.float32)
-    for i in range(0, len(x), ENCODE_ROWS):
-        z[i : i + ENCODE_ROWS] = encoder_forward(x[i : i + ENCODE_ROWS], config, ws)[0]
+    edges = list(range(0, len(x), SPLIT_ROWS)) + [len(x)]
+    if len(edges) > 2 and edges[-1] - edges[-2] < SPLIT_ROWS:
+        del edges[-2]
+    rows = edges[-1] - edges[-2] if len(edges) > 1 else 0
+    wss = pass_workspaces(params, config, rows, x.shape[1])
+    z = np.empty((len(x),) + wss[0].out[-1].shape[1:], dtype=np.float32)
+
+    def encode_rows(lo, hi, ws):
+        z[lo:hi] = encoder_forward(x[lo:hi], config, ws)[0]
+
+    for lo, hi in zip(edges, edges[1:]):
+        run_pass(encode_rows, lo, hi, wss)
     return z
 
 

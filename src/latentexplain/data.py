@@ -248,35 +248,47 @@ def read_manifest(directory) -> LabeledAudioDataset:
         raise DatasetError(f"unsupported manifest version {manifest.get('version')}")
     try:
         spec = SyntheticDatasetSpec.from_dict(manifest["spec"])
-        labels = np.asarray(manifest["labels"], dtype=np.int64)
         class_names = manifest["class_names"]
-        train_idx = np.asarray(manifest["train_idx"], dtype=np.int64)
-        test_idx = np.asarray(manifest["test_idx"], dtype=np.int64)
+        labels, train_idx, test_idx = (manifest[k] for k in ("labels", "train_idx", "test_idx"))
     except (KeyError, TypeError, ValueError) as e:
         raise DatasetError(f"{directory}: malformed manifest: {e!r}") from e
-    if labels.ndim != 1 or not isinstance(class_names, list) or not all(
-            i.ndim == 1 and np.all((i >= 0) & (i < len(labels))) for i in (train_idx, test_idx)):
+    for key, values in (("labels", labels), ("train_idx", train_idx), ("test_idx", test_idx)):
+        # JSON integers only: np.asarray would truncate floats, parse strings, take booleans
+        # as 0 and 1 and overflow past int64
+        if not isinstance(values, list):
+            raise DatasetError(f"{directory}: malformed manifest: labels and split indices must"
+                               f" be lists of integers; {key} is {values!r}")
+        for j, v in enumerate(values):
+            if isinstance(v, bool) or not isinstance(v, int):
+                raise DatasetError(f"{directory}: malformed manifest: labels and split indices"
+                                   f" must be lists of integers; {key}[{j}] is {v!r}")
+    if not isinstance(class_names, list) or not all(
+            0 <= i < len(labels) for i in train_idx + test_idx):
         raise DatasetError(f"{directory}: malformed manifest: labels, class names or split indices")
-    bad = np.count_nonzero((labels < 0) | (labels >= len(class_names)))
+    bad = sum(not 0 <= v < len(class_names) for v in labels)
     if bad:
         raise DatasetError(f"{directory}: {bad} labels outside [0, {len(class_names)})")
-    return LabeledAudioDataset(
-        None, labels, class_names, train_idx, test_idx, spec, manifest.get("meta", [])
-    )
+    train_idx, test_idx = np.asarray(train_idx, np.int64), np.asarray(test_idx, np.int64)
+    return LabeledAudioDataset(None, np.asarray(labels, np.int64), class_names, train_idx,
+                               test_idx, spec, manifest.get("meta", []))
 
 
 def read_clips(directory, spec: SyntheticDatasetSpec, rows) -> np.ndarray:
     """The WAVs of the given corpus rows as one (len(rows), clip_length) float32 array.
 
-    Each clip must have the spec's sample rate and length (DatasetError otherwise).
+    Each clip must have the spec's sample rate and length (DatasetError otherwise). The
+    array is allocated once the first clip has passed that check, so a manifest's clip
+    length alone never sizes an allocation.
     """
     directory = Path(directory)
-    clips = np.empty((len(rows), spec.clip_length), dtype=np.float32)
+    clips = np.empty((0, spec.clip_length), dtype=np.float32)
     for j, i in enumerate(rows):
         clip = wav_read(path := directory / "clips" / f"clip_{i:05d}.wav")
         if (clip.sample_rate, len(clip)) != (spec.sample_rate, spec.clip_length):
             raise DatasetError(f"{path}: {clip.sample_rate} Hz and {len(clip)} samples, not the"
                                f" spec's {spec.sample_rate} Hz and {spec.clip_length} samples")
+        if j == 0:
+            clips = np.empty((len(rows), spec.clip_length), dtype=np.float32)
         clips[j] = clip.samples
     return clips
 

@@ -7,6 +7,8 @@ directory after changing a recipe, or to force retraining.
 """
 
 import json
+import threading
+from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -141,3 +143,32 @@ def models_emo(codec_emo, cls_emo, codec_config, emo_spec):
         codec_config, codec_emo.params, cls_emo.params,
         clip_length=emo_spec.clip_length, noise_seed=NOISE_SEED,
     )
+
+
+@pytest.fixture
+def busy_helper():
+    """The codec's helper thread, held busy by another caller until the test ends."""
+    from latentexplain import codec
+
+    busy, release = threading.Event(), threading.Event()
+
+    def hold():
+        codec._HELPER.run(lambda: None, lambda: (busy.set(), release.wait(120)))
+
+    holder = threading.Thread(target=hold, daemon=True)
+    holder.start()
+    assert busy.wait(30), "the helper thread never started the holding job"
+    yield
+    release.set()
+    holder.join(30)
+    assert not holder.is_alive(), "the holding caller did not end"
+
+
+def finishes(fn, timeout: float = 60.0):
+    """fn() on a fresh thread: its result, or TimeoutError if it does not end in time (as a
+    call queued behind a busy helper would not); a hung thread is left behind."""
+    pool = ThreadPoolExecutor(1)
+    try:
+        return pool.submit(fn).result(timeout=timeout)
+    finally:
+        pool.shutdown(wait=False)

@@ -5,16 +5,19 @@ no code with the ``autodiff`` conv kernels (``_conv``, ``_conv_t``, ``_kernel_gr
 the codec and the tape's ``conv1d``/``conv1d_transpose`` run.
 
 The numpy references here are waveform IG with every encoder layer in the step loop
-(``per_pass_input_ig``), as it ran before layer 0 was taken out of it, and the head
+(``per_pass_input_ig``), as it ran before layer 0 was taken out of it; the head
 forward, backward and latent IG over whole arrays (``whole_array_head_from_preact``,
 ``whole_array_head_vjp``, ``whole_array_latent_ig``), as they ran before the head
-worked through its pre-activations in tiles.
+worked through its pre-activations in tiles; and ``encode_batch`` and waveform IG with
+every pass whole on the calling thread (``one_thread_encode_batch``,
+``one_thread_input_ig``), as they ran before a pass split into two halves on two threads.
 """
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from latentexplain import autodiff as ad
+from latentexplain.autodiff import _conv, _conv_t
 from latentexplain.classifier import (_head_from_preact, _head_vjp, _onehot, _pool_gate,
                                       _preact_grad)
 from latentexplain.codec import (ENCODE_ROWS, CodecConfig, EncoderWorkspace, encoder_forward,
@@ -158,3 +161,40 @@ def whole_array_latent_ig(z, base, params, target, steps):
         arg, at_max = top
         np.add.at(g_pre, (arg, np.arange(h)), (_pool_gate(params) / steps) * d_pooled * at_max)
     return (delta * (g_pre @ w0t)).astype(np.float32)
+
+
+def one_thread_encode_batch(samples, params, config):
+    """``encode_batch`` with ENCODE_ROWS waveforms per pass, every pass on one workspace."""
+    x = pad_for_encode(samples, config)
+    ws = EncoderWorkspace(params, config, np.float32, min(len(x), ENCODE_ROWS), x.shape[1])
+    z = np.empty((len(x),) + ws.out[-1].shape[1:], dtype=np.float32)
+    for i in range(0, len(x), ENCODE_ROWS):
+        z[i : i + ENCODE_ROWS] = encoder_forward(x[i : i + ENCODE_ROWS], config, ws)[0]
+    return z
+
+
+def one_thread_input_ig(x, baseline, codec_params, codec_config, cls_params, target, steps):
+    """Waveform IG scores with each chunk of ENCODE_ROWS path points one pass on one
+    workspace, its rows summed by one ``sum(axis=0)``."""
+    x = np.asarray(x, dtype=np.float32).reshape(-1)
+    xp = pad_for_encode(x, codec_config)
+    bp = pad_for_encode(np.asarray(baseline, dtype=np.float32).reshape(-1), codec_config)
+    delta = xp - bp
+    w0, b0 = cls_params["w0"], cls_params["b0"]
+    ws = EncoderWorkspace(codec_params, codec_config, np.float32, min(steps, ENCODE_ROWS), len(xp))
+    s0, t0 = codec_config.strides[0], ws.out[0].shape[1]
+    p0, d0 = _conv(np.stack([bp, delta])[:, :, None], ws.taps[0], s0, t0)
+    p0 += ws.bias[0]
+    g0_sum = np.zeros_like(p0)
+    alphas = ((np.arange(steps, dtype=np.float64) + 0.5) / steps).astype(np.float32)
+    for start in range(0, steps, ENCODE_ROWS):
+        a = alphas[start : start + ENCODE_ROWS]
+        pre0 = np.multiply(a[:, None, None], d0, out=ws.out[0][: len(a)])
+        pre0 += p0
+        z, acts = encoder_forward(None, codec_config, ws, pre0)
+        fwd = _head_from_preact(z @ w0 + b0, cls_params)
+        d_logits = _onehot(target, len(a), cls_params["w2"].shape[1])
+        g_pre = _preact_grad(*_head_vjp(fwd, cls_params, d_logits), cls_params)
+        g0_sum += encoder_vjp(acts, g_pre @ w0.T, codec_config, ws).sum(axis=0)
+    grad_sum = _conv_t(g0_sum[None], ws.taps[0], s0, len(xp))[0, :, 0]
+    return ((delta * (grad_sum / steps))[: len(x)]).astype(np.float32)

@@ -37,7 +37,9 @@ from latentexplain.codec import (
     init_codec_params,
     pad_for_encode,
 )
-from tape_reference import encode_tensor, per_pass_input_ig, whole_array_latent_ig
+from conftest import finishes
+from tape_reference import (encode_tensor, one_thread_input_ig, per_pass_input_ig,
+                            whole_array_latent_ig)
 
 
 def affine_head_params(l=6, h=5, c=3, seed=0):
@@ -297,6 +299,36 @@ class TestInputIGMatchesPerPassOracle:
                                          steps).scores
         ref = per_pass_input_ig(data.clips[i], noise, codec, codec_config, head, target, steps)
         assert np.max(np.abs(got - ref)) <= 1e-6 * np.max(np.abs(ref))
+
+
+class TestInputIGMatchesOneThreadOracle:
+    """Each chunk of ENCODE_ROWS path points runs as two halves on two threads and is summed
+    in the one-pass order: every map keeps its bytes, partial chunks and one-row chunks too."""
+
+    @pytest.mark.parametrize("steps", [1, 2, 3, 4, 5, 6, 7, 8, 9, 13, 64])
+    @pytest.mark.parametrize("task", ["kw", "emo"])
+    def test_cached_codec_and_head(self, task, steps, request, codec_config):
+        data = request.getfixturevalue(f"{task}_data")
+        codec = request.getfixturevalue(f"codec_{task}").params
+        head = request.getfixturevalue(f"cls_{task}").params
+        noise = request.getfixturevalue(f"models_{task}").noise_clip.samples
+        i = data.test_idx[2]
+        own = int(data.labels[i])
+        for target in (own, (own + 1) % head["w2"].shape[1]):
+            got = integrated_gradients_input(data.clips[i], noise, codec, codec_config, head,
+                                             target, steps).scores
+            want = one_thread_input_ig(data.clips[i], noise, codec, codec_config, head, target,
+                                       steps)
+            assert got.tobytes() == want.tobytes()
+
+    def test_busy_helper_leaves_both_halves_to_the_caller(self, busy_helper):
+        cfg = CodecConfig()
+        codec = init_codec_params(cfg, 0)
+        head = random_head_params("mean-max", l=cfg.latent_channels, seed=1)
+        x = np.random.default_rng(6).uniform(-0.5, 0.5, 4096).astype(np.float32)
+        got = finishes(lambda: integrated_gradients_input(x, 0.01 * x, codec, cfg, head, 0, 13))
+        want = one_thread_input_ig(x, 0.01 * x, codec, cfg, head, 0, 13)
+        assert got.scores.tobytes() == want.tobytes()
 
 
 class TestInputIGBuildsTapsOnce:

@@ -333,6 +333,51 @@ class TestMalformedManifest:
         assert "labels outside [0, 2)" in capsys.readouterr().err
         assert not (tmp_path / "ckpt").exists()
 
+    @pytest.mark.parametrize("command", ["eval-fidelity", "train-classifier"])
+    def test_clip_length_past_the_clips_exits_4(self, workspace, tmp_path, capsys, command):
+        """A spec clip length no WAV has is found on the first clip, before it sizes any
+        array (2**57 float32 samples per clip is past what numpy can allocate)."""
+        root, cfg = workspace
+        shutil.copytree(root / "data", tmp_path / "data")
+        path = tmp_path / "data" / "manifest.json"
+        manifest = json.loads(path.read_text())
+        manifest["spec"]["clip_length"] = 2**57
+        path.write_text(json.dumps(manifest))
+        out = tmp_path / "out"
+        argv = {"eval-fidelity": ["eval-fidelity", "--out", str(out)],
+                "train-classifier": ["train-classifier", "--out", str(out / "cls.ckpt")]}[command]
+        assert main(["--config", str(cfg), *argv, "--data", str(tmp_path / "data")]) \
+            == EXIT_DATA_ERROR
+        err = capsys.readouterr().err
+        assert re.fullmatch(r"error code=4 msg=[^\n]+\n", err) and f"{2**57} samples" in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("key,edit,message", [
+        ("test_idx", lambda v: [2**70] + v[1:], "class names or split indices"),
+        ("labels", lambda v: [1e30] * len(v), "labels[0] is 1e+30"),
+        ("labels", lambda v: [x + 0.5 for x in v], "labels[0] is "),
+        ("labels", lambda v: [str(x) for x in v], "labels[0] is '"),
+        ("labels", lambda v: [x == 1 for x in v], "labels[0] is "),
+        ("test_idx", lambda v: [i + 0.5 for i in v], "test_idx[0] is "),
+    ], ids=["index-past-int64", "label-past-int64", "fractional-labels", "string-labels",
+            "boolean-labels", "fractional-indices"])
+    def test_value_that_is_not_an_integer_exits_4(self, workspace, tmp_path, capsys, key, edit,
+                                                  message):
+        """Labels and split indices are JSON integers: nothing is truncated, parsed or
+        overflows into another clip or label than the file names."""
+        root, cfg = workspace
+        shutil.copytree(root / "data", tmp_path / "data")
+        path = tmp_path / "data" / "manifest.json"
+        manifest = json.loads(path.read_text())
+        manifest[key] = edit(manifest[key])
+        path.write_text(json.dumps(manifest))
+        out = tmp_path / "reports"
+        assert main(["--config", str(cfg), "eval-fidelity", "--data", str(tmp_path / "data"),
+                     "--out", str(out)]) == EXIT_DATA_ERROR
+        err = capsys.readouterr().err
+        assert re.fullmatch(r"error code=4 msg=[^\n]+\n", err) and message in err
+        assert not out.exists()
+
 
 class TestCorpusClipsMatchTheSpec:
     @pytest.mark.parametrize("rate,length,message", [
@@ -1056,6 +1101,56 @@ class TestExplainFuzz:
         with redirect_stderr(err), redirect_stdout(StringIO()):
             code = main(argv)
         assert code in (0, EXIT_MISSING_CHECKPOINT, EXIT_DATA_ERROR), err.getvalue()
+        assert "Traceback" not in err.getvalue()
+        if code:
+            assert re.fullmatch(rf"error code={code} msg=[^\n]+\n", err.getvalue())
+
+
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.text(max_size=8)
+    | st.floats(allow_nan=False, allow_infinity=False),
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(max_size=8), inner,
+                                                                max_size=4),
+    max_leaves=8,
+)
+# where a value is replaced: each top-level key, each spec field and the first element of each list
+MANIFEST_PATHS = [(k,) for k in ("version", "spec", "class_names", "labels", "train_idx",
+                                 "test_idx", "meta")]
+MANIFEST_PATHS += [("spec", f.name) for f in fields(cli.SyntheticDatasetSpec)]
+MANIFEST_PATHS += [(k, 0) for k in ("class_names", "labels", "train_idx", "test_idx")]
+
+
+class TestManifestFuzz:
+    """A manifest with one value replaced by any JSON value ends ``eval-fidelity`` with exit
+    0, 2, 3 or 4 and, on an error, one ``error code=N msg=...`` line; never exit 1 or a
+    traceback."""
+
+    @pytest.fixture(scope="class")
+    def corpus(self, workspace, tmp_path_factory):
+        root, _ = workspace
+        data = tmp_path_factory.mktemp("manifest_fuzz") / "data"
+        shutil.copytree(root / "data", data)
+        return data, json.loads((data / "manifest.json").read_text())
+
+    @settings(max_examples=40, derandomize=True, database=None, deadline=None)
+    @given(path=st.sampled_from(MANIFEST_PATHS), value=JSON_VALUES)
+    def test_exit_is_documented(self, workspace, corpus, path, value):
+        _, cfg = workspace
+        data, manifest = corpus
+        edited = json.loads(json.dumps(manifest))
+        *parents, last = path
+        node = edited
+        for key in parents:
+            node = node[key]
+        node[last] = value
+        (data / "manifest.json").write_text(json.dumps(edited))
+        argv = ["--config", str(cfg), "eval-fidelity", "--data", str(data), "--methods",
+                "latent-ig,random-latent", "--out", str(data.parent / "reports")]
+        err = StringIO()
+        with redirect_stderr(err), redirect_stdout(StringIO()):
+            code = main(argv)
+        assert code in (0, EXIT_MISSING_CHECKPOINT, EXIT_BAD_CONFIG, EXIT_DATA_ERROR), \
+            err.getvalue()
         assert "Traceback" not in err.getvalue()
         if code:
             assert re.fullmatch(rf"error code={code} msg=[^\n]+\n", err.getvalue())

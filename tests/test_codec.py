@@ -1,5 +1,10 @@
 import hashlib
+import os
+import subprocess
+import sys
 import tracemalloc
+from concurrent.futures import ThreadPoolExecutor
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -15,8 +20,10 @@ from latentexplain.checkpoint import (
     write_checkpoint,
 )
 from latentexplain.classifier import ClassifierConfig, train_classifier
+from latentexplain import codec as codec_module
 from latentexplain.codec import (
     ENCODE_ROWS,
+    SPLIT_ROWS,
     CodecConfig,
     CodecTrainConfig,
     EncoderWorkspace,
@@ -29,9 +36,11 @@ from latentexplain.codec import (
     encoder_vjp,
     init_codec_params,
     pad_for_encode,
+    run_pass,
     train_autoencoder,
 )
-from tape_reference import decode_tensor, encode_tensor, tape
+from conftest import finishes
+from tape_reference import decode_tensor, encode_tensor, one_thread_encode_batch, tape
 
 
 @pytest.fixture(scope="module")
@@ -321,6 +330,71 @@ def test_encode_batch_peak_memory(cfg, params):
     finally:
         tracemalloc.stop()
     assert peak < outs + 3 * largest + io + 2**17
+
+
+class TestEncodeBatchOnTwoThreads:
+    """A pass of at least SPLIT_ROWS rows runs as two halves, on the caller and on the helper
+    thread; every latent keeps the bytes of the one-thread encoder."""
+
+    @pytest.mark.parametrize("rows", [0, 1, 2, 3, 4, 5, 8, 9, 21])
+    @pytest.mark.parametrize("task", ["kw", "emo"])
+    def test_matches_one_thread_oracle(self, task, rows, request, codec_config):
+        data = request.getfixturevalue(f"{task}_data")
+        codec = request.getfixturevalue(f"codec_{task}").params
+        clips = data.clips[data.test_idx[:rows]]
+        got = encode_batch(clips, codec, codec_config)
+        assert got.tobytes() == one_thread_encode_batch(clips, codec, codec_config).tobytes()
+
+    def test_four_threads_at_once_match_serial_calls(self, cfg, params):
+        """Callers that find the helper busy run both halves themselves."""
+        rng = np.random.default_rng(4)
+        xs = [rng.uniform(-0.5, 0.5, (rows, 4096)).astype(np.float32)
+              for rows in (SPLIT_ROWS, 5, 9, 13) * 3]
+        serial = [encode_batch(x, params, cfg) for x in xs]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ThreadPoolExecutor(4) as pool:
+                threaded = [f.result(timeout=120)
+                            for f in [pool.submit(encode_batch, x, params, cfg) for x in xs]]
+        finally:
+            sys.setswitchinterval(interval)
+        for a, b in zip(serial, threaded):
+            assert a.tobytes() == b.tobytes()
+
+    def test_busy_helper_leaves_both_halves_to_the_caller(self, cfg, params, busy_helper):
+        x = np.random.default_rng(5).uniform(-0.5, 0.5, (9, 4096)).astype(np.float32)
+        got = finishes(lambda: encode_batch(x, params, cfg))
+        assert got.tobytes() == one_thread_encode_batch(x, params, cfg).tobytes()
+
+    def test_halves_and_an_error_in_one(self):
+        def rows(lo, hi, ws):
+            return lo, hi, ws
+
+        assert run_pass(rows, 0, 3, ["a", "b"]) == ((0, 3, "a"),)
+        assert run_pass(rows, 2, 7, ["a", "b"]) == ((2, 5, "a"), (5, 7, "b"))
+
+        def fails_on_the_helper(lo, hi, ws):
+            if ws == "b":
+                raise LengthError(f"rows {lo}-{hi}")
+            return lo
+
+        with pytest.raises(LengthError, match="rows 2-4"):
+            run_pass(fails_on_the_helper, 0, 4, ["a", "b"])
+        assert run_pass(rows, 0, 4, ["a", "b"]) == ((0, 2, "a"), (2, 4, "b"))
+
+    def test_helper_does_not_keep_the_process_alive(self):
+        code = ("import numpy as np\n"
+                "from latentexplain import codec as c\n"
+                "cfg = c.CodecConfig()\n"
+                "c.encode_batch(np.zeros((4, 4096), np.float32), c.init_codec_params(cfg, 0), cfg)\n"
+                "assert c._HELPER._thread.is_alive()\n")
+        src = str(Path(codec_module.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+            [src] + [p for p in [os.environ.get("PYTHONPATH")] if p])}
+        done = subprocess.run([sys.executable, "-c", code], env=env, timeout=30,
+                              capture_output=True, text=True)
+        assert done.returncode == 0, done.stderr
 
 
 class TestNonFiniteSamples:
