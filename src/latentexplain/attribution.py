@@ -16,7 +16,7 @@ import numpy as np
 
 from .autodiff import DimensionError
 from .codec import (ENCODE_ROWS, CodecConfig, LatentGrid, _conv, _conv_t, encoder_forward,
-                    encoder_vjp, pad_for_encode, pass_workspaces, run_pass)
+                    encoder_input_length, encoder_vjp, pass_workspaces, run_pass)
 from .classifier import _head_from_preact, _head_vjp, _logits_np, _onehot, _pool_gate, _preact_grad
 
 DEFAULT_IG_STEPS = 64
@@ -134,7 +134,8 @@ def integrated_gradients_input(
     step is ``p0 + a * d0``, from two one-row convs per call. Per chunk of ENCODE_ROWS path
     points: the rest of the encoder forward, the head's backward for the target logit at
     each point, and the encoder's VJP down to layer 0's pre-activation, summed over the
-    points. Layer 0's transposed conv then runs once, on that sum.
+    points. Layer 0's transposed conv then runs once, on that sum, back to all of the clip's
+    samples: those past the encoder's input length score 0.
 
     A chunk of at least SPLIT_ROWS points runs as two halves at once, on the caller and on
     the codec's helper thread (``run_pass``), each on its own workspace of one build of the
@@ -148,13 +149,13 @@ def integrated_gradients_input(
         raise DimensionError(f"input/baseline length mismatch: {x.shape} vs {baseline.shape}")
     if steps < 1:
         raise ValueError("steps must be >= 1")
-    xp = pad_for_encode(x, codec_config)
-    bp = pad_for_encode(baseline, codec_config)
-    delta = xp - bp
+    pair = np.stack([baseline, x])
+    n = encoder_input_length(pair, codec_config)
+    pair[1] -= baseline  # (baseline, delta)
     w0, b0 = cls_params["w0"], cls_params["b0"]
-    wss = pass_workspaces(codec_params, codec_config, min(steps, ENCODE_ROWS), len(xp))
+    wss = pass_workspaces(codec_params, codec_config, min(steps, ENCODE_ROWS), n)
     taps0, s0, t0 = wss[0].taps[0], codec_config.strides[0], wss[0].out[0].shape[1]
-    p0, d0 = _conv(np.stack([bp, delta])[:, :, None], taps0, s0, t0)
+    p0, d0 = _conv(pair[:, :n, None], taps0, s0, t0)
     p0 += wss[0].bias[0]
     alphas = _midpoints(steps)
 
@@ -177,9 +178,8 @@ def integrated_gradients_input(
             for row in half:
                 chunk += row
         g0_sum += chunk
-    grad_sum = _conv_t(g0_sum[None], taps0, s0, len(xp))[0, :, 0]
-    scores = (delta * (grad_sum / steps))[: len(x)]
-    return AttributionMap(scores.astype(np.float32), int(target), INPUT_IG, steps)
+    grad_sum = _conv_t(g0_sum[None], taps0, s0, len(x))[0, :, 0]
+    return AttributionMap(pair[1] * (grad_sum / steps), int(target), INPUT_IG, steps)
 
 
 def random_attribution(shape, seed: int, method: str = RANDOM_LATENT) -> AttributionMap:

@@ -73,6 +73,10 @@ def _check_ratios(where: str, ratios) -> None:
 # finite real, a nonempty list of integers >= 1, or a string. The exceptions, by key:
 _INT_LOW = {**SPEC_INT_LOW, **dict.fromkeys((
     "latent_channels", "batch_size", "epochs", "hidden", "ig_steps", "runs"), 1)}
+# The values that size an array are at most 1,024, 16 times the largest default among them
+# (64): on the default corpus no one of them at 1,024 sizes an array past 0.84 GB (README).
+_INT_HIGH = dict.fromkeys(("channels", "kernel_sizes", "strides", "latent_channels", "hidden",
+                           "ig_steps"), 1024)
 _REAL_RULE = {"lr": (" > 0", lambda x: x > 0), "beta1": (" in [0, 1)", lambda x: 0 <= x < 1),
               "beta2": (" in [0, 1)", lambda x: 0 <= x < 1)}
 
@@ -88,9 +92,9 @@ def _check_value(where: str, key: str, default, value) -> None:
         if not isinstance(value, list) or not value:
             raise ConfigError(f"{where}: expected a nonempty list of integers >= 1, got {value!r}")
         for v in value:
-            check_int(where, v, 1, ConfigError)
+            check_int(where, v, 1, ConfigError, _INT_HIGH.get(key))
     elif isinstance(default, int):
-        check_int(where, value, _INT_LOW.get(key, 0), ConfigError)
+        check_int(where, value, _INT_LOW.get(key, 0), ConfigError, _INT_HIGH.get(key))
     elif isinstance(default, float):
         text, holds = _REAL_RULE.get(key, ("", lambda x: True))
         if (isinstance(value, bool) or not isinstance(value, (int, float))
@@ -254,9 +258,9 @@ _CHECKPOINT_KINDS = {"codec": (CodecConfig, codec_param_shapes),
 def _load_checkpoint(cfg: RunConfig, given, kind: str):
     """The checkpoint at ``given`` (or the default path) and its config, both checked.
 
-    The config must have exactly the fields of the kind's dataclass (a codec's values
-    also keep the run config's rules), and the tensors the names and shapes that the
-    kind's shape function gives for it, which builds no tensor; CheckpointError otherwise.
+    The config must have exactly the fields of the kind's dataclass, and the tensors the
+    names and shapes that the kind's shape function gives for it, which builds no tensor;
+    a codec's values must then keep the run config's rules. CheckpointError otherwise.
     """
     p = _checkpoint_path(cfg, given, kind)
     if not p.is_file():
@@ -269,17 +273,17 @@ def _load_checkpoint(cfg: RunConfig, given, kind: str):
     if not isinstance(ckpt.config, dict) or sorted(ckpt.config) != keys:
         raise CheckpointError(f"{p}: the {kind} config must have exactly the keys {keys}")
     try:
-        if kind == "codec":  # strides and sample_rate shape no tensor
-            for key, default in CodecConfig().to_dict().items():
-                _check_value(f"config.{key}", key, default, ckpt.config[key])
         config = cls(**ckpt.config)
         want = param_shapes(config)
         for shape in want.values():  # no tensor is built, so check the widths are integers here
             for width in shape:
                 check_int("tensor width", width, 0)
+        got = {name: t.shape for name, t in ckpt.params.items()}
+        if kind == "codec" and got == want:  # strides and sample_rate shape no tensor
+            for key, default in CodecConfig().to_dict().items():
+                _check_value(f"config.{key}", key, default, ckpt.config[key])
     except (TypeError, ValueError) as e:
         raise CheckpointError(f"{p}: bad {kind} config: {e}") from e
-    got = {name: t.shape for name, t in ckpt.params.items()}
     if got != want:
         raise CheckpointError(f"{p}: tensors {got} do not match its {kind} config's {want}")
     return p, ckpt, config

@@ -1,10 +1,10 @@
 """Strided 1-D convolutional autoencoder: waveform -> latent grid -> waveform.
 
-The encoder uses valid (no padding) strided convolutions; to keep the
-frame count at floor(N / stride_product), ``encode`` right-pads the
-waveform with zeros up to the exact input length those frames require.
-``decode`` mirrors with transposed convolutions and trims the boundary
-back to frames * stride_product samples.
+The encoder uses valid (no padding) strided convolutions and reads the exact input length
+of floor(N / stride_product) frames (``encoder_input_length``): each ``encoder_forward``
+pass cuts or zero-pads its own rows to it, so no caller pads a copy of its input.
+``decode`` mirrors with transposed convolutions and trims the boundary back to
+frames * stride_product samples.
 
 Everything runs on numpy, channels-last, on the kernel pair in ``autodiff``:
 ``_conv`` (one GEMM per kernel tap over blocks of S samples) and its transpose
@@ -40,7 +40,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import autodiff as ad
-from .autodiff import _conv, _conv_t, _kernel_grad, _taps, _zero_pad
+from .autodiff import _conv, _conv_t, _fit, _kernel_grad, _taps
 from .audio import AudioClip, LengthError, NonFiniteError
 from .checkpoint import Checkpoint
 from .optim import AdamConfig, minibatch_adam
@@ -93,9 +93,6 @@ class CodecConfig:
         for s in self.strides:
             p *= s
         return p
-
-    def frames_for_length(self, n: int) -> int:
-        return n // self.stride_product
 
     def required_input_length(self, frames: int) -> int:
         """Exact valid-conv input length that yields ``frames`` latent frames."""
@@ -157,26 +154,24 @@ def init_codec_params(config: CodecConfig, seed: int) -> dict:
     return params
 
 
-def pad_for_encode(samples: np.ndarray, config: CodecConfig) -> np.ndarray:
-    """Fit waveforms to the exact encoder input length; non-finite samples raise NonFiniteError."""
+def encoder_input_length(samples: np.ndarray, config: CodecConfig) -> int:
+    """The encoder's input length for waveforms of ``samples.shape[-1]`` samples; non-finite
+    samples raise NonFiniteError, and waveforms shorter than one frame LengthError."""
     bad = samples.size - np.count_nonzero(np.isfinite(samples))
     if bad:
         raise NonFiniteError(f"waveform has {bad} non-finite samples of {samples.size}")
     n = samples.shape[-1]
-    frames = config.frames_for_length(n)
+    frames = n // config.stride_product
     if frames < 1:
         raise LengthError(
             f"clip of {n} samples is shorter than one frame ({config.stride_product} samples)"
         )
-    need = config.required_input_length(frames)
-    if need <= n:
-        return samples[..., :need]
-    return _zero_pad(samples, need)
+    return config.required_input_length(frames)
 
 
 class EncoderWorkspace:
     """The encoder's taps and biases in ``dtype``, and the buffers of its passes over up to
-    ``rows`` waveforms of padded length ``n``; a pass of b rows uses their first b rows.
+    ``rows`` waveforms of input length ``n``; a pass of b rows uses their first b rows.
 
     Per layer i: ``out[i]`` its output, which holds the acts until the next pass; ``scratch[i]``,
     of the same shape, for its tap products, its ELU's negative part and ``elu_vjp``'s
@@ -210,7 +205,7 @@ class EncoderWorkspace:
 
 
 def pass_workspaces(params: dict, config: CodecConfig, rows: int, n: int) -> list:
-    """Float32 workspaces for ``run_pass`` over passes of up to ``rows`` rows of padded length
+    """Float32 workspaces for ``run_pass`` over passes of up to ``rows`` rows of input length
     n: one under SPLIT_ROWS rows, else one per row half (``rows - rows // 2`` and
     ``rows // 2`` rows) on one build of the taps; together they hold the buffers of one
     ``rows``-row workspace. The first holds the larger half, so a short last pass after
@@ -290,13 +285,13 @@ def _views(shapes, dtype) -> list:
 
 def encoder_forward(x: np.ndarray | None, config: CodecConfig, ws: EncoderWorkspace,
                     pre0: np.ndarray | None = None):
-    """Encoder on padded (B, N) waveforms: latents (B, T, L) and each layer's input.
+    """Encoder on (B, N) waveforms: latents (B, T, L) and each layer's input.
 
     Channels-last: each layer is ``_conv`` on the taps of ``ws``, plus bias and ELU, in the
     workspace's dtype and on its buffers; the latents and acts are views of them, valid
-    until its next pass. Given ``pre0``, layer 0's (B, T0, C0) pre-activation with its bias
-    (waveform IG builds it in closed form), ``x`` is not read and layer 0 runs only its
-    ELU; its input in the acts is None.
+    until its next pass. Output lengths are the buffers': layer 0 reads (T0 - 1) * S + K
+    samples, zero-padded past N. Given ``pre0``, layer 0's (B, T0, C0) pre-activation with
+    its bias, ``x`` is not read and layer 0 runs only its ELU; its input in the acts is None.
     """
     h = None if pre0 is not None else np.asarray(x, dtype=ws.bias[0].dtype)[:, :, None]
     b = len(pre0 if h is None else h)
@@ -304,11 +299,11 @@ def encoder_forward(x: np.ndarray | None, config: CodecConfig, ws: EncoderWorksp
     last = len(config.channels) - 1
     for i, (k, s) in enumerate(zip(config.kernel_sizes, config.strides)):
         acts.append(h)
-        out, scratch = ws.out[i][:b], ws.scratch[i][:b]
+        out, scratch, t = ws.out[i][:b], ws.scratch[i][:b], ws.out[i].shape[1]
         if h is None:
             out = pre0
         else:
-            out = _conv(h, ws.taps[i], s, (h.shape[1] - k) // s + 1, out, scratch)
+            out = _conv(h[:, : (t - 1) * s + k], ws.taps[i], s, t, out, scratch)
             out += ws.bias[i]
         h = ad.elu_array(out, out=out, neg=scratch) if i < last else out
     return h, acts
@@ -390,16 +385,16 @@ def encode_batch(samples: np.ndarray, params: dict, config: CodecConfig) -> np.n
     workspaces, sized for the last pass; each half's latents are copied out before its
     next pass. No latent depends on how the rows are grouped into passes.
     """
-    x = pad_for_encode(samples, config)
-    edges = list(range(0, len(x), SPLIT_ROWS)) + [len(x)]
+    n = encoder_input_length(samples, config)
+    edges = list(range(0, len(samples), SPLIT_ROWS)) + [len(samples)]
     if len(edges) > 2 and edges[-1] - edges[-2] < SPLIT_ROWS:
         del edges[-2]
     rows = edges[-1] - edges[-2] if len(edges) > 1 else 0
-    wss = pass_workspaces(params, config, rows, x.shape[1])
-    z = np.empty((len(x),) + wss[0].out[-1].shape[1:], dtype=np.float32)
+    wss = pass_workspaces(params, config, rows, n)
+    z = np.empty((len(samples),) + wss[0].out[-1].shape[1:], dtype=np.float32)
 
     def encode_rows(lo, hi, ws):
-        z[lo:hi] = encoder_forward(x[lo:hi], config, ws)[0]
+        z[lo:hi] = encoder_forward(samples[lo:hi], config, ws)[0]
 
     for lo, hi in zip(edges, edges[1:]):
         run_pass(encode_rows, lo, hi, wss)
@@ -438,18 +433,18 @@ def train_autoencoder(
 ) -> Checkpoint:
     """Train the autoencoder on equal-length clips (M, N) by waveform MSE.
 
-    Each step runs the numpy encoder and decoder, the MSE and tanh backward by hand,
-    then the decoder's and the encoder's VJP for the parameter gradients. Deterministic
-    given (clips, config, train, seed); the metadata keeps every epoch's mean loss.
+    Each step fits its minibatch to the encoder's input length, runs the numpy encoder and
+    decoder, the MSE and tanh backward by hand, then both VJPs for the parameter gradients.
+    Deterministic given (clips, config, train, seed); the metadata keeps every epoch's mean loss.
     """
     train = train or CodecTrainConfig()
     clips = np.asarray(clips, dtype=np.float32)
     if clips.ndim != 2 or clips.shape[0] == 0:
         raise ValueError("training set must be a nonempty (M, N) array")
-    x_all = pad_for_encode(clips, config)
+    n = encoder_input_length(clips, config)
     params = init_codec_params(config, seed)
     losses = minibatch_adam(
-        params, lambda idx: _step_grads(x_all[idx], params, config), len(x_all),
+        params, lambda idx: _step_grads(_fit(clips[idx], n), params, config), len(clips),
         train.batch_size, train.epochs, np.random.default_rng(seed),
         AdamConfig(lr=train.lr, beta1=train.beta1, beta2=train.beta2),
     )

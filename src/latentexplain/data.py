@@ -28,10 +28,11 @@ class DatasetError(ValueError):
     pass
 
 
-def check_int(where: str, value, low: int, error=ValueError) -> None:
-    """``error`` unless ``value`` is an integer (not a bool) of at least ``low``."""
-    if isinstance(value, bool) or not isinstance(value, int) or value < low:
-        raise error(f"{where}: expected an integer >= {low}, got {value!r}")
+def check_int(where: str, value, low: int, error=ValueError, high: int | None = None) -> None:
+    """``error`` unless ``value`` is an integer (not a bool) in [low, high]; no ``high``, no top."""
+    if isinstance(value, bool) or not isinstance(value, int) or not low <= value <= (high or value):
+        top = "" if high is None else f" and <= {high}"
+        raise error(f"{where}: expected an integer >= {low}{top}, got {value!r}")
 
 
 # the least value of each integer field of a spec, for run configs and manifests alike

@@ -21,7 +21,16 @@ from latentexplain.autodiff import _conv, _conv_t
 from latentexplain.classifier import (_head_from_preact, _head_vjp, _onehot, _pool_gate,
                                       _preact_grad)
 from latentexplain.codec import (ENCODE_ROWS, CodecConfig, EncoderWorkspace, encoder_forward,
-                                 encoder_vjp, pad_for_encode)
+                                 encoder_input_length, encoder_vjp)
+
+
+def pad_for_encode(samples: np.ndarray, config: CodecConfig) -> np.ndarray:
+    """Waveforms cut or zero-padded along their last axis to the encoder's input length, as
+    ``encode_batch`` and waveform IG padded a copy of their whole input before each pass
+    fitted its own rows."""
+    need = encoder_input_length(samples, config)
+    pad = [(0, 0)] * (samples.ndim - 1) + [(0, max(need - samples.shape[-1], 0))]
+    return np.pad(samples[..., :need], pad)
 
 
 def tape(params: dict, requires_grad: bool = False) -> dict:

@@ -35,11 +35,11 @@ from latentexplain.codec import (
     encode,
     encode_batch,
     init_codec_params,
-    pad_for_encode,
 )
+from latentexplain.masking import mask_input_space, mask_input_space_remove
 from conftest import finishes
-from tape_reference import (encode_tensor, one_thread_input_ig, per_pass_input_ig,
-                            whole_array_latent_ig)
+from tape_reference import (encode_tensor, one_thread_input_ig, pad_for_encode,
+                            per_pass_input_ig, whole_array_latent_ig)
 
 
 def affine_head_params(l=6, h=5, c=3, seed=0):
@@ -412,6 +412,30 @@ class TestInputIGRejectsNonFinite:
         with pytest.raises(NonFiniteError):
             integrated_gradients_input(x, base, init_codec_params(cfg, 0), cfg,
                                        random_head_params("mean", l=cfg.latent_channels), 0)
+
+
+class TestInputIGOnAClipLongerThanTheEncoderReads:
+    """A codec whose encoder reads 960 of a 1,000-sample clip: the map still has one score per
+    sample, the 40 samples it never reads score 0, and input-space masking takes the map."""
+
+    CFG = CodecConfig(channels=(8, 8, 8), kernel_sizes=(4, 4, 4), strides=(4, 4, 4),
+                      latent_channels=8)
+
+    def test_map_has_the_clip_length(self):
+        cfg = self.CFG
+        assert cfg.required_input_length(1000 // cfg.stride_product) == 960
+        codec, head = init_codec_params(cfg, 0), random_head_params("mean", l=8)
+        rng = np.random.default_rng(3)
+        x = rng.uniform(-0.5, 0.5, 1000).astype(np.float32)
+        base = rng.uniform(-0.1, 0.1, 1000).astype(np.float32)
+        att = integrated_gradients_input(x, base, codec, cfg, head, 1, steps=4)
+        assert att.scores.shape == (1000,) and att.scores.dtype == np.float32
+        assert not np.any(att.scores[960:]) and np.any(att.scores[:960])
+        cut = integrated_gradients_input(x[:960], base[:960], codec, cfg, head, 1, steps=4)
+        assert att.scores[:960].tobytes() == cut.scores.tobytes()
+        sr = cfg.sample_rate
+        for mask in (mask_input_space, mask_input_space_remove):
+            assert len(mask(AudioClip(x, sr), att, 0.5, AudioClip(base, sr))) == 1000
 
 
 class TestRandomBaselineMethod:

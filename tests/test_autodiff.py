@@ -110,7 +110,7 @@ class TestConv1dTranspose:
     ((3, 2, 8), 8, -1), ((3, 2, 7), 8, -1), ((3, 2, 5), 6, -1), ((3, 2, 1), 3, -1),
     # _fit: (B, N', C) along time
     ((2, 9, 3), 9, 1), ((2, 9, 3), 10, 1), ((2, 9, 3), 16, 1),
-    # pad_for_encode: clips along their last axis
+    # _fit: codec training minibatches (B, N) along time; waveforms along their last axis
     ((16383,), 16467, -1), ((3, 16467), 16467, -1), ((3, 16384), 16467, -1),
 ])
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])

@@ -6,6 +6,7 @@ import json
 import re
 import shutil
 import struct
+import tracemalloc
 from contextlib import redirect_stderr, redirect_stdout
 from dataclasses import fields
 from io import StringIO
@@ -26,7 +27,7 @@ from latentexplain.cli import (
     build_parser,
     main,
 )
-from latentexplain.codec import CodecConfig, decode, encode
+from latentexplain.codec import CodecConfig, codec_param_shapes, decode, encode
 
 
 def write_config(root: Path, **overrides) -> Path:
@@ -188,10 +189,13 @@ class TestNumbersCheckedFirst:
         assert not out.exists()
 
 
-# The bounds the config reader promises; every other integer value must be >= 0.
+# The bounds the config reader promises; every other integer value must be >= 0. The values
+# that size an array (each element of a list) are at most 1,024.
 INT_LOW = {"num_classes": 2, **dict.fromkeys((
     "clips_per_class", "clip_length", "sample_rate", "words", "renditions",
     "latent_channels", "batch_size", "epochs", "hidden", "ig_steps", "runs"), 1)}
+INT_HIGH = dict.fromkeys(("channels", "kernel_sizes", "strides", "latent_channels", "hidden",
+                          "ig_steps"), 1024)
 REALS_OUTSIDE = {"lr": [0.0, -1e-3], "beta1": [-0.01, 1.0], "beta2": [-0.01, 1.0]}
 
 
@@ -204,9 +208,10 @@ def _rejected_values(key, default):
     if isinstance(default, list) and isinstance(default[0], float):  # ratios
         return ["0.5", [0.5, "0.2"], [1.5], [-0.01]]
     if isinstance(default, list):
-        return ["8", [], [8, 8.0], [0]]
+        return ["8", [], [8, 8.0], [0], [INT_HIGH[key] + 1]]
     if isinstance(default, int):
-        return ["2", 2.0, True, None, INT_LOW.get(key, 0) - 1]
+        above = [INT_HIGH[key] + 1] if key in INT_HIGH else []
+        return ["2", 2.0, True, None, INT_LOW.get(key, 0) - 1, *above]
     return ["0.5", True, float("nan"), float("inf"), *REALS_OUTSIDE.get(key, [])]
 
 
@@ -260,6 +265,17 @@ class TestEveryConfigValueChecked:
         spec = RunConfig.from_file(path).dataset
         assert (spec.task, spec.seed) == ("keyword", 3)
 
+    def test_sizes_at_their_maximum_are_accepted(self, tmp_path):
+        raw = json.loads(write_config(tmp_path).read_text())
+        raw["codec"].update({k: [1024] * 3 for k in ("channels", "kernel_sizes", "strides")},
+                            latent_channels=1024)
+        raw["classifier"] = {"hidden": 1024}
+        raw["attribution"] = {"ig_steps": 1024}
+        path = tmp_path / "max.json"
+        path.write_text(json.dumps(raw))
+        cfg = RunConfig.from_file(path)
+        assert (cfg.codec.channels, cfg.classifier.hidden) == ([1024] * 3, 1024)
+
     def test_readme_config_is_accepted(self, tmp_path):
         readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
         blocks = re.findall(r"```json\n(.*?)```", readme, re.DOTALL)
@@ -268,6 +284,31 @@ class TestEveryConfigValueChecked:
             path = tmp_path / f"readme{i}.json"
             path.write_text(block)
             assert RunConfig.from_file(path).schema_version == 1
+
+
+class TestSizesHaveAMaximum:
+    """A value that sizes an array, far past its maximum, exits 3 before anything is read,
+    rather than reach numpy as an allocation it cannot make."""
+
+    @pytest.mark.parametrize("command,section,values", [
+        ("explain", "attribution", {"ig_steps": 10**12}),
+        ("eval-fidelity", "attribution", {"ig_steps": 10**12}),
+        ("train-classifier", "classifier", {"hidden": 10**12}),
+        ("train-codec", "codec", {"channels": [10**12, 8, 8], "latent_channels": 8}),
+    ])
+    def test_exits_3(self, workspace, tmp_path, capsys, command, section, values):
+        root, cfg = workspace
+        raw = json.loads(cfg.read_text())
+        raw.setdefault(section, {}).update(values)
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(raw))
+        out = tmp_path / "o" / "out"
+        extra = {"explain": ["--input", str(next((root / "data" / "clips").glob("*.wav"))),
+                             "--alpha", "0.5"]}.get(command, [])
+        assert main(["--config", str(bad), command, *extra, "--out", str(out)]) == EXIT_BAD_CONFIG
+        err = capsys.readouterr().err
+        assert f"{section}.{next(iter(values))}" in err and "<= 1024" in err
+        assert not out.parent.exists()
 
 
 class TestSynthData:
@@ -739,6 +780,27 @@ class TestEvalCommands:
         assert not out.exists()
 
 
+class TestInputIGOnClipsLongerThanTheEncoderReads:
+    """A codec whose encoder reads 960 of each 1,000-sample clip: both sweeps mask the clips
+    with waveform IG maps of the clips' length."""
+
+    def test_sweeps_exit_0(self, tmp_path, capsys):
+        cfg = write_config(
+            tmp_path,
+            dataset={"task": "keyword", "num_classes": 2, "clips_per_class": 10,
+                     "clip_length": 1000, "seed": 1},
+            codec={"channels": [8, 8, 8], "kernel_sizes": [4, 4, 4], "strides": [4, 4, 4],
+                   "latent_channels": 8, "epochs": 1, "batch_size": 4},
+            classifier={"epochs": 1}, attribution={"ig_steps": 4})
+        for command in ("synth-data", "train-codec", "train-classifier"):
+            assert main(["--config", str(cfg), command]) == 0
+        for command, stem in (("eval-fidelity", "agreement"),
+                              ("eval-drop", "post-removal-accuracy")):
+            assert main(["--config", str(cfg), command, "--methods", "input-ig"]) == 0, \
+                capsys.readouterr().err
+            assert (tmp_path / "reports" / f"{stem}_input-ig.json").is_file()
+
+
 class TestCorpusFactsComeFromTheCorpus:
     """Clip length and sample rate are read from the corpus, not the config's dataset section."""
 
@@ -810,6 +872,12 @@ def _without(d: dict, key: str) -> dict:
     return {k: v for k, v in d.items() if k != key}
 
 
+def _codec_tensors(channels) -> dict:
+    """Zero tensors of the shapes that the default codec config with these widths gives."""
+    shapes = codec_param_shapes(CodecConfig(channels=channels, latent_channels=channels[-1]))
+    return {name: np.zeros(shape, np.float32) for name, shape in shapes.items()}
+
+
 class TestCheckpointChecked:
     """A checkpoint config with other fields than its dataclass's, or tensors that do not fit
     it, exits 2."""
@@ -825,6 +893,10 @@ class TestCheckpointChecked:
         "wider-than-its-tensors": (lambda c: {**c, "channels": [16, 24, 48],
                                               "latent_channels": 48}, None, "do not match"),
         "missing-tensor": (None, lambda p: _without(p, "dec2_b"), "do not match"),
+        "stride-past-the-maximum": (lambda c: {**c, "strides": [1025, 4, 4]}, None,
+                                    "config.strides"),
+        "channels-past-the-maximum": (lambda c: {**c, "channels": [1025, 24, 32]},
+                                      lambda p: _codec_tensors((1025, 24, 32)), "config.channels"),
     }
     HEAD_CASES = {
         "extra-key": (lambda c: {**c, "dropout": 0.1}, None, "exactly the keys"),
@@ -1154,3 +1226,52 @@ class TestManifestFuzz:
         assert "Traceback" not in err.getvalue()
         if code:
             assert re.fullmatch(rf"error code={code} msg=[^\n]+\n", err.getvalue())
+
+
+# any JSON value a config file can hold: a scalar (integers up to 2**70, and NaN and the
+# infinities, which ``json`` reads), or a list or object of them
+CONFIG_SCALARS = (st.none() | st.booleans() | st.integers(-2**70, 2**70) | st.floats()
+                  | st.text(max_size=8))
+CONFIG_VALUES = (CONFIG_SCALARS | st.lists(CONFIG_SCALARS, max_size=4)
+                 | st.dictionaries(st.text(max_size=4), CONFIG_SCALARS, max_size=2))
+CONFIG_SECTIONS = {section.name: [f.name for f in fields(getattr(RunConfig(), section.name))]
+                   for section in fields(RunConfig) if section.name != "schema_version"}
+
+
+class TestConfigFuzz:
+    """A run config with one value of a section replaced by any JSON value ends ``explain``
+    with exit 0, 2, 3 or 4 and, on an error, one ``error code=N msg=...`` line; never exit 1
+    or a traceback. No value may make it hold more than 64 MiB at once on the test
+    workspace: at the values' maxima it holds under 18 MiB."""
+
+    @pytest.fixture(scope="class")
+    def scratch(self, tmp_path_factory):
+        return tmp_path_factory.mktemp("config_fuzz")
+
+    @pytest.mark.parametrize("section", list(CONFIG_SECTIONS))
+    @settings(max_examples=40, derandomize=True, database=None, deadline=None)
+    @given(data=st.data())
+    def test_exit_is_documented(self, workspace, scratch, section, data):
+        root, cfg = workspace
+        raw = json.loads(cfg.read_text())
+        key = data.draw(st.sampled_from(CONFIG_SECTIONS[section]))
+        raw.setdefault(section, {})[key] = data.draw(CONFIG_VALUES)
+        edited = scratch / "run.json"
+        edited.write_text(json.dumps(raw))
+        argv = ["--config", str(edited), "explain", "--input",
+                str(next((root / "data" / "clips").glob("*.wav"))), "--alpha", "0.5",
+                "--out", str(scratch / "o.wav")]
+        err = StringIO()
+        tracemalloc.start()
+        try:
+            with redirect_stderr(err), redirect_stdout(StringIO()):
+                code = main(argv)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code in (0, EXIT_MISSING_CHECKPOINT, EXIT_BAD_CONFIG, EXIT_DATA_ERROR), \
+            err.getvalue()
+        assert "Traceback" not in err.getvalue()
+        if code:
+            assert re.fullmatch(rf"error code={code} msg=[^\n]+\n", err.getvalue())
+        assert peak < 64 * 2**20

@@ -35,12 +35,12 @@ from latentexplain.codec import (
     encoder_forward,
     encoder_vjp,
     init_codec_params,
-    pad_for_encode,
     run_pass,
     train_autoencoder,
 )
 from conftest import finishes
-from tape_reference import decode_tensor, encode_tensor, one_thread_encode_batch, tape
+from tape_reference import (decode_tensor, encode_tensor, one_thread_encode_batch, pad_for_encode,
+                            tape)
 
 
 @pytest.fixture(scope="module")
@@ -310,17 +310,20 @@ def test_encode_batch_equals_encode_per_clip(kw_data, codec_kw, codec_config, ro
 
 
 def test_encode_batch_peak_memory(cfg, params):
-    """An encode of ENCODE_ROWS clips holds each layer's output and one buffer of each other
-    kind (scratch, block gradient, tap product) sized for the largest layer, besides its
-    padded input and its latents; 128 KiB covers the taps and their temporaries."""
+    """An encode of ENCODE_ROWS clips runs passes of SPLIT_ROWS rows as two halves, each on a
+    workspace of its own: together they hold, for SPLIT_ROWS rows, each layer's output and one
+    buffer of each other kind (scratch, block gradient, tap product) sized for the largest
+    layer, and the pass's rows fitted to the encoder's input length. Besides that only the
+    latents; no padded copy of the whole input. 128 KiB covers the taps and their
+    temporaries."""
     n = cfg.required_input_length(256)
-    io = ENCODE_ROWS * (n + 256 * cfg.latent_channels) * 4
+    io = (SPLIT_ROWS * n + ENCODE_ROWS * 256 * cfg.latent_channels) * 4
     outs = largest = 0
     cin = 1
     for c, k, s in zip(cfg.channels, cfg.kernel_sizes, cfg.strides):
         n, taps = (n - k) // s + 1, -(-k // s)
-        outs += ENCODE_ROWS * n * c * 4
-        largest = max(largest, ENCODE_ROWS * max(n * c, (n + taps - 1) * s * cin) * 4)
+        outs += SPLIT_ROWS * n * c * 4
+        largest = max(largest, SPLIT_ROWS * max(n * c, (n + taps - 1) * s * cin) * 4)
         cin = c
     x = np.random.default_rng(0).uniform(-0.5, 0.5, (ENCODE_ROWS, 16384)).astype(np.float32)
     tracemalloc.start()
@@ -330,6 +333,23 @@ def test_encode_batch_peak_memory(cfg, params):
     finally:
         tracemalloc.stop()
     assert peak < outs + 3 * largest + io + 2**17
+
+
+def test_train_autoencoder_pads_no_copy_of_its_training_set():
+    """Each step fits its own minibatch to the encoder's input length (1,108 samples for these
+    1,024-sample clips), so the peak stays under half the training set's bytes: a padded copy
+    of the set alone would be 1.08 times them."""
+    cfg = CodecConfig(channels=(4, 4, 4), kernel_sizes=(8, 8, 8), strides=(4, 4, 4),
+                      latent_channels=4)
+    clips = np.random.default_rng(0).uniform(-0.5, 0.5, (256, 1024)).astype(np.float32)
+    assert cfg.required_input_length(1024 // cfg.stride_product) == 1108
+    tracemalloc.start()
+    try:
+        train_autoencoder(clips, cfg, CodecTrainConfig(batch_size=4, epochs=1), seed=0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < clips.nbytes // 2
 
 
 class TestEncodeBatchOnTwoThreads:

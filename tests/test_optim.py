@@ -7,6 +7,7 @@ from latentexplain import classifier, codec, optim
 from latentexplain.classifier import ClassifierConfig, train_classifier
 from latentexplain.codec import CodecConfig, CodecTrainConfig, train_autoencoder
 from latentexplain.optim import Adam, AdamConfig, minibatch_adam
+from tape_reference import pad_for_encode
 
 
 # The two hand-written epoch loops the trainers ran before they shared ``minibatch_adam``,
@@ -14,7 +15,7 @@ from latentexplain.optim import Adam, AdamConfig, minibatch_adam
 
 def oracle_train_autoencoder(clips, config, train, seed):
     clips = np.asarray(clips, dtype=np.float32)
-    x_all = codec.pad_for_encode(clips, config)
+    x_all = pad_for_encode(clips, config)
     m = x_all.shape[0]
     rng = np.random.default_rng(seed)
     params = codec.init_codec_params(config, seed)
