@@ -104,6 +104,18 @@ def _check_value(where: str, key: str, default, value) -> None:
         raise ConfigError(f"{where}: expected a string, got {value!r}")
 
 
+def _check_codec_size(c: CodecConfig) -> None:
+    """ValueError unless the layers' C_in x C_out x (K + S) sum to at most 2^24.
+
+    That bounds the codec's kernels and their conv GEMM taps (each kernel rounded up to
+    whole strides): at most 128 MiB of float32 for encoder and decoder together (README).
+    """
+    n = sum(i * o * (k + s) for i, o, k, s in zip((1, *c.channels), c.channels, c.kernel_sizes,
+                                                  c.strides))
+    if n > 2**24:
+        raise ValueError(f"the layers' C_in x C_out x (kernel + stride) sum to {n}, past 2^24")
+
+
 def _from_dict(default, raw, name: str):
     """``default`` with the values of the config section ``raw``, each checked first."""
     if not isinstance(raw, dict):
@@ -199,7 +211,7 @@ class RunConfig:
         cfg = replace(defaults, **{name: _from_dict(getattr(defaults, name), section, name)
                                    for name, section in raw.items() if name != "schema_version"})
         try:
-            cfg.codec_config()
+            _check_codec_size(cfg.codec_config())
         except ValueError as e:
             raise ConfigError(f"codec: {e}") from e
         return cfg
@@ -282,6 +294,7 @@ def _load_checkpoint(cfg: RunConfig, given, kind: str):
         if kind == "codec" and got == want:  # strides and sample_rate shape no tensor
             for key, default in CodecConfig().to_dict().items():
                 _check_value(f"config.{key}", key, default, ckpt.config[key])
+            _check_codec_size(config)
     except (TypeError, ValueError) as e:
         raise CheckpointError(f"{p}: bad {kind} config: {e}") from e
     if got != want:

@@ -82,8 +82,8 @@ class CodecConfig:
         self.channels = tuple(self.channels)
         self.kernel_sizes = tuple(self.kernel_sizes)
         self.strides = tuple(self.strides)
-        if not (len(self.channels) == len(self.kernel_sizes) == len(self.strides)):
-            raise ValueError("channels, kernel_sizes, strides must have equal length")
+        if not (0 < len(self.channels) == len(self.kernel_sizes) == len(self.strides)):
+            raise ValueError("channels, kernel_sizes, strides must be nonempty, of equal length")
         if self.channels[-1] != self.latent_channels:
             raise ValueError("last channel width must equal latent_channels")
 

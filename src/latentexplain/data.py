@@ -30,7 +30,8 @@ class DatasetError(ValueError):
 
 def check_int(where: str, value, low: int, error=ValueError, high: int | None = None) -> None:
     """``error`` unless ``value`` is an integer (not a bool) in [low, high]; no ``high``, no top."""
-    if isinstance(value, bool) or not isinstance(value, int) or not low <= value <= (high or value):
+    if (isinstance(value, bool) or not isinstance(value, int) or value < low
+            or (high is not None and value > high)):
         top = "" if high is None else f" and <= {high}"
         raise error(f"{where}: expected an integer >= {low}{top}, got {value!r}")
 

@@ -18,7 +18,7 @@ from hypothesis import given, settings, strategies as st
 
 from latentexplain import cli
 from latentexplain.audio import AudioClip, wav_read, wav_write
-from latentexplain.checkpoint import file_sha256, read_checkpoint, write_checkpoint
+from latentexplain.checkpoint import CheckpointError, file_sha256, read_checkpoint, write_checkpoint
 from latentexplain.cli import (
     EXIT_BAD_CONFIG,
     EXIT_DATA_ERROR,
@@ -265,16 +265,21 @@ class TestEveryConfigValueChecked:
         spec = RunConfig.from_file(path).dataset
         assert (spec.task, spec.seed) == ("keyword", 3)
 
-    def test_sizes_at_their_maximum_are_accepted(self, tmp_path):
+    @pytest.mark.parametrize("section,values", [
+        ("codec", {"channels": [1024, 24, 32]}),
+        ("codec", {"kernel_sizes": [1024, 1024, 1024]}),
+        ("codec", {"strides": [1024, 1024, 1024]}),
+        ("codec", {"channels": [16, 24, 1024], "latent_channels": 1024}),
+        ("classifier", {"hidden": 1024}),
+        ("attribution", {"ig_steps": 1024}),
+    ])
+    def test_each_size_at_its_maximum_is_accepted(self, tmp_path, section, values):
         raw = json.loads(write_config(tmp_path).read_text())
-        raw["codec"].update({k: [1024] * 3 for k in ("channels", "kernel_sizes", "strides")},
-                            latent_channels=1024)
-        raw["classifier"] = {"hidden": 1024}
-        raw["attribution"] = {"ig_steps": 1024}
+        raw.setdefault(section, {}).update(values)
         path = tmp_path / "max.json"
         path.write_text(json.dumps(raw))
-        cfg = RunConfig.from_file(path)
-        assert (cfg.codec.channels, cfg.classifier.hidden) == ([1024] * 3, 1024)
+        got = getattr(RunConfig.from_file(path), section)
+        assert {key: getattr(got, key) for key in values} == values
 
     def test_readme_config_is_accepted(self, tmp_path):
         readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
@@ -308,6 +313,25 @@ class TestSizesHaveAMaximum:
         assert main(["--config", str(bad), command, *extra, "--out", str(out)]) == EXIT_BAD_CONFIG
         err = capsys.readouterr().err
         assert f"{section}.{next(iter(values))}" in err and "<= 1024" in err
+        assert not out.parent.exists()
+
+    @pytest.mark.parametrize("values", [
+        {"channels": [1024] * 3, "kernel_sizes": [1024] * 3, "latent_channels": 1024},
+        {"channels": [1024] * 3, "latent_channels": 1024},  # 2^24 + 2^23 with K + S = 12
+        {"channels": [512] * 3, "kernel_sizes": [1] * 3, "strides": [1024] * 3,
+         "latent_channels": 512},
+    ])
+    def test_codec_layers_past_their_sum_exit_3(self, workspace, tmp_path, capsys, values):
+        """Each value in range, the layers' C_in x C_out x (K + S) together past 2^24."""
+        root, cfg = workspace
+        raw = json.loads(cfg.read_text())
+        raw["codec"].update(values)
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(raw))
+        out = tmp_path / "o" / "codec.ckpt"
+        assert main(["--config", str(bad), "train-codec", "--out", str(out)]) == EXIT_BAD_CONFIG
+        err = capsys.readouterr().err
+        assert "msg=codec: " in err and "past 2^24" in err and "Traceback" not in err
         assert not out.parent.exists()
 
 
@@ -872,10 +896,15 @@ def _without(d: dict, key: str) -> dict:
     return {k: v for k, v in d.items() if k != key}
 
 
-def _codec_tensors(channels) -> dict:
-    """Zero tensors of the shapes that the default codec config with these widths gives."""
-    shapes = codec_param_shapes(CodecConfig(channels=channels, latent_channels=channels[-1]))
+def _codec_tensors(**config) -> dict:
+    """Zero tensors of the shapes that the default codec config with these values gives."""
+    shapes = codec_param_shapes(CodecConfig(**config))
     return {name: np.zeros(shape, np.float32) for name, shape in shapes.items()}
+
+
+# each value in range and the tensors 4 MB, but the conv taps of 2 x 512 x 512 x 1,024 weights
+LAYERS_PAST_THEIR_SUM = {"channels": [512] * 3, "kernel_sizes": [1] * 3, "strides": [1024] * 3,
+                         "latent_channels": 512}
 
 
 class TestCheckpointChecked:
@@ -896,7 +925,15 @@ class TestCheckpointChecked:
         "stride-past-the-maximum": (lambda c: {**c, "strides": [1025, 4, 4]}, None,
                                     "config.strides"),
         "channels-past-the-maximum": (lambda c: {**c, "channels": [1025, 24, 32]},
-                                      lambda p: _codec_tensors((1025, 24, 32)), "config.channels"),
+                                      lambda p: _codec_tensors(channels=(1025, 24, 32)),
+                                      "config.channels"),
+        "empty-lists": (lambda c: {**c, "channels": [], "kernel_sizes": [], "strides": []}, None,
+                        "nonempty"),
+        "empty-objects": (lambda c: {**c, "channels": {}, "kernel_sizes": {}, "strides": {}},
+                          None, "nonempty"),
+        "layers-past-their-sum": (
+            lambda c: {**c, **LAYERS_PAST_THEIR_SUM},
+            lambda p: _codec_tensors(**LAYERS_PAST_THEIR_SUM), "past 2^24"),
     }
     HEAD_CASES = {
         "extra-key": (lambda c: {**c, "dropout": 0.1}, None, "exactly the keys"),
@@ -1275,3 +1312,22 @@ class TestConfigFuzz:
         if code:
             assert re.fullmatch(rf"error code={code} msg=[^\n]+\n", err.getvalue())
         assert peak < 64 * 2**20
+
+
+class TestCheckpointConfigFuzz:
+    """A codec checkpoint whose ``channels``, ``kernel_sizes`` and ``strides`` are replaced by
+    one and the same JSON value, so that their lengths agree, loads or exits 2; never another
+    exception."""
+
+    @settings(max_examples=40, derandomize=True, database=None, deadline=None)
+    @given(value=CONFIG_VALUES)
+    def test_loads_or_exits_2(self, workspace, tmp_path_factory, value):
+        root, _ = workspace
+        widths = dict.fromkeys(("channels", "kernel_sizes", "strides"), value)
+        bad = _rewrite_checkpoint(root / "ckpt" / "codec.ckpt",
+                                  tmp_path_factory.mktemp("ckpt") / "codec.ckpt",
+                                  lambda c: {**c, **widths})
+        try:
+            cli._load_checkpoint(RunConfig(), bad, "codec")
+        except CheckpointError:
+            pass
