@@ -5,7 +5,7 @@ class. The path integral uses the midpoint Riemann rule with ``steps``
 evaluation points between the baseline and the input. Waveform IG takes the
 points in chunks of ``ENCODE_ROWS``, the order its sum follows; a chunk of at
 least ``SPLIT_ROWS`` points runs as two halves of at least two rows, on the
-caller and on the codec's one helper thread.
+caller and on the codec's helper thread (``codec.run_pass``).
 """
 
 from __future__ import annotations
@@ -15,11 +15,12 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .autodiff import DimensionError
-from .codec import (ENCODE_ROWS, CodecConfig, LatentGrid, _conv, _conv_t, encoder_forward,
-                    encoder_input_length, encoder_vjp, pass_workspaces, run_pass)
+from .codec import (CodecConfig, LatentGrid, _conv, _conv_t, encoder_forward, encoder_input_length,
+                    encoder_vjp, pass_workspaces, run_pass)
 from .classifier import _head_from_preact, _head_vjp, _logits_np, _onehot, _pool_gate, _preact_grad
 
 DEFAULT_IG_STEPS = 64
+ENCODE_ROWS = 8  # waveform IG's chunk of path points: fixes the order in which it sums them
 
 LATENT_IG = "latent-ig"
 INPUT_IG = "input-ig"

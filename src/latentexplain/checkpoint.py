@@ -10,6 +10,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .data import check_int
+
 MAGIC = b"AXG1"
 FORMAT_VERSION = 1
 
@@ -71,16 +73,17 @@ def read_checkpoint(path) -> Checkpoint:
     if header.get("version") != FORMAT_VERSION:
         raise CheckpointError(f"unsupported checkpoint version {header.get('version')}")
     try:
-        table = [(t["name"], tuple(int(d) for d in t["shape"]), int(t["offset"]))
-                 for t in header["tensors"]]
+        table = [(t["name"], tuple(t["shape"]), t["offset"]) for t in header["tensors"]]
         kind, config = header["kind"], header["config"]
-    except (KeyError, TypeError, ValueError) as e:
+    except (KeyError, TypeError) as e:
         raise CheckpointError(f"malformed header: {e!r}") from e
     params = {}
     end = base  # blobs are written back to back, in table order
     for name, shape, offset in table:
+        for v in shape + (offset,):  # JSON integers only: int() would truncate 8.9, take true
+            check_int(f"tensor {name!r} shape and offset", v, 0, CheckpointError)
         count = math.prod(shape)  # Python integers: np.prod wraps around on forged shapes
-        if min(shape, default=0) < 0 or base + offset != end:
+        if base + offset != end:
             raise CheckpointError(f"tensor {name!r} does not start where the last one ended")
         if end + 4 * count > len(raw):
             raise CheckpointError(f"truncated checkpoint: tensor {name!r} ends past the file")

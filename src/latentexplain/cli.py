@@ -272,7 +272,8 @@ def _load_checkpoint(cfg: RunConfig, given, kind: str):
 
     The config must have exactly the fields of the kind's dataclass, and the tensors the
     names and shapes that the kind's shape function gives for it, which builds no tensor;
-    a codec's values must then keep the run config's rules. CheckpointError otherwise.
+    a codec's values must then keep the run config's rules, and a head must have at least
+    two classes, as a corpus must. CheckpointError otherwise.
     """
     p = _checkpoint_path(cfg, given, kind)
     if not p.is_file():
@@ -290,6 +291,8 @@ def _load_checkpoint(cfg: RunConfig, given, kind: str):
         for shape in want.values():  # no tensor is built, so check the widths are integers here
             for width in shape:
                 check_int("tensor width", width, 0)
+        if kind == "classifier":  # a head of under two classes has nothing to rank
+            check_int("config.num_classes", config.num_classes, SPEC_INT_LOW["num_classes"])
         got = {name: t.shape for name, t in ckpt.params.items()}
         if kind == "codec" and got == want:  # strides and sample_rate shape no tensor
             for key, default in CodecConfig().to_dict().items():

@@ -18,14 +18,13 @@ row of it) and waveform IG hold theirs per call, a codec training step one per s
 waveform IG runs layer 0's transposed conv itself, once per call.
 
 ``encode_batch`` and waveform IG run each pass of at least ``SPLIT_ROWS`` rows as two row
-halves at once (``run_pass``): the caller takes the first and one long-lived helper thread
-the second, each on a workspace of its own, built on one set of taps, so the two together
-hold the buffers of one workspace for the whole pass. No half has one row: the head
-scores a 1-row batch through a matrix-vector product, whose last bits differ from the same
-row's in a larger batch, so waveform IG maps would change. A caller that finds the helper
-busy runs both halves itself. ``ENCODE_ROWS`` is waveform IG's chunk of path points and
-so fixes the order in which it sums its steps; ``encode_batch``'s latents do not depend on
-how rows are grouped into passes.
+halves at once (``run_pass``): the caller takes the first and the one worker of a
+process-wide ``ThreadPoolExecutor`` the second, each on a workspace of its own, built on one
+set of taps, so the two together hold the buffers of one workspace for the whole pass. No
+half has one row: the head scores a 1-row batch through a matrix-vector product, whose last
+bits differ from the same row's in a larger batch, so waveform IG maps would change. A
+caller that finds the worker held by another pass runs both halves itself.
+``encode_batch``'s latents do not depend on how rows are grouped into passes.
 """
 
 from __future__ import annotations
@@ -33,7 +32,6 @@ from __future__ import annotations
 import copy
 import math
 import os
-import queue
 import threading
 from dataclasses import dataclass
 
@@ -45,7 +43,6 @@ from .audio import AudioClip, LengthError, NonFiniteError
 from .checkpoint import Checkpoint
 from .optim import AdamConfig, minibatch_adam
 
-ENCODE_ROWS = 8  # waveform IG's chunk of path points: fixes the order in which it sums them
 SPLIT_ROWS = 4  # fewest rows of a pass that runs as two halves, so that no half has one row
 
 
@@ -156,9 +153,13 @@ def init_codec_params(config: CodecConfig, seed: int) -> dict:
 
 def encoder_input_length(samples: np.ndarray, config: CodecConfig) -> int:
     """The encoder's input length for waveforms of ``samples.shape[-1]`` samples; non-finite
-    samples raise NonFiniteError, and waveforms shorter than one frame LengthError."""
-    bad = samples.size - np.count_nonzero(np.isfinite(samples))
-    if bad:
+    samples raise NonFiniteError, and waveforms shorter than one frame LengthError.
+
+    A sum is non-finite whenever a sample is, so only then are the samples checked one by
+    one (a sum of finite samples may overflow); finite input builds no mask."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        suspect = not np.isfinite(samples.sum())
+    if suspect and (bad := samples.size - np.count_nonzero(np.isfinite(samples))):
         raise NonFiniteError(f"waveform has {bad} non-finite samples of {samples.size}")
     n = samples.shape[-1]
     frames = n // config.stride_product
@@ -208,59 +209,24 @@ def pass_workspaces(params: dict, config: CodecConfig, rows: int, n: int) -> lis
     """Float32 workspaces for ``run_pass`` over passes of up to ``rows`` rows of input length
     n: one under SPLIT_ROWS rows, else one per row half (``rows - rows // 2`` and
     ``rows // 2`` rows) on one build of the taps; together they hold the buffers of one
-    ``rows``-row workspace. The first holds the larger half, so a short last pass after
-    passes of ENCODE_ROWS rows fits it whole."""
+    ``rows``-row workspace. The first holds the larger half, so a pass too short to split
+    after passes of 2 * SPLIT_ROWS rows fits it whole."""
     if rows < SPLIT_ROWS:
         return [EncoderWorkspace(params, config, np.float32, rows, n)]
     first = EncoderWorkspace(params, config, np.float32, rows - rows // 2, n)
     return [first, first.resized(rows // 2)]
 
 
-class _Helper:
-    """One daemon thread that runs the second half of a pass while its caller runs the
-    first. One caller holds it at a time; a caller that finds it held runs both halves
-    itself, so concurrent callers never queue behind it."""
-
-    def __init__(self):
-        self._held = threading.Lock()
-        self._jobs = queue.SimpleQueue()
-        self._thread = None
-
-    def _serve(self) -> None:
-        while True:
-            fn, done, out = self._jobs.get()
-            try:
-                out.append(fn())
-            except BaseException as exc:  # raised again in the caller
-                out.append(exc)
-            done.set()
-            del fn, out  # keep no workspace of a finished pass alive while idle
-
-    def run(self, first, second) -> tuple:
-        """first() on the calling thread and second() on the helper at once; both results.
-        An exception in either is raised here, once both have ended."""
-        if not self._held.acquire(blocking=False):
-            return first(), second()
-        try:
-            if self._thread is None:
-                self._thread = threading.Thread(target=self._serve, name="encoder-half",
-                                                daemon=True)
-                self._thread.start()
-            done, out = threading.Event(), []
-            self._jobs.put((second, done, out))
-            try:
-                a = first()
-            finally:
-                done.wait()
-        finally:
-            self._held.release()
-        if isinstance(out[0], BaseException):
-            raise out[0]
-        return a, out[0]
+_pool = None  # the executor of the helper thread, made by the first pass that splits
+_held = threading.Lock()  # held by the one caller whose second half the helper runs
 
 
-_HELPER = _Helper()
-os.register_at_fork(after_in_child=_HELPER.__init__)  # a child has no helper thread
+def _reset_helper() -> None:
+    global _pool, _held
+    _pool, _held = None, threading.Lock()
+
+
+os.register_at_fork(after_in_child=_reset_helper)  # a child has no helper thread
 
 
 def run_pass(fn, lo: int, hi: int, workspaces: list) -> tuple:
@@ -269,12 +235,27 @@ def run_pass(fn, lo: int, hi: int, workspaces: list) -> tuple:
     Under SPLIT_ROWS rows the caller runs it whole on the first workspace. Otherwise the
     rows split into halves of at least two, ``hi - lo - (hi - lo) // 2`` rows first: the
     caller runs the first half on the first workspace while the helper thread runs the
-    second on the second. Returns the results in row order.
+    second on the second, or runs both itself if another caller holds the helper. Returns
+    the results in row order; an exception in either half is raised once both have ended.
     """
+    global _pool
     if hi - lo < SPLIT_ROWS:
         return (fn(lo, hi, workspaces[0]),)
     mid = hi - (hi - lo) // 2
-    return _HELPER.run(lambda: fn(lo, mid, workspaces[0]), lambda: fn(mid, hi, workspaces[1]))
+    if not _held.acquire(blocking=False):
+        return fn(lo, mid, workspaces[0]), fn(mid, hi, workspaces[1])
+    try:
+        if _pool is None:  # imported here: the import costs every command, most never split
+            from concurrent.futures import ThreadPoolExecutor
+            _pool = ThreadPoolExecutor(1, thread_name_prefix="encoder-half")
+        second = _pool.submit(fn, mid, hi, workspaces[1])
+        try:
+            first = fn(lo, mid, workspaces[0])
+        finally:
+            second.exception()  # waits for the helper, also when the first half raised
+    finally:
+        _held.release()
+    return first, second.result()
 
 
 def _views(shapes, dtype) -> list:

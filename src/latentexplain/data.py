@@ -81,10 +81,6 @@ class LabeledAudioDataset:
     spec: SyntheticDatasetSpec
     meta: list = field(default_factory=list)  # per-clip dicts (word/rendition for emotion)
 
-    @property
-    def neutral_class(self) -> int:
-        return self.class_names.index("neutral")
-
     def subset(self, idx):
         return self.clips[idx], self.labels[idx]
 

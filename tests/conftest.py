@@ -147,17 +147,24 @@ def models_emo(codec_emo, cls_emo, codec_config, emo_spec):
 
 @pytest.fixture
 def busy_helper():
-    """The codec's helper thread, held busy by another caller until the test ends."""
-    from latentexplain import codec
+    """The codec's helper thread, held busy by another caller until the test ends: a 4-row
+    pass whose second half blocks on the helper."""
+    from latentexplain.codec import run_pass
 
     busy, release = threading.Event(), threading.Event()
+    runs_second = []
 
-    def hold():
-        codec._HELPER.run(lambda: None, lambda: (busy.set(), release.wait(120)))
+    def rows(lo, hi, ws):
+        if ws == "second":
+            runs_second.append(threading.current_thread().name)
+            busy.set()
+            release.wait(120)
 
-    holder = threading.Thread(target=hold, daemon=True)
+    holder = threading.Thread(target=run_pass, args=(rows, 0, 4, ["first", "second"]),
+                              daemon=True)
     holder.start()
-    assert busy.wait(30), "the helper thread never started the holding job"
+    assert busy.wait(30), "the holding pass never started its second half"
+    assert runs_second[0].startswith("encoder-half"), "the helper did not take the second half"
     yield
     release.set()
     holder.join(30)

@@ -20,7 +20,8 @@ from latentexplain import autodiff as ad
 from latentexplain.autodiff import _conv, _conv_t
 from latentexplain.classifier import (_head_from_preact, _head_vjp, _onehot, _pool_gate,
                                       _preact_grad)
-from latentexplain.codec import (ENCODE_ROWS, CodecConfig, EncoderWorkspace, encoder_forward,
+from latentexplain.attribution import ENCODE_ROWS
+from latentexplain.codec import (CodecConfig, EncoderWorkspace, encoder_forward,
                                  encoder_input_length, encoder_vjp)
 
 

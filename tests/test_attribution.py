@@ -1,6 +1,7 @@
 """Integrated-gradients properties: closed form on affine heads, completeness, stability."""
 
 import sys
+import threading
 import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
 
@@ -8,6 +9,7 @@ import numpy as np
 import pytest
 
 from latentexplain.attribution import (
+    ENCODE_ROWS,
     INPUT_IG,
     LATENT_IG,
     RANDOM_INPUT,
@@ -29,7 +31,6 @@ from latentexplain.classifier import (
     predict_batch,
 )
 from latentexplain.codec import (
-    ENCODE_ROWS,
     CodecConfig,
     LatentGrid,
     encode,
@@ -482,21 +483,27 @@ class TestOneHotRowsKeepTheScores:
             )
 
         got = maps()
-        # the head leaves elu'(pre) in its buffer, so the embeddings come from a copy
-        embs = []
+        # the head leaves elu'(pre) in its buffer, so the embeddings come from a copy; the two
+        # halves of a waveform-IG chunk run at once, so each backward finds the embeddings of
+        # its own forward by that buffer, which the forward returns first and keeps alive
+        embs, threads = {}, set()
         head_forward = attribution._head_from_preact
 
         def forward_keeping_emb(pre, params):
-            embs.append(ad.elu_array(pre.copy()))
-            return head_forward(pre, params)
+            threads.add(threading.current_thread().name)
+            embs[id(pre)] = ad.elu_array(pre.copy())
+            fwd = head_forward(pre, params)
+            assert fwd[0] is pre
+            return fwd
 
         monkeypatch.setattr(attribution, "_head_from_preact", forward_keeping_emb)
         monkeypatch.setattr(attribution, "_head_vjp",
                             lambda fwd, params, d_logits: one_target_head_vjp(
-                                embs.pop(), fwd, params, d_logits))
+                                embs.pop(id(fwd[0])), fwd, params, d_logits))
         for new, old in zip(got, maps()):
             assert np.array_equal(new, old)
         assert not embs
+        assert any(name.startswith("encoder-half") for name in threads)  # the chunk did split
 
 
 class TestLatentIGKeepsTheBytes:

@@ -657,6 +657,29 @@ class TestExplain:
         assert code == EXIT_MISSING_CHECKPOINT
         assert "truncated checkpoint" in err and "Traceback" not in err
 
+    @pytest.mark.parametrize("tensor,key,value", [
+        ("b2", "shape", [3.9]), ("pool_max", "shape", [True]), ("w0", "offset", 0.0)])
+    def test_header_integers_are_json_integers(self, workspace, tmp_path, capsys, tensor, key,
+                                               value):
+        """int() would read a shape of [3.9] as [3] and [true] as [1], and load the head."""
+        root, cfg = workspace
+        raw = (root / "ckpt" / "classifier.ckpt").read_bytes()
+        (hlen,) = struct.unpack_from("<I", raw, 4)
+        header = json.loads(raw[8 : 8 + hlen])
+        entry = next(t for t in header["tensors"] if t["name"] == tensor)
+        entry[key] = value
+        forged = json.dumps(header).encode()
+        bad = tmp_path / "classifier.ckpt"
+        bad.write_bytes(b"AXG1" + struct.pack("<I", len(forged)) + forged + raw[8 + hlen :])
+        clip_path = next((root / "data" / "clips").glob("*.wav"))
+        out = tmp_path / "o" / "expl.wav"
+        code = main(["--config", str(cfg), "explain", "--classifier", str(bad),
+                     "--input", str(clip_path), "--alpha", "0.5", "--out", str(out)])
+        err = capsys.readouterr().err
+        assert code == EXIT_MISSING_CHECKPOINT
+        assert f"tensor {tensor!r} shape and offset" in err and "Traceback" not in err
+        assert not out.parent.exists()
+
     def test_bad_magic_checkpoint_exits_2(self, workspace, tmp_path, capsys):
         root, cfg = workspace
         raw = (root / "ckpt" / "classifier.ckpt").read_bytes()
@@ -941,6 +964,12 @@ class TestCheckpointChecked:
         "w0-with-5-rows": (None, lambda p: {**p, "w0": p["w0"][:5]}, "do not match"),
         "bad-pooling": (lambda c: {**c, "pooling": "max"}, None, "pooling"),
         "string-class-count": (lambda c: {**c, "num_classes": "3"}, None, "bad classifier"),
+        "zero-classes": (lambda c: {**c, "num_classes": 0},
+                         lambda p: {**p, "w2": p["w2"][:, :0], "b2": p["b2"][:0]},
+                         "config.num_classes: expected an integer >= 2"),
+        "one-class": (lambda c: {**c, "num_classes": 1},
+                      lambda p: {**p, "w2": p["w2"][:, :1], "b2": p["b2"][:1]},
+                      "config.num_classes: expected an integer >= 2"),
         "latent-channels-of-another-codec": (
             lambda c: {**c, "latent_channels": 16}, lambda p: {**p, "w0": p["w0"][:16]},
             "the classifier reads 16 latent channels, the codec writes 32"),

@@ -21,8 +21,8 @@ from latentexplain.checkpoint import (
 )
 from latentexplain.classifier import ClassifierConfig, train_classifier
 from latentexplain import codec as codec_module
+from latentexplain.attribution import ENCODE_ROWS
 from latentexplain.codec import (
-    ENCODE_ROWS,
     SPLIT_ROWS,
     CodecConfig,
     CodecTrainConfig,
@@ -33,6 +33,7 @@ from latentexplain.codec import (
     encode,
     encode_batch,
     encoder_forward,
+    encoder_input_length,
     encoder_vjp,
     init_codec_params,
     run_pass,
@@ -403,18 +404,52 @@ class TestEncodeBatchOnTwoThreads:
             run_pass(fails_on_the_helper, 0, 4, ["a", "b"])
         assert run_pass(rows, 0, 4, ["a", "b"]) == ((0, 2, "a"), (2, 4, "b"))
 
-    def test_helper_does_not_keep_the_process_alive(self):
-        code = ("import numpy as np\n"
-                "from latentexplain import codec as c\n"
-                "cfg = c.CodecConfig()\n"
-                "c.encode_batch(np.zeros((4, 4096), np.float32), c.init_codec_params(cfg, 0), cfg)\n"
-                "assert c._HELPER._thread.is_alive()\n")
+    @staticmethod
+    def run_python(code: str, timeout: float = 60) -> None:
         src = str(Path(codec_module.__file__).resolve().parents[1])
         env = {**os.environ, "PYTHONPATH": os.pathsep.join(
             [src] + [p for p in [os.environ.get("PYTHONPATH")] if p])}
-        done = subprocess.run([sys.executable, "-c", code], env=env, timeout=30,
+        done = subprocess.run([sys.executable, "-c", code], env=env, timeout=timeout,
                               capture_output=True, text=True)
         assert done.returncode == 0, done.stderr
+
+    def test_helper_does_not_keep_the_process_alive(self):
+        self.run_python(
+            "import threading\n"
+            "import numpy as np\n"
+            "from latentexplain import codec as c\n"
+            "cfg = c.CodecConfig()\n"
+            "c.encode_batch(np.zeros((4, 4096), np.float32), c.init_codec_params(cfg, 0), cfg)\n"
+            "assert any(t.name.startswith('encoder-half') and t.is_alive()\n"
+            "           for t in threading.enumerate())\n", timeout=30)
+
+    def test_forked_child_splits_its_passes(self):
+        """A child forked after a split pass has no helper thread; its own split passes
+        start one and keep their bytes. The parent waits for the one child with a timeout."""
+        self.run_python(
+            "import os, signal, threading, time\n"
+            "import numpy as np\n"
+            "from latentexplain import codec as c\n"
+            "cfg = c.CodecConfig()\n"
+            "params = c.init_codec_params(cfg, 0)\n"
+            "x = np.random.default_rng(0).uniform(-0.5, 0.5, (9, 4096)).astype(np.float32)\n"
+            "want = c.encode_batch(x, params, cfg).tobytes()\n"
+            "pid = os.fork()\n"
+            "if pid == 0:\n"
+            "    ok = False\n"
+            "    try:\n"
+            "        ok = c.encode_batch(x, params, cfg).tobytes() == want and any(\n"
+            "            t.name.startswith('encoder-half') for t in threading.enumerate())\n"
+            "    finally:\n"
+            "        os._exit(0 if ok else 1)\n"
+            "deadline = time.monotonic() + 30\n"
+            "while not (done := os.waitpid(pid, os.WNOHANG))[0]:\n"
+            "    if time.monotonic() > deadline:\n"
+            "        os.kill(pid, signal.SIGKILL)\n"
+            "        os.waitpid(pid, 0)\n"
+            "        raise SystemExit('the forked child hung')\n"
+            "    time.sleep(0.05)\n"
+            "assert os.waitstatus_to_exitcode(done[1]) == 0, done\n")
 
 
 class TestNonFiniteSamples:
@@ -432,6 +467,25 @@ class TestNonFiniteSamples:
         clip.samples[7] = np.nan
         with pytest.raises(NonFiniteError):
             encode(clip, params, cfg)
+
+    def test_finite_input_builds_no_mask(self, cfg):
+        """A mask of the 1 MB input alone would be 256 KiB."""
+        x = np.random.default_rng(0).uniform(-0.5, 0.5, (64, 4096)).astype(np.float32)
+        tracemalloc.start()
+        try:
+            assert encoder_input_length(x, cfg) == cfg.required_input_length(4096 // cfg.stride_product)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**14
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_finite_input_whose_sum_overflows_passes(self, cfg, dtype):
+        x = np.full((2, 1024), np.finfo(dtype).max / 2, dtype=dtype)
+        assert encoder_input_length(x, cfg) == cfg.required_input_length(1024 // cfg.stride_product)
+        x[1, 3] = -np.inf
+        with pytest.raises(NonFiniteError, match="1 non-finite samples of 2048"):
+            encoder_input_length(x, cfg)
 
 
 class TestConfigValidation:

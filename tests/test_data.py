@@ -168,7 +168,6 @@ class TestEmotionDataset:
 
     def test_neutral_class_designated(self, emo_ds):
         assert emo_ds.class_names[0] == "neutral"
-        assert emo_ds.neutral_class == 0
 
 
 class TestSpecValidation:
