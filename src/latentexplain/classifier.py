@@ -40,7 +40,9 @@ from .codec import LatentGrid
 from .optim import AdamConfig, minibatch_adam
 
 
-POOLINGS = ("mean", "mean-max")
+# pooling -> the constant ``pool_max`` gate that selects it: 1.0 adds the max-pool term
+POOL_GATES = {"mean": 0.0, "mean-max": 1.0}
+POOLINGS = tuple(POOL_GATES)
 
 
 @dataclass
@@ -60,6 +62,8 @@ class ClassifierConfig:
     def __post_init__(self):
         if self.pooling not in POOLINGS:
             raise ValueError(f"pooling must be one of {POOLINGS}, got {self.pooling!r}")
+        if self.anchor_class is not None and not 0 <= self.anchor_class < self.num_classes:
+            raise ValueError(f"anchor_class {self.anchor_class!r} not in [0, {self.num_classes})")
 
 
 def classifier_param_shapes(config: ClassifierConfig) -> dict:
@@ -78,8 +82,7 @@ def init_classifier_params(config: ClassifierConfig, seed: int) -> dict:
             params[name] = rng.uniform(-bound, bound, size=shape).astype(np.float32)
         else:
             params[name] = np.zeros(shape, dtype=np.float32)
-    # constant gate, not trained: 1.0 adds the max-pool term
-    params["pool_max"][0] = 1.0 if config.pooling == "mean-max" else 0.0
+    params["pool_max"][0] = POOL_GATES[config.pooling]  # constant, not trained
     return params
 
 

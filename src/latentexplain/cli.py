@@ -27,12 +27,12 @@ from pathlib import Path
 from . import __version__
 from .audio import LengthError, NonFiniteError, WavFormatError, wav_read, wav_write
 from .checkpoint import CheckpointError, file_sha256, read_checkpoint, write_checkpoint
-from .classifier import (POOLINGS, ClassifierConfig, classifier_param_shapes, evaluate_accuracy,
-                         predict_batch, train_classifier)
+from .classifier import (POOL_GATES, POOLINGS, ClassifierConfig, classifier_param_shapes,
+                         evaluate_accuracy, predict_batch, train_classifier)
 from .codec import (CodecConfig, CodecTrainConfig, codec_param_shapes, decode, encode, encode_batch,
                     train_autoencoder)
-from .data import (SPEC_INT_LOW, DatasetError, SyntheticDatasetSpec, check_int, generate_dataset,
-                   read_clips, read_manifest, save_dataset)
+from .data import (SPEC_INT_HIGH, SPEC_INT_LOW, DatasetError, SyntheticDatasetSpec, check_int,
+                   generate_dataset, read_clips, read_manifest, save_dataset)
 from .attribution import integrated_gradients_latent
 from .masking import apply_mask_keep, check_ratio, make_base_latent, select_top
 from .evalharness import (
@@ -69,16 +69,19 @@ def _check_ratios(where: str, ratios) -> None:
         raise ConfigError(f"{where}: {e}") from e
 
 
-# A config value's rule follows from the type of its default: an integer >= 0, a
-# finite real, a nonempty list of integers >= 1, or a string. The exceptions, by key:
+# A config value's rule follows from the type of its default: an integer >= 0, a finite
+# real, a nonempty list (a tuple in a checkpoint's config) of integers >= 1, or a string.
+# The exceptions, by key:
 _INT_LOW = {**SPEC_INT_LOW, **dict.fromkeys((
     "latent_channels", "batch_size", "epochs", "hidden", "ig_steps", "runs"), 1)}
 # The values that size an array are at most 1,024, 16 times the largest default among them
 # (64): on the default corpus no one of them at 1,024 sizes an array past 0.84 GB (README).
-_INT_HIGH = dict.fromkeys(("channels", "kernel_sizes", "strides", "latent_channels", "hidden",
-                           "ig_steps"), 1024)
+# A dataset section's maxima are a spec's, for run configs and manifests alike.
+_INT_HIGH = {**SPEC_INT_HIGH, **dict.fromkeys(("channels", "kernel_sizes", "strides",
+                                                "latent_channels", "hidden", "ig_steps"), 1024)}
 _REAL_RULE = {"lr": (" > 0", lambda x: x > 0), "beta1": (" in [0, 1)", lambda x: 0 <= x < 1),
-              "beta2": (" in [0, 1)", lambda x: 0 <= x < 1)}
+              "beta2": (" in [0, 1)", lambda x: 0 <= x < 1),
+              "substitution_max_ratio": (" in [0, 1]", lambda x: 0 <= x <= 1)}
 
 
 def _check_value(where: str, key: str, default, value) -> None:
@@ -88,7 +91,10 @@ def _check_value(where: str, key: str, default, value) -> None:
     elif key == "pooling":
         if value is not None and value not in POOLINGS:
             raise ConfigError(f"{where}: expected null or one of {POOLINGS}, got {value!r}")
-    elif isinstance(default, list):
+    elif key == "anchor_class":  # a head's: null or the class its training anchors
+        if value is not None:
+            check_int(where, value, 0, ConfigError)
+    elif isinstance(default, (list, tuple)):
         if not isinstance(value, list) or not value:
             raise ConfigError(f"{where}: expected a nonempty list of integers >= 1, got {value!r}")
         for v in value:
@@ -262,9 +268,18 @@ def _checkpoint_path(cfg: RunConfig, given, kind: str) -> Path:
     return Path(given or Path(cfg.paths.checkpoint_dir) / f"{kind}.ckpt")
 
 
-# checkpoint kind -> its config dataclass and the function that gives its tensors' shapes
-_CHECKPOINT_KINDS = {"codec": (CodecConfig, codec_param_shapes),
-                     "classifier": (ClassifierConfig, classifier_param_shapes)}
+def _check_pool_gate(head: ClassifierConfig, params: dict) -> None:
+    """ValueError unless the head's ``pool_max`` gate is the one its ``pooling`` names."""
+    gate, want = float(params["pool_max"][0]), POOL_GATES[head.pooling]
+    if gate != want:
+        raise ValueError(f"pool_max {gate} is not the {head.pooling!r} pooling's gate {want}")
+
+
+# checkpoint kind -> a default config, the function that gives its tensors' shapes, and the
+# rule that its checked config and tensors keep together
+_CHECKPOINT_KINDS = {
+    "codec": (CodecConfig(), codec_param_shapes, lambda config, _: _check_codec_size(config)),
+    "classifier": (ClassifierConfig(num_classes=2), classifier_param_shapes, _check_pool_gate)}
 
 
 def _load_checkpoint(cfg: RunConfig, given, kind: str):
@@ -272,8 +287,9 @@ def _load_checkpoint(cfg: RunConfig, given, kind: str):
 
     The config must have exactly the fields of the kind's dataclass, and the tensors the
     names and shapes that the kind's shape function gives for it, which builds no tensor;
-    a codec's values must then keep the run config's rules, and a head must have at least
-    two classes, as a corpus must. CheckpointError otherwise.
+    each config value must then keep the run config's rules (``_from_dict``), a codec's
+    layers the run config's size bound, and a head's ``pool_max`` gate must be the one its
+    ``pooling`` names. CheckpointError otherwise.
     """
     p = _checkpoint_path(cfg, given, kind)
     if not p.is_file():
@@ -281,23 +297,19 @@ def _load_checkpoint(cfg: RunConfig, given, kind: str):
     ckpt = read_checkpoint(p)
     if ckpt.kind != kind:
         raise CheckpointError(f"{p} holds a {ckpt.kind!r} checkpoint, expected {kind!r}")
-    cls, param_shapes = _CHECKPOINT_KINDS[kind]
-    keys = sorted(f.name for f in fields(cls))
+    default, param_shapes, check = _CHECKPOINT_KINDS[kind]
+    keys = sorted(f.name for f in fields(default))
     if not isinstance(ckpt.config, dict) or sorted(ckpt.config) != keys:
         raise CheckpointError(f"{p}: the {kind} config must have exactly the keys {keys}")
     try:
-        config = cls(**ckpt.config)
-        want = param_shapes(config)
+        want = param_shapes(replace(default, **ckpt.config))
         for shape in want.values():  # no tensor is built, so check the widths are integers here
             for width in shape:
                 check_int("tensor width", width, 0)
-        if kind == "classifier":  # a head of under two classes has nothing to rank
-            check_int("config.num_classes", config.num_classes, SPEC_INT_LOW["num_classes"])
         got = {name: t.shape for name, t in ckpt.params.items()}
-        if kind == "codec" and got == want:  # strides and sample_rate shape no tensor
-            for key, default in CodecConfig().to_dict().items():
-                _check_value(f"config.{key}", key, default, ckpt.config[key])
-            _check_codec_size(config)
+        if got == want:  # then every value, the ones that shape no tensor too
+            config = _from_dict(default, ckpt.config, "config")
+            check(config, ckpt.params)
     except (TypeError, ValueError) as e:
         raise CheckpointError(f"{p}: bad {kind} config: {e}") from e
     if got != want:

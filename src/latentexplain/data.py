@@ -36,9 +36,11 @@ def check_int(where: str, value, low: int, error=ValueError, high: int | None = 
         raise error(f"{where}: expected an integer >= {low}{top}, got {value!r}")
 
 
-# the least value of each integer field of a spec, for run configs and manifests alike
+# the least value of each integer field of a spec, and the greatest of two, for run configs
+# and manifests alike
 SPEC_INT_LOW = {"num_classes": 2, "seed": 0, **dict.fromkeys(
     ("clips_per_class", "clip_length", "sample_rate", "words", "renditions"), 1)}
+SPEC_INT_HIGH = {"num_classes": 1024, "sample_rate": 2**18}
 
 
 @dataclass
@@ -56,7 +58,12 @@ class SyntheticDatasetSpec:
         if not isinstance(self.task, str) or self.task not in _TASKS:
             raise DatasetError(f"unknown task {self.task!r}")
         for key, low in SPEC_INT_LOW.items():
-            check_int(key, getattr(self, key), low, DatasetError)
+            check_int(key, getattr(self, key), low, DatasetError, SPEC_INT_HIGH.get(key))
+        # 256 MiB of float32 clips at most, which synth-data holds twice while it stacks them
+        samples = self.num_classes * self.clips_per_class * self.clip_length
+        if self.clip_length > 2**18 or samples > 2**26:
+            raise DatasetError(f"{self.num_classes} x {self.clips_per_class} clips of "
+                               f"{self.clip_length} samples: past 2^18 a clip or 2^26 in all")
         if self.task == "emotion":
             if self.num_classes < 3:
                 raise DatasetError("emotion task needs >= 3 classes (incl. neutral)")
@@ -266,6 +273,9 @@ def read_manifest(directory) -> LabeledAudioDataset:
     bad = sum(not 0 <= v < len(class_names) for v in labels)
     if bad:
         raise DatasetError(f"{directory}: {bad} labels outside [0, {len(class_names)})")
+    if len(class_names) != spec.num_classes:  # train-classifier's head has one class per name
+        raise DatasetError(f"{directory}: {len(class_names)} class names for the spec's"
+                           f" {spec.num_classes} classes")
     train_idx, test_idx = np.asarray(train_idx, np.int64), np.asarray(test_idx, np.int64)
     return LabeledAudioDataset(None, np.asarray(labels, np.int64), class_names, train_idx,
                                test_idx, spec, manifest.get("meta", []))

@@ -8,17 +8,18 @@ import shutil
 import struct
 import tracemalloc
 from contextlib import redirect_stderr, redirect_stdout
-from dataclasses import fields
+from dataclasses import fields, replace
 from io import StringIO
 from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from latentexplain import cli
 from latentexplain.audio import AudioClip, wav_read, wav_write
 from latentexplain.checkpoint import CheckpointError, file_sha256, read_checkpoint, write_checkpoint
+from latentexplain.classifier import POOLINGS, ClassifierConfig, classifier_param_shapes
 from latentexplain.cli import (
     EXIT_BAD_CONFIG,
     EXIT_DATA_ERROR,
@@ -194,8 +195,9 @@ class TestNumbersCheckedFirst:
 INT_LOW = {"num_classes": 2, **dict.fromkeys((
     "clips_per_class", "clip_length", "sample_rate", "words", "renditions",
     "latent_channels", "batch_size", "epochs", "hidden", "ig_steps", "runs"), 1)}
-INT_HIGH = dict.fromkeys(("channels", "kernel_sizes", "strides", "latent_channels", "hidden",
-                          "ig_steps"), 1024)
+INT_HIGH = {"sample_rate": 2**18, **dict.fromkeys((
+    "num_classes", "channels", "kernel_sizes", "strides", "latent_channels", "hidden", "ig_steps"),
+    1024)}
 REALS_OUTSIDE = {"lr": [0.0, -1e-3], "beta1": [-0.01, 1.0], "beta2": [-0.01, 1.0]}
 
 
@@ -272,6 +274,10 @@ class TestEveryConfigValueChecked:
         ("codec", {"channels": [16, 24, 1024], "latent_channels": 1024}),
         ("classifier", {"hidden": 1024}),
         ("attribution", {"ig_steps": 1024}),
+        ("dataset", {"num_classes": 1024}),
+        ("dataset", {"sample_rate": 2**18}),
+        ("dataset", {"clip_length": 2**18}),
+        ("dataset", {"num_classes": 4, "clips_per_class": 64, "clip_length": 2**18}),  # 2^26
     ])
     def test_each_size_at_its_maximum_is_accepted(self, tmp_path, section, values):
         raw = json.loads(write_config(tmp_path).read_text())
@@ -314,6 +320,42 @@ class TestSizesHaveAMaximum:
         err = capsys.readouterr().err
         assert f"{section}.{next(iter(values))}" in err and "<= 1024" in err
         assert not out.parent.exists()
+
+    TINY = {"num_classes": 3, "clips_per_class": 1, "clip_length": 1024}
+
+    @pytest.mark.parametrize("values,message", [
+        ({"clip_length": 10**13}, "clips of 10000000000000 samples: past 2^18 a clip"),
+        ({**TINY, "sample_rate": 2**32}, "dataset.sample_rate: expected an integer >= 1 and <= "),
+        ({**TINY, "task": "emotion", "words": 1, "renditions": 1, "sample_rate": 10**13},
+         "dataset.sample_rate"),
+    ], ids=["clip-length", "sample-rate-past-32-bits", "emotion-sample-rate"])
+    def test_dataset_exits_3(self, tmp_path, capsys, values, message):
+        """Before any clip is made. Unbounded, each of these fails on its first clip: numpy
+        cannot allocate it, or its rate overflows the WAV header's 32-bit field."""
+        raw = json.loads(write_config(tmp_path).read_text())
+        raw["dataset"].update(values)
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(raw))
+        out = tmp_path / "o"
+        assert main(["--config", str(bad), "synth-data", "--out", str(out)]) == EXIT_BAD_CONFIG
+        err = capsys.readouterr().err
+        assert re.fullmatch(r"error code=3 msg=[^\n]+\n", err) and message in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("values,message", [
+        ({"clips_per_class": 10**13}, "dataset: 3 x 10000000000000 clips of 4096 samples"),
+        ({"num_classes": 10**13}, "dataset.num_classes: expected an integer >= 2 and <= 1024"),
+        ({"num_classes": 4, "clips_per_class": 65, "clip_length": 2**18}, "2^26 in all"),
+    ], ids=["clips-per-class", "num-classes", "one-clip-past-2^26-samples"])
+    def test_corpus_past_its_maximum_is_rejected_when_read(self, tmp_path, values, message):
+        """Unbounded, these allocate or loop over clips for minutes to hours, so the test
+        only reads the config."""
+        raw = json.loads(write_config(tmp_path).read_text())
+        raw["dataset"].update(values)
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(raw))
+        with pytest.raises(cli.ConfigError, match=re.escape(message)):
+            RunConfig.from_file(bad)
 
     @pytest.mark.parametrize("values", [
         {"channels": [1024] * 3, "kernel_sizes": [1024] * 3, "latent_channels": 1024},
@@ -370,6 +412,10 @@ class TestMalformedManifest:
         ("clip_length", "abc", "clip_length: expected an integer >= 1"),
         ("clip_length", 16384.0, "clip_length: expected an integer >= 1"),
         ("num_classes", 1, "num_classes: expected an integer >= 2"),
+        ("num_classes", 1025, "num_classes: expected an integer >= 2 and <= 1024"),
+        ("clip_length", 10**13, "clips of 10000000000000 samples: past 2^18 a clip"),
+        ("clips_per_class", 10**13, "2^26 in all"),
+        ("sample_rate", 2**32, "sample_rate: expected an integer >= 1 and <= 262144"),
         ("seed", True, "seed: expected an integer >= 0"),
         ("task", ["keyword"], "unknown task"),
     ])
@@ -397,6 +443,23 @@ class TestMalformedManifest:
         assert main(["--config", str(cfg), "train-classifier"]) == EXIT_DATA_ERROR
         assert "labels outside [0, 2)" in capsys.readouterr().err
         assert not (tmp_path / "ckpt").exists()
+
+    @pytest.mark.parametrize("extra", [1, 1025 - 3], ids=["one-more", "past-the-maximum"])
+    def test_class_names_other_than_the_spec_exit_4(self, workspace, tmp_path, capsys, extra):
+        """``train-classifier`` gives its head one class per name, so a manifest of 1,025
+        names would train a head past the maximum, which no command could load."""
+        root, cfg = workspace
+        shutil.copytree(root / "data", tmp_path / "data")
+        path = tmp_path / "data" / "manifest.json"
+        manifest = json.loads(path.read_text())
+        manifest["class_names"] += [f"extra{i}" for i in range(extra)]
+        path.write_text(json.dumps(manifest))
+        out = tmp_path / "o" / "classifier.ckpt"
+        assert main(["--config", str(cfg), "train-classifier", "--data", str(tmp_path / "data"),
+                     "--out", str(out)]) == EXIT_DATA_ERROR
+        err = capsys.readouterr().err
+        assert f"{3 + extra} class names for the spec's 3 classes" in err
+        assert not out.parent.exists()
 
     @pytest.mark.parametrize("command", ["eval-fidelity", "train-classifier"])
     def test_clip_length_past_the_clips_exits_4(self, workspace, tmp_path, capsys, command):
@@ -925,6 +988,20 @@ def _codec_tensors(**config) -> dict:
     return {name: np.zeros(shape, np.float32) for name, shape in shapes.items()}
 
 
+def _head_tensors(params: dict, **config) -> dict:
+    """``params`` cut or zero-padded to the shapes of a head with these config values, its
+    other widths read from ``params``; the ``pool_max`` gate is kept."""
+    (latent, hidden), classes = params["w0"].shape, params["b2"].shape[0]
+    shapes = classifier_param_shapes(ClassifierConfig(
+        **{"num_classes": classes, "latent_channels": latent, "hidden": hidden, **config}))
+    out = {}
+    for name, shape in shapes.items():
+        out[name] = np.zeros(shape, np.float32)
+        cut = tuple(slice(0, min(a, b)) for a, b in zip(shape, params[name].shape))
+        out[name][cut] = params[name][cut]
+    return out
+
+
 # each value in range and the tensors 4 MB, but the conv taps of 2 x 512 x 512 x 1,024 weights
 LAYERS_PAST_THEIR_SUM = {"channels": [512] * 3, "kernel_sizes": [1] * 3, "strides": [1024] * 3,
                          "latent_channels": 512}
@@ -973,6 +1050,19 @@ class TestCheckpointChecked:
         "latent-channels-of-another-codec": (
             lambda c: {**c, "latent_channels": 16}, lambda p: {**p, "w0": p["w0"][:16]},
             "the classifier reads 16 latent channels, the codec writes 32"),
+        # logits of b2 alone: the same class for every clip, and an all-zero IG map
+        "no-hidden-units": (lambda c: {**c, "hidden": 0}, lambda p: _head_tensors(p, hidden=0),
+                            "config.hidden: expected an integer >= 1"),
+        "negative-lr": (lambda c: {**c, "lr": -1.0}, None, "config.lr"),
+        "zero-epochs": (lambda c: {**c, "epochs": 0}, None, "config.epochs"),
+        "anchor-past-the-classes": (lambda c: {**c, "anchor_class": 99}, None, "anchor_class 99"),
+        "fractional-anchor": (lambda c: {**c, "anchor_class": 0.5}, None, "config.anchor_class"),
+        "nan-substitution-ratio": (lambda c: {**c, "substitution_max_ratio": float("nan")}, None,
+                                   "config.substitution_max_ratio"),
+        # the workspace head pools by the mean, whose gate is 0.0
+        **{f"mean-with-gate-{gate}": (None, lambda p, g=gate: {**p, "pool_max": np.float32([g])},
+                                      "pool_max") for gate in (1.0, 0.37, -5.0)},
+        "mean-max-with-gate-0.0": (lambda c: {**c, "pooling": "mean-max"}, None, "pool_max"),
     }
 
     def run_explain(self, workspace, tmp_path, kind, case):
@@ -1259,9 +1349,9 @@ MANIFEST_PATHS += [(k, 0) for k in ("class_names", "labels", "train_idx", "test_
 
 
 class TestManifestFuzz:
-    """A manifest with one value replaced by any JSON value ends ``eval-fidelity`` with exit
-    0, 2, 3 or 4 and, on an error, one ``error code=N msg=...`` line; never exit 1 or a
-    traceback."""
+    """A manifest with one value replaced by any JSON value ends ``eval-fidelity`` and
+    ``train-classifier`` with exit 0, 2, 3 or 4 and, on an error, one ``error code=N msg=...``
+    line; never exit 1 or a traceback."""
 
     @pytest.fixture(scope="class")
     def corpus(self, workspace, tmp_path_factory):
@@ -1274,6 +1364,34 @@ class TestManifestFuzz:
     @given(path=st.sampled_from(MANIFEST_PATHS), value=JSON_VALUES)
     def test_exit_is_documented(self, workspace, corpus, path, value):
         _, cfg = workspace
+        data, _ = corpus
+        self.run(corpus, path, value, ["--config", str(cfg), "eval-fidelity", "--data",
+                                       str(data), "--methods", "latent-ig,random-latent",
+                                       "--out", str(data.parent / "reports")])
+
+    @pytest.fixture(scope="class")
+    def one_epoch(self, workspace, corpus):
+        """The workspace config with one head epoch, so that a head trains in milliseconds."""
+        _, cfg = workspace
+        raw = json.loads(cfg.read_text())
+        raw["classifier"]["epochs"] = 1
+        path = corpus[0].parent / "one_epoch.json"
+        path.write_text(json.dumps(raw))
+        return path
+
+    @settings(max_examples=40, derandomize=True, database=None, deadline=None)
+    @given(path=st.sampled_from(MANIFEST_PATHS), value=JSON_VALUES)
+    def test_train_classifier_exit_is_documented(self, workspace, corpus, one_epoch, path,
+                                                 value):
+        """``train-classifier`` also reads ``train_idx``, which must cover two classes."""
+        root, _ = workspace
+        data, _ = corpus
+        self.run(corpus, path, value, ["--config", str(one_epoch), "train-classifier", "--data",
+                                       str(data), "--codec", str(root / "ckpt" / "codec.ckpt"),
+                                       "--out", str(data.parent / "head" / "classifier.ckpt")])
+
+    @staticmethod
+    def run(corpus, path, value, argv):
         data, manifest = corpus
         edited = json.loads(json.dumps(manifest))
         *parents, last = path
@@ -1282,8 +1400,6 @@ class TestManifestFuzz:
             node = node[key]
         node[last] = value
         (data / "manifest.json").write_text(json.dumps(edited))
-        argv = ["--config", str(cfg), "eval-fidelity", "--data", str(data), "--methods",
-                "latent-ig,random-latent", "--out", str(data.parent / "reports")]
         err = StringIO()
         with redirect_stderr(err), redirect_stdout(StringIO()):
             code = main(argv)
@@ -1360,3 +1476,57 @@ class TestCheckpointConfigFuzz:
             cli._load_checkpoint(RunConfig(), bad, "codec")
         except CheckpointError:
             pass
+
+
+def _int_in(value, low, high=None) -> bool:
+    return (not isinstance(value, bool) and isinstance(value, int) and value >= low
+            and (high is None or value <= high))
+
+
+def _real_where(value, holds) -> bool:
+    return (not isinstance(value, bool) and isinstance(value, (int, float))
+            and abs(value) < float("inf") and holds(value))
+
+
+# each value of a head checkpoint's config and the rule that a run config holds it to (the
+# dataset's num_classes, the codec's latent_channels, the classifier section's other keys);
+# anchor_class and substitution_max_ratio are set by training, not by a run config
+HEAD_RULES = {
+    "num_classes": lambda v: _int_in(v, 2, 1024),
+    "latent_channels": lambda v: _int_in(v, 1, 1024),
+    "hidden": lambda v: _int_in(v, 1, 1024),
+    "lr": lambda v: _real_where(v, lambda x: x > 0),
+    "batch_size": lambda v: _int_in(v, 1),
+    "epochs": lambda v: _int_in(v, 1),
+    "pooling": lambda v: isinstance(v, str) and v in POOLINGS,
+    "anchor_class": lambda v: v is None or _int_in(v, 0),
+    "substitution_max_ratio": lambda v: _real_where(v, lambda x: 0 <= x <= 1),
+}
+
+
+class TestHeadCheckpointConfigFuzz:
+    """A head checkpoint with one config value replaced by any JSON value, its tensors fitted
+    to a width that the value gives, loads only if the value keeps its rule, and otherwise
+    raises CheckpointError; never another exception."""
+
+    @pytest.fixture(scope="class")
+    def head(self, workspace, tmp_path_factory):
+        root, _ = workspace
+        return read_checkpoint(root / "ckpt" / "classifier.ckpt"), tmp_path_factory.mktemp("head")
+
+    @pytest.mark.parametrize("key", list(HEAD_RULES))
+    @settings(max_examples=40, derandomize=True, database=None, deadline=None)
+    @given(value=CONFIG_VALUES)
+    @example(value=0)  # hidden 0: logits of the last bias alone, one class for every clip
+    def test_loads_only_values_that_keep_their_rule(self, head, key, value):
+        ckpt, scratch = head
+        params = ckpt.params
+        if key in ("num_classes", "latent_channels", "hidden") and _int_in(value, 0, 256):
+            params = _head_tensors(params, **{key: value})
+        write_checkpoint(replace(ckpt, config={**ckpt.config, key: value}, params=params),
+                         scratch / "classifier.ckpt")
+        try:
+            cli._load_checkpoint(RunConfig(), scratch / "classifier.ckpt", "classifier")
+        except CheckpointError:
+            return
+        assert HEAD_RULES[key](value), f"{key}={value!r} loaded"
