@@ -16,7 +16,8 @@ ever sees latents.
 
 The head runs on numpy for inference, IG and training alike: ``_head_from_preact``
 is the forward after the first affine layer, worked in place through the
-pre-activations in cache-sized tiles of rows, and ``_head_vjp`` its one backward,
+pre-activations in cache-sized tiles of rows (inference builds each tile from the
+latents, so it never holds them all), and ``_head_vjp`` its one backward,
 from per-row logit cotangents. ``logits_from_latent`` is the same head on the
 autodiff tape, kept as the reference the numpy head is tested against.
 
@@ -113,7 +114,8 @@ def _pool_gate(params: dict) -> float:
 _TILE_CELLS = 1 << 17
 
 
-def _head_from_preact(pre: np.ndarray, params: dict, grad: bool = True):
+def _head_from_preact(pre: np.ndarray | None, params: dict, grad: bool = True,
+                      latents: np.ndarray | None = None):
     """The head after its first affine layer, on (B, T, H) frame pre-activations.
 
     Works through ``pre`` in place, in tiles of whole rows of about ``_TILE_CELLS``
@@ -124,18 +126,35 @@ def _head_from_preact(pre: np.ndarray, params: dict, grad: bool = True):
     part, which equals min(elu(pre), 0) + 1 bit for bit. Without it (inference), the
     max comes from ``max`` and ``pre`` is left holding elu(pre).
 
+    Inference may pass (B, T, L) ``latents`` and no ``pre``: each tile's pre-activations
+    ``latents @ w0 + b0`` are then built in one tile-sized buffer, so no (B, T, H) array
+    is held, and the first value returned is None.
+
     Returns ``pre``, each channel's first-argmax frame (B, H) (None without a gate or
     without ``grad``), the pooled embedding (B, H), the pre-activation of the hidden
     layer (B, H), its ELU and the logits (B, C): everything ``_head_vjp`` reads.
     """
-    b, t, h = pre.shape
+    if latents is None:
+        b, t, h = pre.shape
+        dtype = pre.dtype
+    else:
+        (b, t), h = latents.shape[:2], params["w0"].shape[1]
+        dtype = np.result_type(latents, params["w0"])
     gate = _pool_gate(params)
-    pooled = np.empty((b, h), dtype=pre.dtype)
+    pooled = np.empty((b, h), dtype=dtype)
     arg = np.empty((b, h), dtype=np.intp) if gate and grad else None
     rows = max(1, _TILE_CELLS // max(1, t * h))
-    scratch = np.empty_like(pre[:rows])
+    if latents is None:
+        scratch = np.empty_like(pre[:rows])
+    else:
+        scratch, built = np.empty((2, min(rows, b), t, h), dtype=dtype)
     for r in range(0, b, rows):
-        tile, pool = pre[r : r + rows], pooled[r : r + rows]
+        pool = pooled[r : r + rows]
+        if latents is None:
+            tile = pre[r : r + rows]
+        else:
+            tile = np.matmul(latents[r : r + rows], params["w0"], out=built[: len(pool)])
+            tile += params["b0"]
         neg = scratch[: len(tile)]
         ad.elu_array(tile, out=tile, neg=neg)
         tile.mean(axis=1, out=pool)
@@ -193,9 +212,7 @@ def _onehot(target: int, rows: int, classes: int) -> np.ndarray:
 
 
 def _logits_np(latents: np.ndarray, params: dict) -> np.ndarray:
-    pre = latents @ params["w0"]
-    pre += params["b0"]
-    return _head_from_preact(pre, params, grad=False)[-1]
+    return _head_from_preact(None, params, grad=False, latents=latents)[-1]
 
 
 def classify(z: LatentGrid, params: dict) -> np.ndarray:

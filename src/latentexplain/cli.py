@@ -30,7 +30,7 @@ from .checkpoint import CheckpointError, file_sha256, read_checkpoint, write_che
 from .classifier import (POOL_GATES, POOLINGS, ClassifierConfig, classifier_param_shapes,
                          evaluate_accuracy, predict_batch, train_classifier)
 from .codec import (CodecConfig, CodecTrainConfig, codec_param_shapes, decode, encode, encode_batch,
-                    train_autoencoder)
+                    run_pair, train_autoencoder)
 from .data import (SPEC_INT_HIGH, SPEC_INT_LOW, DatasetError, SyntheticDatasetSpec, check_int,
                    generate_dataset, read_clips, read_manifest, save_dataset)
 from .attribution import integrated_gradients_latent
@@ -39,9 +39,11 @@ from .evalharness import (
     ALL_METHODS,
     DEFAULT_ALPHAS,
     DEFAULT_BETAS,
+    LATENT_METHODS,
     accuracy_drop,
     build_models,
     confusion_after_removal,
+    encode_split,
     fidelity_agreement,
     write_report,
     write_report_csv,
@@ -496,17 +498,33 @@ def _cmd_eval(cfg: RunConfig, args, metric: str) -> int:
                                        len(ds.class_names))
     out_dir.mkdir(parents=True, exist_ok=True)
     dataset_id = f"{ds.spec.task}-seed{ds.spec.seed}"
-    for mname in methods:
+    split = encode_split(clips, models)
+
+    def sweep(mname):
         if metric == "agreement":
-            report = fidelity_agreement(
-                clips, models, mname, ratios=cfg.eval.alphas, runs=cfg.eval.runs,
+            return fidelity_agreement(
+                split, models, mname, ratios=cfg.eval.alphas, runs=cfg.eval.runs,
                 base_seed=cfg.eval.base_seed, dataset_id=dataset_id, jobs=args.jobs,
             )
+        return accuracy_drop(
+            split, labels, models, mname, ratios=cfg.eval.betas, runs=cfg.eval.runs,
+            base_seed=cfg.eval.base_seed, dataset_id=dataset_id, jobs=args.jobs,
+        )
+
+    # Latent methods run in pairs, taken in list order: the first of a pair on the caller,
+    # the second on the codec's helper thread. Reports still go out in list order, and the
+    # first failing method's exception ends the command, as in a serial run.
+    latent = [i for i, mname in enumerate(methods) if mname in LATENT_METHODS]
+    partner, later = dict(zip(latent[::2], latent[1::2])), {}
+    for i, mname in enumerate(methods):
+        if i in later:
+            report = later.pop(i).result()
+        elif i in partner:
+            j = partner[i]
+            report, later[j] = run_pair(functools.partial(sweep, mname),
+                                        functools.partial(sweep, methods[j]))
         else:
-            report = accuracy_drop(
-                clips, labels, models, mname, ratios=cfg.eval.betas, runs=cfg.eval.runs,
-                base_seed=cfg.eval.base_seed, dataset_id=dataset_id, jobs=args.jobs,
-            )
+            report = sweep(mname)
         stem = f"{metric}_{mname}"
         write_report(report, out_dir / f"{stem}.json")
         write_report_csv(report, out_dir / f"{stem}.csv")

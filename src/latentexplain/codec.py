@@ -25,6 +25,11 @@ half has one row: the head scores a 1-row batch through a matrix-vector product,
 bits differ from the same row's in a larger batch, so waveform IG maps would change. A
 caller that finds the worker held by another pass runs both halves itself.
 ``encode_batch``'s latents do not depend on how rows are grouped into passes.
+
+``run_pass`` is built on ``run_pair``, which reserves the worker for one job at a time and
+frees it as soon as that job ends. The eval commands use it too: they run the sweeps of their
+two latent methods at once, the second on the same worker (``cli._cmd_eval``). A latent sweep
+encodes nothing, so the two never ask for the worker while it is theirs.
 """
 
 from __future__ import annotations
@@ -34,6 +39,7 @@ import math
 import os
 import threading
 from dataclasses import dataclass
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -229,32 +235,54 @@ def _reset_helper() -> None:
 os.register_at_fork(after_in_child=_reset_helper)  # a child has no helper thread
 
 
+def run_pair(first, second) -> tuple:
+    """``first()`` on the caller while the helper thread runs ``second()``.
+
+    Returns, once both have ended, ``first()``'s value and an object whose ``result()``
+    returns ``second()``'s value or raises its exception; an exception of ``first()`` is
+    raised once the helper has ended. The helper is free again as soon as ``second()``
+    ends. If another caller holds the helper, ``second()`` runs on the caller only when
+    ``result()`` is called, as it would in a serial run.
+    """
+    global _pool
+    if not _held.acquire(blocking=False):
+        return first(), SimpleNamespace(result=second)
+
+    def job():
+        try:
+            return second()
+        finally:
+            _held.release()
+
+    try:
+        if _pool is None:  # imported here: the import costs every command, most never split
+            from concurrent.futures import ThreadPoolExecutor
+            _pool = ThreadPoolExecutor(1, thread_name_prefix="encoder-half")
+        later = _pool.submit(job)
+    except BaseException:
+        _held.release()
+        raise
+    try:
+        return first(), later
+    finally:
+        later.exception()  # waits for the helper, also when first() raised
+
+
 def run_pass(fn, lo: int, hi: int, workspaces: list) -> tuple:
     """``fn(lo, hi, ws)`` over rows [lo, hi) of a pass, on ``pass_workspaces``' workspaces.
 
     Under SPLIT_ROWS rows the caller runs it whole on the first workspace. Otherwise the
     rows split into halves of at least two, ``hi - lo - (hi - lo) // 2`` rows first: the
     caller runs the first half on the first workspace while the helper thread runs the
-    second on the second, or runs both itself if another caller holds the helper. Returns
-    the results in row order; an exception in either half is raised once both have ended.
+    second on the second (``run_pair``), or runs both itself if another caller holds the
+    helper. Returns the results in row order; an exception in either half is raised once
+    both have ended.
     """
-    global _pool
     if hi - lo < SPLIT_ROWS:
         return (fn(lo, hi, workspaces[0]),)
     mid = hi - (hi - lo) // 2
-    if not _held.acquire(blocking=False):
-        return fn(lo, mid, workspaces[0]), fn(mid, hi, workspaces[1])
-    try:
-        if _pool is None:  # imported here: the import costs every command, most never split
-            from concurrent.futures import ThreadPoolExecutor
-            _pool = ThreadPoolExecutor(1, thread_name_prefix="encoder-half")
-        second = _pool.submit(fn, mid, hi, workspaces[1])
-        try:
-            first = fn(lo, mid, workspaces[0])
-        finally:
-            second.exception()  # waits for the helper, also when the first half raised
-    finally:
-        _held.release()
+    first, second = run_pair(lambda: fn(lo, mid, workspaces[0]),
+                             lambda: fn(mid, hi, workspaces[1]))
     return first, second.result()
 
 

@@ -59,7 +59,7 @@ class SyntheticDatasetSpec:
             raise DatasetError(f"unknown task {self.task!r}")
         for key, low in SPEC_INT_LOW.items():
             check_int(key, getattr(self, key), low, DatasetError, SPEC_INT_HIGH.get(key))
-        # 256 MiB of float32 clips at most, which synth-data holds twice while it stacks them
+        # 256 MiB of float32 clips at most, which synth-data holds in one array
         samples = self.num_classes * self.clips_per_class * self.clip_length
         if self.clip_length > 2**18 or samples > 2**26:
             raise DatasetError(f"{self.num_classes} x {self.clips_per_class} clips of "
@@ -205,16 +205,23 @@ _TASKS = {"keyword": (KEYWORD_NAMES, "kw", _keyword_clip),
 
 
 def generate_dataset(spec: SyntheticDatasetSpec) -> LabeledAudioDataset:
-    """The corpus of ``spec``: ``clips_per_class`` rows per class, class-major, split by seed."""
+    """The corpus of ``spec``: ``clips_per_class`` rows per class, class-major, split by seed.
+
+    Each clip is written into one preallocated (M, N) float32 array as it is made, so the
+    corpus is held once."""
     names, prefix, clip = _TASKS[spec.task]
-    rows = [(c, *clip(spec, c, i)) for c in range(spec.num_classes)
-            for i in range(spec.clips_per_class)]
-    labels, clips, meta = zip(*rows)
-    train_idx, test_idx = _split(len(labels), spec.seed)
+    m = spec.num_classes * spec.clips_per_class
+    clips = np.empty((m, spec.clip_length), dtype=np.float32)
+    labels = np.repeat(np.arange(spec.num_classes, dtype=np.int64), spec.clips_per_class)
+    meta = []
+    for j, (c, i) in enumerate(np.ndindex(spec.num_classes, spec.clips_per_class)):
+        clips[j], info = clip(spec, c, i)
+        meta.append(info)
+    train_idx, test_idx = _split(m, spec.seed)
     return LabeledAudioDataset(
-        np.stack(clips), np.asarray(labels, dtype=np.int64),
+        clips, labels,
         [names[c] if c < len(names) else f"{prefix}{c}" for c in range(spec.num_classes)],
-        train_idx, test_idx, spec, list(meta))
+        train_idx, test_idx, spec, meta)
 
 
 def save_dataset(ds: LabeledAudioDataset, directory) -> None:

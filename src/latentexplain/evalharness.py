@@ -9,6 +9,12 @@ batch and one head call (``_masked_preds``; waveforms are masked, clamped
 to [-1, 1] and encoded first). Deterministic methods are computed once and
 replicated across runs, so their reported std is exactly zero. Each listed
 ratio gives its own report row, repeats included.
+
+A sweep takes either raw clips or a test split that ``encode_split`` has already
+encoded and scored. The eval commands encode their split once and hand it to every
+method's sweep. They also run their two latent methods at once, one on the codec's
+helper thread (``codec.run_pair``). Two sweeps share nothing but the split and the
+models, and neither writes to those.
 """
 
 from __future__ import annotations
@@ -56,6 +62,7 @@ DEFAULT_ALPHAS = (0.1, 0.2, 0.4, 0.6, 0.8)
 DEFAULT_BETAS = (0.01, 0.1, 0.2, 0.4, 0.6, 0.8)
 
 ALL_METHODS = (LATENT_IG, RANDOM_LATENT, INPUT_IG, RANDOM_INPUT)
+LATENT_METHODS = (LATENT_IG, RANDOM_LATENT)  # sweeps that mask latents and encode nothing
 _DETERMINISTIC = (LATENT_IG, INPUT_IG)
 
 
@@ -114,6 +121,31 @@ def build_models(
     return ExplainerModels(codec_config, codec_params, cls_params, base, noise, ig_steps)
 
 
+@dataclass(frozen=True)
+class EncodedSplit:
+    """A test split encoded and scored by ``models``: the clips as float32, their latents
+    and the head's predictions on them."""
+
+    models: ExplainerModels
+    clips: np.ndarray
+    latents: np.ndarray
+    preds: np.ndarray
+
+
+def encode_split(clips, models: ExplainerModels) -> EncodedSplit:
+    """The clips encoded and scored once, for any number of sweeps on these models; an
+    ``EncodedSplit`` of these models is returned as it is."""
+    if isinstance(clips, EncodedSplit):
+        if clips.models is not models:
+            raise ValueError("the split was encoded by other models")
+        return clips
+    clips = np.asarray(clips, dtype=np.float32)
+    if clips.shape[0] == 0:
+        raise ValueError("test set must be nonempty")
+    latents = encode_batch(clips, models.codec_params, models.codec_config)
+    return EncodedSplit(models, clips, latents, predict_batch(latents, models.cls_params))
+
+
 def _map_samples(fn, items, jobs: int):
     """Apply fn over items, optionally on a thread pool; results keep sample order."""
     if jobs <= 1:
@@ -124,8 +156,10 @@ def _map_samples(fn, items, jobs: int):
         return list(pool.map(fn, items))
 
 
-def _attributions(method, clips, latents, targets, models: ExplainerModels, run_seed, jobs):
-    """One attribution map per clip; ``run_seed`` seeds the random methods."""
+def _attributions(method, split: EncodedSplit, run_seed, jobs):
+    """One attribution map per clip, for the class the head predicts on it; ``run_seed``
+    seeds the random methods."""
+    clips, latents, targets, models = split.clips, split.latents, split.preds, split.models
     if method == LATENT_IG:
         def one(i):
             return integrated_gradients_latent(LatentGrid(latents[i]), models.base_latent,
@@ -156,34 +190,27 @@ def _masked_preds(items: np.ndarray, atts, models: ExplainerModels, ratio: float
     """
     latent_space = items.ndim == 3
     base = models.base_latent.values if latent_space else models.noise_clip.samples
-    masked = np.stack([splice(x, base, select_top(att, ratio, mode=mode), mode)
-                       for x, att in zip(items, atts)])
+    masked = np.empty_like(items)  # items and base are float32
+    for x, att, out in zip(items, atts, masked):
+        splice(x, base, select_top(att, ratio, mode=mode), mode, out=out)
     if not latent_space:
-        masked = encode_batch(np.clip(masked, -1.0, 1.0), models.codec_params,
+        masked = encode_batch(np.clip(masked, -1.0, 1.0, out=masked), models.codec_params,
                               models.codec_config)
     return predict_batch(masked, models.cls_params)
 
 
-def _encoded(clips, models: ExplainerModels):
-    """The clips as float32, their latents and the head's predictions on them."""
-    clips = np.asarray(clips, dtype=np.float32)
-    if clips.shape[0] == 0:
-        raise ValueError("test set must be nonempty")
-    latents = encode_batch(clips, models.codec_params, models.codec_config)
-    return clips, latents, predict_batch(latents, models.cls_params)
-
-
-def _sweep(clips, latents, targets, reference, models: ExplainerModels, method: str, ratios,
-           runs: int, base_seed: int, metric: str, dataset_id: str, jobs: int) -> EvalReport:
+def _sweep(split: EncodedSplit, reference, method: str, ratios, runs: int, base_seed: int,
+           metric: str, dataset_id: str, jobs: int) -> EvalReport:
     """Percent of masked predictions equal to ``reference``, one row per listed ratio."""
     if method not in ALL_METHODS:
         raise ValueError(f"unknown method {method!r}")
-    items = latents if method in (LATENT_IG, RANDOM_LATENT) else clips
+    models = split.models
+    items = split.latents if method in LATENT_METHODS else split.clips
     mode = KEEP_TOP if metric == AGREEMENT else REMOVE_TOP
     ratios = list(ratios)
 
     def scores(run_seed):
-        atts = _attributions(method, clips, latents, targets, models, run_seed, jobs)
+        atts = _attributions(method, split, run_seed, jobs)
         return [100.0 * float(np.mean(_masked_preds(items, atts, models, r, mode) == reference))
                 for r in ratios]
 
@@ -209,10 +236,12 @@ def fidelity_agreement(
     dataset_id: str = "",
     jobs: int = 1,
 ) -> EvalReport:
-    """Agreement between the masked-latent explanation and the original prediction."""
-    clips, latents, orig = _encoded(clips, models)
-    return _sweep(clips, latents, orig, orig, models, method, ratios, runs, base_seed,
-                  AGREEMENT, dataset_id, jobs)
+    """Agreement between the masked-latent explanation and the original prediction.
+
+    ``clips`` are (M, N) waveforms or their ``encode_split``."""
+    split = encode_split(clips, models)
+    return _sweep(split, split.preds, method, ratios, runs, base_seed, AGREEMENT, dataset_id,
+                  jobs)
 
 
 def accuracy_drop(
@@ -226,10 +255,12 @@ def accuracy_drop(
     dataset_id: str = "",
     jobs: int = 1,
 ) -> EvalReport:
-    """Test accuracy after the top-ranked cells are replaced by the base latent."""
-    clips, latents, targets = _encoded(clips, models)
-    return _sweep(clips, latents, targets, np.asarray(labels, dtype=np.int64), models, method,
-                  ratios, runs, base_seed, POST_REMOVAL_ACCURACY, dataset_id, jobs)
+    """Test accuracy after the top-ranked cells are replaced by the base latent.
+
+    ``clips`` are (M, N) waveforms or their ``encode_split``."""
+    split = encode_split(clips, models)
+    return _sweep(split, np.asarray(labels, dtype=np.int64), method, ratios, runs, base_seed,
+                  POST_REMOVAL_ACCURACY, dataset_id, jobs)
 
 
 def confusion_after_removal(
@@ -240,9 +271,9 @@ def confusion_after_removal(
     beta: float,
 ) -> np.ndarray:
     """C x C count matrix (rows true, cols predicted) after latent-IG removal at ratio beta."""
-    clips, latents, targets = _encoded(clips, models)
-    atts = _attributions(LATENT_IG, clips, latents, targets, models, None, 1)
-    preds = _masked_preds(latents, atts, models, beta, REMOVE_TOP)
+    split = encode_split(clips, models)
+    atts = _attributions(LATENT_IG, split, None, 1)
+    preds = _masked_preds(split.latents, atts, models, beta, REMOVE_TOP)
     mat = np.zeros((num_classes, num_classes), dtype=np.int64)
     np.add.at(mat, (np.asarray(labels, dtype=np.int64), preds), 1)
     return mat

@@ -63,12 +63,20 @@ def select_top(att: AttributionMap, ratio: float, mode: str = KEEP_TOP) -> Selec
     return SelectionMask(kept, att.scores.shape, ratio, mode, att.method)
 
 
-def splice(x: np.ndarray, base: np.ndarray, mask: SelectionMask, mode: str) -> np.ndarray:
-    """Base with x's masked cells (keep-top), or x with base's masked cells (remove-top)."""
+def splice(x: np.ndarray, base: np.ndarray, mask: SelectionMask, mode: str,
+           out: np.ndarray | None = None) -> np.ndarray:
+    """Base with x's masked cells (keep-top), or x with base's masked cells (remove-top).
+
+    Written into ``out`` (a C-contiguous array of x's shape) when given, else into a copy.
+    """
     if base.shape != x.shape or tuple(mask.shape) != x.shape:
         raise DimensionError(f"shape mismatch: values {x.shape}, base {base.shape}, "
                              f"mask {mask.shape}")
-    src, out = (x, base.copy()) if mode == KEEP_TOP else (base, x.copy())
+    src, dst = (x, base) if mode == KEEP_TOP else (base, x)
+    if out is None:
+        out = dst.copy()
+    else:
+        out[...] = dst
     np.put(out, mask.kept, src.take(mask.kept))
     return out
 

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -151,6 +153,36 @@ class TestTiledHeadKeepsTheBytes:
             got = _logits_np(latents[:rows], head)
             assert got.tobytes() == whole_array_logits(latents[:rows], head).tobytes(), rows
             assert np.array_equal(predict_batch(latents[:rows], head), got.argmax(axis=1))
+
+    @pytest.mark.parametrize("pooling", POOLINGS)
+    def test_logits_from_preactivations_built_per_tile(self, pooling):
+        """Inference builds each tile's pre-activations inside the head's tile loop; the
+        logits keep the bytes of the head run on the whole batch's pre-activations."""
+        params = init_classifier_params(ClassifierConfig(num_classes=5, pooling=pooling), 4)
+        rng = np.random.default_rng(11)
+        for k in ("b0", "b1", "b2"):
+            params[k] = (0.5 * rng.standard_normal(params[k].shape)).astype(np.float32)
+        t, h = 512, params["w0"].shape[1]
+        lat = random_latents(33, t=t, seed=12)
+        assert classifier._TILE_CELLS // (t * h) == 4  # 33 rows span nine tiles
+        for rows in (1, 2, 3, 8, 33):
+            got = _logits_np(lat[:rows], params)
+            assert got.tobytes() == whole_array_logits(lat[:rows], params).tobytes(), rows
+
+    def test_inference_holds_two_tiles(self):
+        """The traced peak of inference is its two tile buffers (pre-activations and the
+        ELU scratch), not the whole batch's pre-activations."""
+        params = init_classifier_params(ClassifierConfig(num_classes=5, pooling="mean-max"), 4)
+        lat = random_latents(64, t=512, seed=13)
+        whole = 64 * 512 * params["w0"].shape[1] * 4  # 8 MiB of float32 pre-activations
+        _logits_np(lat[:8], params)  # first-call allocations outside the trace
+        tracemalloc.start()
+        try:
+            _logits_np(lat, params)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * 4 * classifier._TILE_CELLS + whole // 16
 
     @pytest.mark.parametrize("pooling", POOLINGS)
     @pytest.mark.parametrize("task", ["kw", "emo"])

@@ -6,6 +6,7 @@ import json
 import re
 import shutil
 import struct
+import threading
 import tracemalloc
 from contextlib import redirect_stderr, redirect_stdout
 from dataclasses import fields, replace
@@ -17,7 +18,9 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from latentexplain import cli
-from latentexplain.audio import AudioClip, wav_read, wav_write
+from latentexplain import codec as le_codec
+from latentexplain import evalharness as le_eval
+from latentexplain.audio import AudioClip, NonFiniteError, wav_read, wav_write
 from latentexplain.checkpoint import CheckpointError, file_sha256, read_checkpoint, write_checkpoint
 from latentexplain.classifier import POOLINGS, ClassifierConfig, classifier_param_shapes
 from latentexplain.cli import (
@@ -29,6 +32,8 @@ from latentexplain.cli import (
     main,
 )
 from latentexplain.codec import CodecConfig, codec_param_shapes, decode, encode
+
+from conftest import finishes
 
 
 def write_config(root: Path, **overrides) -> Path:
@@ -888,6 +893,101 @@ class TestEvalCommands:
         assert code == EXIT_DATA_ERROR
         assert "'neutral' class" in err and ".wav" not in err and "Traceback" not in err
         assert not out.exists()
+
+
+class TestLatentMethodsInPairs:
+    """An eval command sweeps its two latent methods at once, the second listed on the codec's
+    helper thread; reports and printed lines are those of one-method runs, in list order."""
+
+    @staticmethod
+    def run(cfg, command, methods, out, capsys) -> tuple:
+        code = main(["--config", str(cfg), command, "--methods", methods, "--out", str(out)])
+        captured = capsys.readouterr()
+        return code, captured.out.splitlines(), captured.err.splitlines()
+
+    @staticmethod
+    def reports(out: Path) -> dict:
+        return {p.name: p.read_bytes() for p in sorted(out.glob("*"))
+                if not p.name.startswith("provenance")}
+
+    @pytest.mark.parametrize("command", ["eval-fidelity", "eval-drop"])
+    def test_same_bytes_as_one_method_runs(self, workspace, tmp_path, capsys, monkeypatch,
+                                           command):
+        _, cfg = workspace
+        threads = []
+        for name in ("fidelity_agreement", "accuracy_drop"):
+            def spy(*args, _sweep=getattr(cli, name), **kwargs):
+                report = _sweep(*args, **kwargs)
+                threads.append((report.method, threading.current_thread().name))
+                return report
+            monkeypatch.setattr(cli, name, spy)
+        single, lines = {}, {}
+        for methods in ("latent-ig", "random-latent"):
+            code, lines[methods], _ = self.run(cfg, command, methods, tmp_path / methods, capsys)
+            assert code == 0
+            single.update(self.reports(tmp_path / methods))
+        for first, second in (("latent-ig", "random-latent"), ("random-latent", "latent-ig")):
+            threads.clear()
+            out = tmp_path / f"{first},{second}"
+            code, printed, _ = self.run(cfg, command, f"{first},{second}", out, capsys)
+            assert code == 0
+            assert printed == lines[first] + lines[second]
+            assert self.reports(out) == single
+            names = dict(threads)
+            assert len(threads) == 2 and names[first] == threading.current_thread().name
+            assert names[second].startswith("encoder-half")
+
+    def test_busy_helper_leaves_both_to_the_caller(self, workspace, tmp_path, capsys,
+                                                   busy_helper):
+        _, cfg = workspace
+        for methods in ("latent-ig,random-latent", "latent-ig", "random-latent"):
+            argv = ["--config", str(cfg), "eval-drop", "--methods", methods,
+                    "--out", str(tmp_path / methods)]
+            assert finishes(lambda: main(argv)) == 0
+        single = {**self.reports(tmp_path / "latent-ig"),
+                  **self.reports(tmp_path / "random-latent")}
+        assert self.reports(tmp_path / "latent-ig,random-latent") == single
+
+    @staticmethod
+    def assert_next_pass_splits(monkeypatch):
+        assert le_codec._held.acquire(blocking=False), "the helper is still held"
+        le_codec._held.release()
+        names = []
+
+        def spy(*args, **kwargs):
+            names.append(threading.current_thread().name)
+            return forward(*args, **kwargs)
+
+        forward = le_codec.encoder_forward
+        monkeypatch.setattr(le_codec, "encoder_forward", spy)
+        cfg = CodecConfig()
+        le_codec.encode_batch(np.zeros((4, 4096), np.float32),
+                              le_codec.init_codec_params(cfg, 0), cfg)
+        assert len(names) == 2 and any(n.startswith("encoder-half") for n in names)
+
+    @pytest.mark.parametrize("methods", ["latent-ig,random-latent", "random-latent,latent-ig"])
+    @pytest.mark.parametrize("command", ["eval-fidelity", "eval-drop"])
+    def test_a_failing_method_stops_where_a_serial_run_stops(
+            self, workspace, tmp_path, capsys, monkeypatch, command, methods):
+        """random-latent raises: the command exits as a serial run would, with the reports
+        and lines of the methods listed before it, and the helper is free again."""
+        _, cfg = workspace
+
+        def planted(*args, **kwargs):
+            raise NonFiniteError("planted failure")
+
+        monkeypatch.setattr(le_eval, "random_attribution", planted)
+        runs = {m: self.run(cfg, command, m, tmp_path / m, capsys) for m in ("latent-ig",
+                                                                              "random-latent")}
+        assert runs["latent-ig"][0] == 0 and runs["random-latent"][0] == EXIT_DATA_ERROR
+        out = tmp_path / methods
+        code, printed, err = self.run(cfg, command, methods, out, capsys)
+        before = methods.split(",")[: methods.split(",").index("random-latent")]
+        assert code == runs["random-latent"][0] and err == runs["random-latent"][2]
+        assert printed == [line for m in before for line in runs[m][1]]
+        assert self.reports(out) == {k: v for m in before
+                                     for k, v in self.reports(tmp_path / m).items()}
+        self.assert_next_pass_splits(monkeypatch)
 
 
 class TestInputIGOnClipsLongerThanTheEncoderReads:

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -106,6 +108,25 @@ def test_generate_dataset_equals_the_per_task_generators(case):
     assert np.array_equal(got.train_idx, want.train_idx)
     assert np.array_equal(got.test_idx, want.test_idx)
     assert got.spec is spec and got.meta == want.meta
+
+
+@pytest.mark.parametrize("kwargs", [
+    dict(task="keyword", num_classes=4, clips_per_class=16, clip_length=4096),
+    dict(task="emotion", num_classes=3, clips_per_class=20, words=4, renditions=5,
+         clip_length=4096),
+], ids=["keyword", "emotion"])
+def test_generate_dataset_holds_the_corpus_once(kwargs):
+    """Each clip is written into one (M, N) array as it is made: the traced peak stays under
+    1.5x the corpus bytes (per-clip arrays stacked at the end peaked at 2x)."""
+    spec = SyntheticDatasetSpec(**kwargs)
+    generate_dataset(spec)  # module imports and caches outside the trace
+    tracemalloc.start()
+    try:
+        ds = generate_dataset(spec)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.5 * ds.clips.nbytes
 
 
 class TestKeywordDataset:
