@@ -10,7 +10,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .data import check_int
+from .data import integer
 
 MAGIC = b"AXG1"
 FORMAT_VERSION = 1
@@ -81,7 +81,7 @@ def read_checkpoint(path) -> Checkpoint:
     end = base  # blobs are written back to back, in table order
     for name, shape, offset in table:
         for v in shape + (offset,):  # JSON integers only: int() would truncate 8.9, take true
-            check_int(f"tensor {name!r} shape and offset", v, 0, CheckpointError)
+            integer(0).check(f"tensor {name!r} shape and offset", v, CheckpointError)
         count = math.prod(shape)  # Python integers: np.prod wraps around on forged shapes
         if base + offset != end:
             raise CheckpointError(f"tensor {name!r} does not start where the last one ended")

@@ -38,32 +38,34 @@ from . import autodiff as ad
 from .autodiff import DimensionError
 from .checkpoint import Checkpoint
 from .codec import LatentGrid
+from .data import CLASSES, COUNT, FRACTION, POSITIVE, SIZE, Rule, check_fields, integer
 from .optim import AdamConfig, minibatch_adam
 
 
 # pooling -> the constant ``pool_max`` gate that selects it: 1.0 adds the max-pool term
 POOL_GATES = {"mean": 0.0, "mean-max": 1.0}
 POOLINGS = tuple(POOL_GATES)
+POOLING = Rule(lambda v: v in POOLINGS, f"expected one of {POOLINGS}, got {{!r}}")
 
 
 @dataclass
 class ClassifierConfig:
-    num_classes: int
-    latent_channels: int = 32
-    hidden: int = 64
-    lr: float = 1e-3
-    batch_size: int = 32
-    epochs: int = 150
-    pooling: str = "mean"  # one of POOLINGS
+    num_classes: int = CLASSES()
+    latent_channels: int = SIZE(32)
+    hidden: int = SIZE(64)
+    lr: float = POSITIVE(1e-3)
+    batch_size: int = COUNT(32)
+    epochs: int = COUNT(150)
+    pooling: str = POOLING("mean")
     # anchor-class substitution augmentation; active only when train_classifier
     # is also given a substitution base grid
-    anchor_class: int | None = None
-    substitution_max_ratio: float = 0.5
+    anchor_class: int | None = Rule(lambda v: v is None or integer(0).holds(v),
+                                    "expected null or an integer >= 0, got {!r}")(None)
+    substitution_max_ratio: float = FRACTION(0.5)
 
     def __post_init__(self):
-        if self.pooling not in POOLINGS:
-            raise ValueError(f"pooling must be one of {POOLINGS}, got {self.pooling!r}")
-        if self.anchor_class is not None and not 0 <= self.anchor_class < self.num_classes:
+        check_fields(self)
+        if self.anchor_class is not None and self.anchor_class >= self.num_classes:
             raise ValueError(f"anchor_class {self.anchor_class!r} not in [0, {self.num_classes})")
 
 

@@ -7,10 +7,13 @@ artifacts so any output can be reproduced byte-identically.
 Exit codes: 0 success, 2 missing or unreadable checkpoint, one whose config or tensors
 do not fit its kind, or a head that predicts another number of classes than the scored
 corpus holds, 3 malformed config or arguments (an argument argparse rejects; a
-``--alpha``, ``--beta`` or ``--jobs`` out of range; an output path of the wrong kind; any
-config value of the wrong type or out of range: every value and the output path are
-checked before any input is read), 4 data error (including a clip shorter than one latent
-frame, audio at another sample rate than the codec's, and a split the command cannot use).
+``--alpha``, ``--beta`` or ``--jobs`` out of range, ``--jobs`` at most ``MAX_JOBS``; an output
+path of the wrong kind; any config value of the wrong type or out of range, by the rules
+its dataclass declares: every value and the output path are checked before any input is
+read; an ``ig_steps`` that, with the head's ``hidden``, asks latent IG's step buffer for
+over 2^24 cells, once both checkpoints are read), 4 data error (including a clip shorter
+than one latent frame, audio at another sample rate than the codec's, and a split the
+command cannot use).
 Clip length and sample rate come from the corpus, not the config's ``dataset`` section.
 """
 
@@ -23,18 +26,20 @@ import json
 import sys
 from dataclasses import asdict, dataclass, field, fields, replace
 from pathlib import Path
+from types import SimpleNamespace
 
 from . import __version__
 from .audio import LengthError, NonFiniteError, WavFormatError, wav_read, wav_write
 from .checkpoint import CheckpointError, file_sha256, read_checkpoint, write_checkpoint
-from .classifier import (POOL_GATES, POOLINGS, ClassifierConfig, classifier_param_shapes,
+from .classifier import (POOL_GATES, POOLING, POOLINGS, ClassifierConfig, classifier_param_shapes,
                          evaluate_accuracy, predict_batch, train_classifier)
 from .codec import (CodecConfig, CodecTrainConfig, codec_param_shapes, decode, encode, encode_batch,
                     run_pair, train_autoencoder)
-from .data import (SPEC_INT_HIGH, SPEC_INT_LOW, DatasetError, SyntheticDatasetSpec, check_int,
-                   generate_dataset, read_clips, read_manifest, save_dataset)
+from .data import (COUNT, DECAY, FRACTION, FRACTIONS, LAYERS, POSITIVE, SEED, SIZE, TEXT, Checked,
+                   DatasetError, Rule, SyntheticDatasetSpec, check_fields, generate_dataset,
+                   integer, read_clips, read_manifest, save_dataset)
 from .attribution import integrated_gradients_latent
-from .masking import apply_mask_keep, check_ratio, make_base_latent, select_top
+from .masking import apply_mask_keep, make_base_latent, select_top
 from .evalharness import (
     ALL_METHODS,
     DEFAULT_ALPHAS,
@@ -55,134 +60,83 @@ EXIT_MISSING_CHECKPOINT = 2
 EXIT_BAD_CONFIG = 3
 EXIT_DATA_ERROR = 4
 
+MAX_JOBS = 64  # each eval thread holds IG workspaces of its own (README)
+
 
 class ConfigError(ValueError):
     pass
 
 
-def _check_ratios(where: str, ratios) -> None:
-    """ConfigError unless ``ratios`` is a list of numbers in [0, 1], the rule of ``select_top``."""
-    if not isinstance(ratios, list):
-        raise ConfigError(f"{where}: expected a list of ratios")
-    try:
-        for r in ratios:
-            check_ratio(r)
-    except ValueError as e:
-        raise ConfigError(f"{where}: {e}") from e
-
-
-# A config value's rule follows from the type of its default: an integer >= 0, a finite
-# real, a nonempty list (a tuple in a checkpoint's config) of integers >= 1, or a string.
-# The exceptions, by key:
-_INT_LOW = {**SPEC_INT_LOW, **dict.fromkeys((
-    "latent_channels", "batch_size", "epochs", "hidden", "ig_steps", "runs"), 1)}
-# The values that size an array are at most 1,024, 16 times the largest default among them
-# (64): on the default corpus no one of them at 1,024 sizes an array past 0.84 GB (README).
-# A dataset section's maxima are a spec's, for run configs and manifests alike.
-_INT_HIGH = {**SPEC_INT_HIGH, **dict.fromkeys(("channels", "kernel_sizes", "strides",
-                                                "latent_channels", "hidden", "ig_steps"), 1024)}
-_REAL_RULE = {"lr": (" > 0", lambda x: x > 0), "beta1": (" in [0, 1)", lambda x: 0 <= x < 1),
-              "beta2": (" in [0, 1)", lambda x: 0 <= x < 1),
-              "substitution_max_ratio": (" in [0, 1]", lambda x: 0 <= x <= 1)}
-
-
-def _check_value(where: str, key: str, default, value) -> None:
-    """ConfigError unless ``value`` keeps the rule of ``key`` and of its default's type."""
-    if key in ("alphas", "betas"):
-        _check_ratios(where, value)
-    elif key == "pooling":
-        if value is not None and value not in POOLINGS:
-            raise ConfigError(f"{where}: expected null or one of {POOLINGS}, got {value!r}")
-    elif key == "anchor_class":  # a head's: null or the class its training anchors
-        if value is not None:
-            check_int(where, value, 0, ConfigError)
-    elif isinstance(default, (list, tuple)):
-        if not isinstance(value, list) or not value:
-            raise ConfigError(f"{where}: expected a nonempty list of integers >= 1, got {value!r}")
-        for v in value:
-            check_int(where, v, 1, ConfigError, _INT_HIGH.get(key))
-    elif isinstance(default, int):
-        check_int(where, value, _INT_LOW.get(key, 0), ConfigError, _INT_HIGH.get(key))
-    elif isinstance(default, float):
-        text, holds = _REAL_RULE.get(key, ("", lambda x: True))
-        if (isinstance(value, bool) or not isinstance(value, (int, float))
-                or not abs(value) < float("inf") or not holds(value)):
-            raise ConfigError(f"{where}: expected a finite number{text}, got {value!r}")
-    elif not isinstance(value, str):  # the defaults left are strings
-        raise ConfigError(f"{where}: expected a string, got {value!r}")
-
-
-def _check_codec_size(c: CodecConfig) -> None:
-    """ValueError unless the layers' C_in x C_out x (K + S) sum to at most 2^24.
-
-    That bounds the codec's kernels and their conv GEMM taps (each kernel rounded up to
-    whole strides): at most 128 MiB of float32 for encoder and decoder together (README).
-    """
-    n = sum(i * o * (k + s) for i, o, k, s in zip((1, *c.channels), c.channels, c.kernel_sizes,
-                                                  c.strides))
-    if n > 2**24:
-        raise ValueError(f"the layers' C_in x C_out x (kernel + stride) sum to {n}, past 2^24")
-
-
 def _from_dict(default, raw, name: str):
-    """``default`` with the values of the config section ``raw``, each checked first."""
+    """``default`` with the values of the config section ``raw``, which its class checks."""
     if not isinstance(raw, dict):
         raise ConfigError(f"{name}: expected an object")
     unknown = set(raw) - {f.name for f in fields(default)}
     if unknown:
         raise ConfigError(f"{name}: unknown keys {sorted(unknown)}")
-    for key, value in raw.items():
-        _check_value(f"{name}.{key}", key, getattr(default, key), value)
     try:
         return replace(default, **raw)
-    except ValueError as e:  # a rule across fields, from the section's __post_init__
-        raise ConfigError(f"{name}: {e}") from e
+    except ValueError as e:  # a field's rule names the field, a rule across fields the section
+        raise ConfigError(f"{name}.{e}" if hasattr(e, "field") else f"{name}: {e}") from e
 
 
 @dataclass
-class PathsConfig:
-    data_dir: str = "data"
-    checkpoint_dir: str = "checkpoints"
-    report_dir: str = "reports"
+class PathsConfig(Checked):
+    data_dir: str = TEXT("data")
+    checkpoint_dir: str = TEXT("checkpoints")
+    report_dir: str = TEXT("reports")
 
 
 @dataclass
 class CodecSection:
-    channels: list = field(default_factory=lambda: [16, 24, 32])
-    kernel_sizes: list = field(default_factory=lambda: [8, 8, 8])
-    strides: list = field(default_factory=lambda: [4, 4, 4])
-    latent_channels: int = 32
-    lr: float = 1e-3
-    beta1: float = 0.9
-    beta2: float = 0.999
-    batch_size: int = 16
-    epochs: int = 30
-    seed: int = 0
+    channels: list = LAYERS([16, 24, 32])
+    kernel_sizes: list = LAYERS([8, 8, 8])
+    strides: list = LAYERS([4, 4, 4])
+    latent_channels: int = SIZE(32)
+    lr: float = POSITIVE(1e-3)
+    beta1: float = DECAY(0.9)
+    beta2: float = DECAY(0.999)
+    batch_size: int = COUNT(16)
+    epochs: int = COUNT(30)
+    seed: int = SEED(0)
+
+    def __post_init__(self):
+        check_fields(self)
+        self.codec_config(16000)  # the layers' rules across fields, which hold at any rate
+
+    def codec_config(self, sample_rate: int) -> CodecConfig:
+        return CodecConfig(sample_rate=sample_rate, channels=self.channels, strides=self.strides,
+                           kernel_sizes=self.kernel_sizes, latent_channels=self.latent_channels)
+
+    def train_config(self) -> CodecTrainConfig:
+        return CodecTrainConfig(lr=self.lr, beta1=self.beta1, beta2=self.beta2,
+                                batch_size=self.batch_size, epochs=self.epochs)
 
 
 @dataclass
-class ClassifierSection:
-    hidden: int = 64
-    lr: float = 1e-3
-    batch_size: int = 32
-    epochs: int = 150
-    seed: int = 0
+class ClassifierSection(Checked):
+    hidden: int = SIZE(64)
+    lr: float = POSITIVE(1e-3)
+    batch_size: int = COUNT(32)
+    epochs: int = COUNT(150)
+    seed: int = SEED(0)
     # None: choose by dataset ("mean-max" when a neutral class exists, else "mean")
-    pooling: str | None = None
+    pooling: str | None = Rule(lambda v: v is None or POOLING.holds(v),
+                               f"expected null or one of {POOLINGS}, got {{!r}}")(None)
 
 
 @dataclass
-class AttributionSection:
-    ig_steps: int = 64
-    noise_seed: int = 7
+class AttributionSection(Checked):
+    ig_steps: int = SIZE(64)
+    noise_seed: int = SEED(7)
 
 
 @dataclass
-class EvalSection:
-    alphas: list = field(default_factory=lambda: list(DEFAULT_ALPHAS))
-    betas: list = field(default_factory=lambda: list(DEFAULT_BETAS))
-    runs: int = 5
-    base_seed: int = 1234
+class EvalSection(Checked):
+    alphas: list = FRACTIONS(list(DEFAULT_ALPHAS))
+    betas: list = FRACTIONS(list(DEFAULT_BETAS))
+    runs: int = COUNT(5)
+    base_seed: int = SEED(1234)
 
 
 @dataclass
@@ -210,34 +164,14 @@ class RunConfig:
             raise ConfigError(f"config is not valid JSON: {e}") from e
         if not isinstance(raw, dict):
             raise ConfigError("config root must be an object")
-        if raw.get("schema_version") != SCHEMA_VERSION:
+        if type(raw.get("schema_version")) is not int or raw["schema_version"] != SCHEMA_VERSION:
             raise ConfigError(f"unsupported schema_version {raw.get('schema_version')}")
         unknown = set(raw) - {f.name for f in fields(cls)}
         if unknown:
             raise ConfigError(f"unknown top-level keys {sorted(unknown)}")
         defaults = cls()
-        cfg = replace(defaults, **{name: _from_dict(getattr(defaults, name), section, name)
-                                   for name, section in raw.items() if name != "schema_version"})
-        try:
-            _check_codec_size(cfg.codec_config())
-        except ValueError as e:
-            raise ConfigError(f"codec: {e}") from e
-        return cfg
-
-    def codec_config(self) -> CodecConfig:
-        return CodecConfig(
-            sample_rate=self.dataset.sample_rate,
-            channels=tuple(self.codec.channels),
-            kernel_sizes=tuple(self.codec.kernel_sizes),
-            strides=tuple(self.codec.strides),
-            latent_channels=self.codec.latent_channels,
-        )
-
-    def codec_train_config(self) -> CodecTrainConfig:
-        return CodecTrainConfig(
-            lr=self.codec.lr, beta1=self.codec.beta1, beta2=self.codec.beta2,
-            batch_size=self.codec.batch_size, epochs=self.codec.epochs,
-        )
+        return replace(defaults, **{name: _from_dict(getattr(defaults, name), section, name)
+                                    for name, section in raw.items() if name != "schema_version"})
 
 
 def _write_provenance(out_dir: Path, command: str, config: RunConfig, checkpoints: dict,
@@ -270,28 +204,20 @@ def _checkpoint_path(cfg: RunConfig, given, kind: str) -> Path:
     return Path(given or Path(cfg.paths.checkpoint_dir) / f"{kind}.ckpt")
 
 
-def _check_pool_gate(head: ClassifierConfig, params: dict) -> None:
-    """ValueError unless the head's ``pool_max`` gate is the one its ``pooling`` names."""
-    gate, want = float(params["pool_max"][0]), POOL_GATES[head.pooling]
-    if gate != want:
-        raise ValueError(f"pool_max {gate} is not the {head.pooling!r} pooling's gate {want}")
-
-
-# checkpoint kind -> a default config, the function that gives its tensors' shapes, and the
-# rule that its checked config and tensors keep together
-_CHECKPOINT_KINDS = {
-    "codec": (CodecConfig(), codec_param_shapes, lambda config, _: _check_codec_size(config)),
-    "classifier": (ClassifierConfig(num_classes=2), classifier_param_shapes, _check_pool_gate)}
+# checkpoint kind -> a default config and the function that gives its tensors' shapes
+_CHECKPOINT_KINDS = {"codec": (CodecConfig(), codec_param_shapes),
+                     "classifier": (ClassifierConfig(num_classes=2), classifier_param_shapes)}
 
 
 def _load_checkpoint(cfg: RunConfig, given, kind: str):
     """The checkpoint at ``given`` (or the default path) and its config, both checked.
 
-    The config must have exactly the fields of the kind's dataclass, and the tensors the
-    names and shapes that the kind's shape function gives for it, which builds no tensor;
-    each config value must then keep the run config's rules (``_from_dict``), a codec's
-    layers the run config's size bound, and a head's ``pool_max`` gate must be the one its
-    ``pooling`` names. CheckpointError otherwise.
+    The config must have exactly the fields of the kind's dataclass, and is read as a config
+    section is (``_from_dict``), so that its dataclass checks each value; the tensors must
+    have the names and shapes that the kind's shape function gives for the values, worked
+    out without building a tensor. Where a value breaks its field's rule and the values give
+    other shapes than the tensors have, the tensors are reported. A head's ``pool_max`` gate
+    must be the one its ``pooling`` names. CheckpointError otherwise.
     """
     p = _checkpoint_path(cfg, given, kind)
     if not p.is_file():
@@ -299,23 +225,28 @@ def _load_checkpoint(cfg: RunConfig, given, kind: str):
     ckpt = read_checkpoint(p)
     if ckpt.kind != kind:
         raise CheckpointError(f"{p} holds a {ckpt.kind!r} checkpoint, expected {kind!r}")
-    default, param_shapes, check = _CHECKPOINT_KINDS[kind]
+    default, param_shapes = _CHECKPOINT_KINDS[kind]
     keys = sorted(f.name for f in fields(default))
     if not isinstance(ckpt.config, dict) or sorted(ckpt.config) != keys:
         raise CheckpointError(f"{p}: the {kind} config must have exactly the keys {keys}")
+    got = {name: t.shape for name, t in ckpt.params.items()}
+    try:  # the shapes that the unchecked values give
+        want = param_shapes(SimpleNamespace(**ckpt.config))
+    except TypeError:
+        want = {}
     try:
-        want = param_shapes(replace(default, **ckpt.config))
-        for shape in want.values():  # no tensor is built, so check the widths are integers here
-            for width in shape:
-                check_int("tensor width", width, 0)
-        got = {name: t.shape for name, t in ckpt.params.items()}
-        if got == want:  # then every value, the ones that shape no tensor too
-            config = _from_dict(default, ckpt.config, "config")
-            check(config, ckpt.params)
-    except (TypeError, ValueError) as e:
-        raise CheckpointError(f"{p}: bad {kind} config: {e}") from e
+        config = _from_dict(default, ckpt.config, "config")
+    except ConfigError as e:  # but a field's value that gives other tensors: report those
+        if not (hasattr(e.__cause__, "field") and want and want != got
+                and all(integer(0).holds(width) for shape in want.values() for width in shape)):
+            raise CheckpointError(f"{p}: bad {kind} config: {e}") from e
     if got != want:
         raise CheckpointError(f"{p}: tensors {got} do not match its {kind} config's {want}")
+    if kind == "classifier":
+        gate, pooling = float(ckpt.params["pool_max"][0]), config.pooling
+        if gate != POOL_GATES[pooling]:
+            raise CheckpointError(f"{p}: bad classifier config: pool_max {gate} is not the"
+                                  f" {pooling!r} pooling's gate {POOL_GATES[pooling]}")
     return p, ckpt, config
 
 
@@ -381,6 +312,12 @@ def _load_models(cfg: RunConfig, args, source, sample_rate: int, clip_length: in
     if num_classes is not None and head_cfg.num_classes != num_classes:
         raise CheckpointError(f"the classifier predicts {head_cfg.num_classes} classes,"
                               f" the corpus {source} has {num_classes}")
+    # latent IG's one step buffer: at most 2^24 float32 cells, 64 MiB (README)
+    steps, hidden = cfg.attribution.ig_steps, head_cfg.hidden
+    cells = steps * hidden * (clip_length // codec_cfg.stride_product)
+    if cells > 2**24:
+        raise ConfigError(f"attribution.ig_steps {steps} and the classifier's hidden {hidden}"
+                          f" ask latent IG's step buffer for {cells} cells, past 2^24")
     models = build_models(
         codec_cfg, codec_ckpt.params, cls_ckpt.params,
         clip_length=clip_length, noise_seed=cfg.attribution.noise_seed,
@@ -403,10 +340,9 @@ def cmd_synth_data(cfg: RunConfig, args) -> int:
 def cmd_train_codec(cfg: RunConfig, args) -> int:
     out = _out_path(_checkpoint_path(cfg, args.out, "codec"), directory=False)
     p, ds = _corpus(args.data or cfg.paths.data_dir, train_idx=1)
-    codec_cfg = replace(cfg.codec_config(), sample_rate=ds.spec.sample_rate)
     ckpt = train_autoencoder(
-        read_clips(p, ds.spec, ds.train_idx), codec_cfg, cfg.codec_train_config(),
-        seed=cfg.codec.seed,
+        read_clips(p, ds.spec, ds.train_idx), cfg.codec.codec_config(ds.spec.sample_rate),
+        cfg.codec.train_config(), seed=cfg.codec.seed,
     )
     out.parent.mkdir(parents=True, exist_ok=True)
     write_checkpoint(ckpt, out)
@@ -462,7 +398,7 @@ def cmd_train_classifier(cfg: RunConfig, args) -> int:
 
 
 def cmd_explain(cfg: RunConfig, args) -> int:
-    _check_ratios("--alpha", [args.alpha])
+    FRACTION.check("--alpha", args.alpha, ConfigError)
     out = _out_path(args.out, directory=False)
     clip = wav_read(args.input)
     models, ckpt_hashes = _load_models(cfg, args, args.input, clip.sample_rate, len(clip))
@@ -486,7 +422,7 @@ def cmd_explain(cfg: RunConfig, args) -> int:
 
 
 def _cmd_eval(cfg: RunConfig, args, metric: str) -> int:
-    check_int("--jobs", args.jobs, 1, ConfigError)
+    integer(1, MAX_JOBS).check("--jobs", args.jobs, ConfigError)
     methods = args.methods.split(",") if args.methods else list(ALL_METHODS)
     for mname in methods:
         if mname not in ALL_METHODS:
@@ -538,7 +474,7 @@ def _cmd_eval(cfg: RunConfig, args, metric: str) -> int:
 
 
 def cmd_confusion(cfg: RunConfig, args) -> int:
-    _check_ratios("--beta", [args.beta])
+    FRACTION.check("--beta", args.beta, ConfigError)
     out = _out_path(args.out or Path(cfg.paths.report_dir) / "confusion.json", directory=False)
     p, ds = _corpus(args.data or cfg.paths.data_dir, test_idx=1)
     if "neutral" not in ds.class_names:

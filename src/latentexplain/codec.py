@@ -38,7 +38,7 @@ import copy
 import math
 import os
 import threading
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from types import SimpleNamespace
 
 import numpy as np
@@ -47,6 +47,7 @@ from . import autodiff as ad
 from .autodiff import _conv, _conv_t, _fit, _kernel_grad, _taps
 from .audio import AudioClip, LengthError, NonFiniteError
 from .checkpoint import Checkpoint
+from .data import COUNT, DECAY, LAYERS, POSITIVE, RATE, SIZE, Checked, check_fields
 from .optim import AdamConfig, minibatch_adam
 
 SPLIT_ROWS = 4  # fewest rows of a pass that runs as two halves, so that no half has one row
@@ -75,20 +76,28 @@ class LatentGrid:
 
 @dataclass
 class CodecConfig:
-    sample_rate: int = 16000
-    channels: tuple = (16, 24, 32)
-    kernel_sizes: tuple = (8, 8, 8)
-    strides: tuple = (4, 4, 4)
-    latent_channels: int = 32
+    sample_rate: int = RATE(16000)
+    channels: tuple = LAYERS((16, 24, 32))
+    kernel_sizes: tuple = LAYERS((8, 8, 8))
+    strides: tuple = LAYERS((4, 4, 4))
+    latent_channels: int = SIZE(32)
 
     def __post_init__(self):
+        check_fields(self)
         self.channels = tuple(self.channels)
         self.kernel_sizes = tuple(self.kernel_sizes)
         self.strides = tuple(self.strides)
-        if not (0 < len(self.channels) == len(self.kernel_sizes) == len(self.strides)):
-            raise ValueError("channels, kernel_sizes, strides must be nonempty, of equal length")
+        if not len(self.channels) == len(self.kernel_sizes) == len(self.strides):
+            raise ValueError("channels, kernel_sizes, strides must be of equal length")
         if self.channels[-1] != self.latent_channels:
             raise ValueError("last channel width must equal latent_channels")
+        # The layers' C_in x C_out x (K + S) bound the kernels and their conv GEMM taps (each
+        # kernel rounded up to whole strides): at most 128 MiB of float32 for encoder and
+        # decoder together (README).
+        n = sum(i * o * (k + s) for i, o, k, s in zip((1, *self.channels), self.channels,
+                                                      self.kernel_sizes, self.strides))
+        if n > 2**24:
+            raise ValueError(f"the layers' C_in x C_out x (kernel + stride) sum to {n}, past 2^24")
 
     @property
     def stride_product(self) -> int:
@@ -105,13 +114,7 @@ class CodecConfig:
         return n
 
     def to_dict(self) -> dict:
-        return {
-            "sample_rate": self.sample_rate,
-            "channels": list(self.channels),
-            "kernel_sizes": list(self.kernel_sizes),
-            "strides": list(self.strides),
-            "latent_channels": self.latent_channels,
-        }
+        return {k: list(v) if isinstance(v, tuple) else v for k, v in asdict(self).items()}
 
     @classmethod
     def from_dict(cls, d: dict) -> "CodecConfig":
@@ -119,12 +122,12 @@ class CodecConfig:
 
 
 @dataclass
-class CodecTrainConfig:
-    lr: float = 1e-3
-    beta1: float = 0.9
-    beta2: float = 0.999
-    batch_size: int = 16
-    epochs: int = 30
+class CodecTrainConfig(Checked):
+    lr: float = POSITIVE(1e-3)
+    beta1: float = DECAY(0.9)
+    beta2: float = DECAY(0.999)
+    batch_size: int = COUNT(16)
+    epochs: int = COUNT(30)
 
 
 def codec_param_shapes(config: CodecConfig) -> dict:
@@ -134,7 +137,7 @@ def codec_param_shapes(config: CodecConfig) -> dict:
     for i, (c, k) in enumerate(zip(config.channels, config.kernel_sizes)):
         shapes[f"enc{i}_w"], shapes[f"enc{i}_b"] = (c, cin, k), (c,)
         cin = c
-    dec_channels = list(reversed((1,) + config.channels[:-1]))
+    dec_channels = [1, *config.channels][-2::-1]  # of any sequence: cli reads it unchecked
     cin = config.latent_channels
     for i, (c, k) in enumerate(zip(dec_channels, reversed(config.kernel_sizes))):
         shapes[f"dec{i}_w"], shapes[f"dec{i}_b"] = (cin, c, k), (c,)

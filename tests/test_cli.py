@@ -9,9 +9,10 @@ import struct
 import threading
 import tracemalloc
 from contextlib import redirect_stderr, redirect_stdout
-from dataclasses import fields, replace
+from dataclasses import asdict, fields, replace
 from io import StringIO
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -21,8 +22,9 @@ from latentexplain import cli
 from latentexplain import codec as le_codec
 from latentexplain import evalharness as le_eval
 from latentexplain.audio import AudioClip, NonFiniteError, wav_read, wav_write
-from latentexplain.checkpoint import CheckpointError, file_sha256, read_checkpoint, write_checkpoint
-from latentexplain.classifier import POOLINGS, ClassifierConfig, classifier_param_shapes
+from latentexplain.checkpoint import (Checkpoint, CheckpointError, file_sha256, read_checkpoint,
+                                     write_checkpoint)
+from latentexplain.classifier import POOL_GATES, POOLINGS, ClassifierConfig, classifier_param_shapes
 from latentexplain.cli import (
     EXIT_BAD_CONFIG,
     EXIT_DATA_ERROR,
@@ -32,6 +34,7 @@ from latentexplain.cli import (
     main,
 )
 from latentexplain.codec import CodecConfig, codec_param_shapes, decode, encode
+from latentexplain.data import read_manifest
 
 from conftest import finishes
 
@@ -83,10 +86,16 @@ class TestExitCodes:
         path.write_text(json.dumps({"schema_version": 1, "optimizer": {}}))
         assert main(["--config", str(path), "synth-data"]) == EXIT_BAD_CONFIG
 
-    def test_wrong_schema_version(self, tmp_path):
+    @pytest.mark.parametrize("version", [2, True, 1.0, "1"])
+    def test_wrong_schema_version(self, tmp_path, capsys, version):
+        """Only the JSON integer 1, though ``True == 1.0 == 1`` in Python."""
         path = tmp_path / "bad.json"
-        path.write_text(json.dumps({"schema_version": 2}))
-        assert main(["--config", str(path), "synth-data"]) == EXIT_BAD_CONFIG
+        path.write_text(json.dumps({"schema_version": version, "dataset": {
+            "num_classes": 2, "clips_per_class": 1, "clip_length": 64}}))
+        out = tmp_path / "o"
+        assert main(["--config", str(path), "synth-data", "--out", str(out)]) == EXIT_BAD_CONFIG
+        assert "unsupported schema_version" in capsys.readouterr().err
+        assert not out.exists()
 
     @pytest.mark.parametrize("raw", [b"{nope", b'\xff{"schema_version": 1}'],
                              ids=["not-json", "not-utf8"])
@@ -184,9 +193,15 @@ class TestNumbersCheckedFirst:
         assert f"{section}.{key}" in capsys.readouterr().err
         assert not out.exists()
 
-    @pytest.mark.parametrize("jobs", ["0", "-2"])
-    def test_jobs(self, workspace, tmp_path, capsys, jobs):
+    @pytest.mark.parametrize("jobs", ["0", "-2", "65"])
+    def test_jobs(self, workspace, tmp_path, capsys, monkeypatch, jobs):
+        """Above the maximum of 64 too; no corpus is read, so no pool starts."""
         _, cfg = workspace
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("the corpus was read")
+
+        monkeypatch.setattr(cli, "_corpus", refuse)
         out = tmp_path / "rep"
         code = main(["--config", str(cfg), "eval-drop", "--methods", "latent-ig",
                      "--jobs", jobs, "--out", str(out)])
@@ -402,7 +417,10 @@ class TestMalformedManifest:
                      "labels": 5, "train_idx": [], "test_idx": []}), "split indices"),
         (json.dumps({"version": 1, "spec": {"task": "keyword"}, "class_names": ["a", "b"],
                      "labels": [0, 1], "train_idx": [0, 2], "test_idx": [1]}), "split indices"),
-    ], ids=["not-json", "list", "no-labels", "scalar-labels", "index-out-of-range"])
+        (json.dumps({"version": True}), "unsupported manifest version True"),
+        (json.dumps({"version": 1.0}), "unsupported manifest version 1.0"),
+    ], ids=["not-json", "list", "no-labels", "scalar-labels", "index-out-of-range",
+            "boolean-version", "float-version"])
     @pytest.mark.parametrize("command", ["train-codec", "eval-fidelity"])
     def test_exits_4(self, tmp_path, capsys, manifest, message, command):
         cfg = write_config(tmp_path)
@@ -1083,8 +1101,9 @@ def _without(d: dict, key: str) -> dict:
 
 
 def _codec_tensors(**config) -> dict:
-    """Zero tensors of the shapes that the default codec config with these values gives."""
-    shapes = codec_param_shapes(CodecConfig(**config))
+    """Zero tensors of the shapes that the default codec config with these values gives; the
+    values are not checked, so that tensors fit a config that breaks a rule."""
+    shapes = codec_param_shapes(SimpleNamespace(**{**CodecConfig().to_dict(), **config}))
     return {name: np.zeros(shape, np.float32) for name, shape in shapes.items()}
 
 
@@ -1092,7 +1111,7 @@ def _head_tensors(params: dict, **config) -> dict:
     """``params`` cut or zero-padded to the shapes of a head with these config values, its
     other widths read from ``params``; the ``pool_max`` gate is kept."""
     (latent, hidden), classes = params["w0"].shape, params["b2"].shape[0]
-    shapes = classifier_param_shapes(ClassifierConfig(
+    shapes = classifier_param_shapes(SimpleNamespace(
         **{"num_classes": classes, "latent_channels": latent, "hidden": hidden, **config}))
     out = {}
     for name, shape in shapes.items():
@@ -1198,6 +1217,43 @@ class TestCheckpointChecked:
                      "--out", str(out)]) == EXIT_MISSING_CHECKPOINT
         assert "exactly the keys" in capsys.readouterr().err
         assert not out.exists()
+
+
+class TestLatentIGBudget:
+    """``ig_steps`` x the head's ``hidden`` x the clip's latent frames past 2^24 cells exits 3
+    once both checkpoints are read, before any model is built: latent IG would allocate
+    them as one float32 buffer. The workspace's clips have 64 frames."""
+
+    class Built(Exception):
+        pass
+
+    @pytest.mark.parametrize("ig_steps", [256, 257, 1024])
+    def test_explain(self, workspace, tmp_path, capsys, monkeypatch, ig_steps):
+        root, cfg = workspace
+        ckpt = read_checkpoint(root / "ckpt" / "classifier.ckpt")
+        head = tmp_path / "classifier.ckpt"
+        write_checkpoint(replace(ckpt, config={**ckpt.config, "hidden": 1024},
+                                 params=_head_tensors(ckpt.params, hidden=1024)), head)
+        raw = json.loads(cfg.read_text())
+        raw["attribution"] = {"ig_steps": ig_steps}
+        path = tmp_path / "run.json"
+        path.write_text(json.dumps(raw))
+
+        def built(*args, **kwargs):
+            raise self.Built
+
+        monkeypatch.setattr(cli, "build_models", built)
+        argv = ["--config", str(path), "explain", "--classifier", str(head), "--input",
+                str(next((root / "data" / "clips").glob("*.wav"))), "--alpha", "0.5",
+                "--out", str(tmp_path / "o" / "expl.wav")]
+        if ig_steps * 1024 * 64 <= 2**24:
+            with pytest.raises(self.Built):
+                main(argv)
+            return
+        assert main(argv) == EXIT_BAD_CONFIG
+        err = capsys.readouterr().err
+        assert f"attribution.ig_steps {ig_steps}" in err and "hidden 1024" in err
+        assert not (tmp_path / "o").exists()
 
 
 class TestCheckpointShapesBuildNoTensor:
@@ -1630,3 +1686,82 @@ class TestHeadCheckpointConfigFuzz:
         except CheckpointError:
             return
         assert HEAD_RULES[key](value), f"{key}={value!r} loaded"
+
+
+@pytest.mark.parametrize("make", [
+    lambda: CodecConfig(channels=(0, 16, 32)),
+    lambda: ClassifierConfig(num_classes=8, hidden=0, lr=-1.0, epochs=0),
+    lambda: le_codec.CodecTrainConfig(batch_size=0),
+    lambda: CodecConfig(channels="abc", kernel_sizes="xyz", strides="123", latent_channels="c"),
+    lambda: ClassifierConfig(num_classes=2, substitution_max_ratio=float("nan")),
+    lambda: cli.SyntheticDatasetSpec(task="keyword", num_classes=1),
+], ids=["zero-channels", "head-out-of-range", "zero-batch", "strings", "nan-ratio", "one-class"])
+def test_direct_construction_keeps_the_rules(make):
+    """What a command rejects, a config dataclass made in code rejects too."""
+    with pytest.raises(ValueError):
+        make()
+
+
+def _section_reader(name):
+    def read(config, scratch):
+        path = scratch / "run.json"
+        path.write_text(json.dumps({"schema_version": 1, name: asdict(config)}))
+        return getattr(RunConfig.from_file(path), name)
+    return read
+
+
+def _manifest_reader(spec, scratch):
+    (scratch / "manifest.json").write_text(json.dumps({
+        "version": 1, "spec": spec.to_dict(), "labels": [], "train_idx": [], "test_idx": [],
+        "class_names": [f"c{i}" for i in range(spec.num_classes)]}))
+    return read_manifest(scratch).spec
+
+
+def _checkpoint_reader(kind, param_shapes):
+    def read(config, scratch):
+        params = {name: np.zeros(shape, np.float32) for name, shape in param_shapes(config).items()}
+        if kind == "classifier":
+            params["pool_max"][0] = POOL_GATES[config.pooling]
+        write_checkpoint(Checkpoint(kind, json.loads(json.dumps(asdict(config))), params),
+                         scratch / f"{kind}.ckpt")
+        return cli._load_checkpoint(RunConfig(), scratch / f"{kind}.ckpt", kind)[2]
+    return read
+
+
+# each config dataclass, the values it needs, and the readers that take its JSON form back
+DIRECT = {
+    "paths": (cli.PathsConfig, {}, [_section_reader("paths")]),
+    "codec-section": (cli.CodecSection, {}, [_section_reader("codec")]),
+    "classifier-section": (cli.ClassifierSection, {}, [_section_reader("classifier")]),
+    "attribution": (cli.AttributionSection, {}, [_section_reader("attribution")]),
+    "eval": (cli.EvalSection, {}, [_section_reader("eval")]),
+    "spec": (cli.SyntheticDatasetSpec, {"task": "keyword"},
+             [_section_reader("dataset"), _manifest_reader]),
+    "codec-train": (le_codec.CodecTrainConfig, {},
+                    [lambda c, scratch: _section_reader("codec")(c, scratch).train_config()]),
+    "codec": (CodecConfig, {}, [_checkpoint_reader("codec", codec_param_shapes)]),
+    "head": (ClassifierConfig, {"num_classes": 3},
+             [_checkpoint_reader("classifier", classifier_param_shapes)]),
+}
+# any value, with widths and counts in and around their ranges drawn more often
+DIRECT_VALUES = (CONFIG_VALUES | st.integers(-2, 1100)
+                 | st.lists(st.integers(0, 1100), min_size=1, max_size=4).map(tuple))
+
+
+class TestDirectConstruction:
+    """A config dataclass with one field set to any value either raises ValueError or is one
+    that every reader of its JSON form accepts unchanged: no rule lives only in a reader."""
+
+    @pytest.mark.parametrize("kind", list(DIRECT))
+    @settings(max_examples=40, derandomize=True, database=None, deadline=None)
+    @given(data=st.data())
+    def test_raises_or_reads_back(self, tmp_path_factory, kind, data):
+        cls, needed, readers = DIRECT[kind]
+        key = data.draw(st.sampled_from([f.name for f in fields(cls)]))
+        try:
+            config = cls(**{**needed, key: data.draw(DIRECT_VALUES)})
+        except ValueError:
+            return
+        scratch = tmp_path_factory.mktemp("direct")
+        for read in readers:
+            assert read(config, scratch) == config
