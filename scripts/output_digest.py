@@ -20,6 +20,9 @@ Every command goes through ``cli.main``:
   64 steps, for the class the head predicts (80 files). A change to the maps shows here
   even where it moves no report row.
 
+The listing includes one ``maps_input-ig.bin`` per task: the store of input-IG maps that
+``eval-fidelity`` writes into its report directory and ``eval-drop`` reads back there.
+
 The sweeps run ``eval.runs`` 3 with ``--jobs 2``, and ``explain`` takes the first 20
 test clips of each task, on both sides alike. The work directory must be new or empty;
 the script exits 2 rather than delete anything. Provenance files record the paths they

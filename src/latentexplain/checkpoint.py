@@ -70,8 +70,8 @@ def read_checkpoint(path) -> Checkpoint:
         raise CheckpointError(f"unreadable header: {e}") from e
     if not isinstance(header, dict):
         raise CheckpointError("checkpoint header is not an object")
-    if header.get("version") != FORMAT_VERSION:
-        raise CheckpointError(f"unsupported checkpoint version {header.get('version')}")
+    if type(header.get("version")) is not int or header["version"] != FORMAT_VERSION:
+        raise CheckpointError(f"unsupported checkpoint version {header.get('version')!r}")
     try:
         table = [(t["name"], tuple(t["shape"]), t["offset"]) for t in header["tensors"]]
         kind, config = header["kind"], header["config"]

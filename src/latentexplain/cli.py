@@ -434,7 +434,7 @@ def _cmd_eval(cfg: RunConfig, args, metric: str) -> int:
                                        len(ds.class_names))
     out_dir.mkdir(parents=True, exist_ok=True)
     dataset_id = f"{ds.spec.task}-seed{ds.spec.seed}"
-    split = encode_split(clips, models)
+    split = encode_split(clips, models, store=(out_dir, ckpt_hashes))
 
     def sweep(mname):
         if metric == "agreement":

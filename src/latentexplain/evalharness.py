@@ -15,14 +15,20 @@ encoded and scored. The eval commands encode their split once and hand it to eve
 method's sweep. They also run their two latent methods at once, one on the codec's
 helper thread (``codec.run_pair``). Two sweeps share nothing but the split and the
 models, and neither writes to those.
+
+An eval command's split keeps its ``STORED_METHODS`` maps in its output directory, for a
+later eval command there to read back (``_stored_maps``); library callers get no store.
 """
 
 from __future__ import annotations
 
 import csv
+import hashlib
 import io
 import json
-from dataclasses import dataclass, field
+import os
+import threading
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
@@ -64,6 +70,7 @@ DEFAULT_BETAS = (0.01, 0.1, 0.2, 0.4, 0.6, 0.8)
 ALL_METHODS = (LATENT_IG, RANDOM_LATENT, INPUT_IG, RANDOM_INPUT)
 LATENT_METHODS = (LATENT_IG, RANDOM_LATENT)  # sweeps that mask latents and encode nothing
 _DETERMINISTIC = (LATENT_IG, INPUT_IG)
+STORED_METHODS = (INPUT_IG,)  # kept in a split's store (``_stored_maps``)
 
 
 class ReportError(ValueError):
@@ -130,11 +137,13 @@ class EncodedSplit:
     clips: np.ndarray
     latents: np.ndarray
     preds: np.ndarray
+    store: tuple | None = None  # (directory, SHA-256 of the codec and head checkpoint files)
 
 
-def encode_split(clips, models: ExplainerModels) -> EncodedSplit:
+def encode_split(clips, models: ExplainerModels, store: tuple | None = None) -> EncodedSplit:
     """The clips encoded and scored once, for any number of sweeps on these models; an
-    ``EncodedSplit`` of these models is returned as it is."""
+    ``EncodedSplit`` of these models is returned as it is. With ``store``, a directory and
+    the models' two checkpoint hashes, the split's stored maps are kept there."""
     if isinstance(clips, EncodedSplit):
         if clips.models is not models:
             raise ValueError("the split was encoded by other models")
@@ -143,7 +152,7 @@ def encode_split(clips, models: ExplainerModels) -> EncodedSplit:
     if clips.shape[0] == 0:
         raise ValueError("test set must be nonempty")
     latents = encode_batch(clips, models.codec_params, models.codec_config)
-    return EncodedSplit(models, clips, latents, predict_batch(latents, models.cls_params))
+    return EncodedSplit(models, clips, latents, predict_batch(latents, models.cls_params), store)
 
 
 def _map_samples(fn, items, jobs: int):
@@ -158,8 +167,13 @@ def _map_samples(fn, items, jobs: int):
 
 def _attributions(method, split: EncodedSplit, run_seed, jobs):
     """One attribution map per clip, for the class the head predicts on it; ``run_seed``
-    seeds the random methods."""
+    seeds the random methods. The maps of the ``STORED_METHODS`` come from the split's
+    store where it holds them, and go into it where it does not."""
     clips, latents, targets, models = split.clips, split.latents, split.preds, split.models
+    if method in STORED_METHODS and split.store is not None:
+        scores = _stored_maps(method, split, lambda: np.stack(
+            [a.scores for a in _attributions(method, replace(split, store=None), run_seed, jobs)]))
+        return [AttributionMap(s, int(t), method, models.ig_steps) for s, t in zip(scores, targets)]
     if method == LATENT_IG:
         def one(i):
             return integrated_gradients_latent(LatentGrid(latents[i]), models.base_latent,
@@ -175,6 +189,41 @@ def _attributions(method, split: EncodedSplit, run_seed, jobs):
         def one(i):
             return random_attribution(shape, seed=_derive_seed(run_seed, i), method=method)
     return _map_samples(one, range(len(clips)), jobs)
+
+
+def _stored_maps(method: str, split: EncodedSplit, compute) -> np.ndarray:
+    """The split's ``method`` maps, (M, ...) float32, kept in ``<store>/maps_<method>.bin``
+    as a 32-byte key and the maps in test order. The key is the SHA-256 of both checkpoint
+    hashes, ``ig_steps``, the method, the noise clip, the split's clips and targets, then the
+    maps; no path. A file of another size or key is recomputed by ``compute()`` and rewritten
+    through a writer's own temporary file and a rename; a path that is no readable, writable
+    file leaves the maps unstored. Only input-ig is stored while the bench pins two latent-IG
+    maps per clip on sweep-latent; latent-ig (and confusion's) join when that pin moves."""
+    (directory, checkpoints), models = split.store, split.models
+    path = Path(directory) / f"maps_{method}.bin"
+    key = hashlib.sha256(json.dumps([checkpoints, models.ig_steps, method, split.clips.shape],
+                                    sort_keys=True).encode())
+    for arr, dtype in ((models.noise_clip.samples, "<f4"), (split.clips, "<f4"),
+                       (split.preds, "<i8")):
+        key.update(np.ascontiguousarray(arr, dtype))
+    try:  # each map has its clip's shape; a FIFO or a file of another size is not read
+        fits = path.is_file() and path.stat().st_size == key.digest_size + 4 * split.clips.size
+        raw = path.read_bytes() if fits else b""
+    except OSError:
+        raw = b""
+    check = key.copy()
+    check.update(memoryview(raw)[key.digest_size:])
+    if raw and raw[:key.digest_size] == check.digest():
+        return np.frombuffer(raw, "<f4", offset=key.digest_size).reshape(split.clips.shape)
+    maps = np.ascontiguousarray(compute(), dtype="<f4")
+    key.update(maps)
+    tmp = path.with_name(f".{path.name}.{os.getpid()}-{threading.get_ident()}.tmp")
+    try:
+        tmp.write_bytes(key.digest() + maps.tobytes())
+        os.replace(tmp, path)
+    except OSError:
+        tmp.unlink(missing_ok=True)
+    return maps
 
 
 def _derive_seed(run_seed: int, sample_index: int) -> int:
@@ -294,18 +343,33 @@ def write_report(report: EvalReport, path) -> None:
         json.dump(payload, f, sort_keys=True, indent=1)
 
 
+def _report_field(obj, key: str, kind):
+    """``obj[key]`` if it is a ``kind`` (a bool is no number), else ReportError."""
+    value = obj.get(key) if isinstance(obj, dict) else None
+    if not isinstance(value, kind) or isinstance(value, bool):
+        raise ReportError(f"malformed report: {key!r} is {value!r}")
+    return value
+
+
 def read_report(path) -> EvalReport:
+    """The report at ``path``; ReportError unless it has the fields ``write_report`` writes."""
     try:
-        with open(path) as f:
+        with open(path, encoding="utf-8") as f:
             payload = json.load(f)
-    except json.JSONDecodeError as e:
+    except (UnicodeDecodeError, json.JSONDecodeError) as e:
         raise ReportError(f"malformed report file: {e}") from e
-    if payload.get("version") != REPORT_VERSION:
-        raise ReportError(f"unsupported report version {payload.get('version')}")
-    rows = [RatioRow(r["ratio"], r["mean"], r["std"]) for r in payload["rows"]]
+    version = payload.get("version") if isinstance(payload, dict) else None
+    if type(version) is not int or version != REPORT_VERSION:
+        raise ReportError(f"unsupported report version {version!r}")
+    rows = [RatioRow(*(_report_field(r, k, (int, float)) for k in ("ratio", "mean", "std")))
+            for r in _report_field(payload, "rows", list)]
+    seeds, config = _report_field(payload, "seeds", list), payload.get("config", {})
+    if not all(type(s) is int for s in seeds) or not isinstance(config, dict):
+        raise ReportError(f"malformed report: seeds {seeds!r}, config {config!r}")
     return EvalReport(
-        payload["dataset_id"], payload["method"], payload["metric"], rows,
-        payload["run_count"], payload["seeds"], payload.get("config", {}),
+        _report_field(payload, "dataset_id", str), _report_field(payload, "method", str),
+        _report_field(payload, "metric", str), rows, _report_field(payload, "run_count", int),
+        seeds, config,
     )
 
 

@@ -3,6 +3,7 @@
 import filecmp
 import hashlib
 import json
+import os
 import re
 import shutil
 import struct
@@ -764,6 +765,28 @@ class TestExplain:
         err = capsys.readouterr().err
         assert code == EXIT_MISSING_CHECKPOINT
         assert f"tensor {tensor!r} shape and offset" in err and "Traceback" not in err
+        assert not out.parent.exists()
+
+    @pytest.mark.parametrize("version", [True, 1.0])
+    def test_header_version_is_the_json_integer_1(self, workspace, tmp_path, capsys, version):
+        """true and 1.0 equal 1 in Python, yet neither is the version write_checkpoint writes."""
+        root, cfg = workspace
+        raw = (root / "ckpt" / "codec.ckpt").read_bytes()
+        (hlen,) = struct.unpack_from("<I", raw, 4)
+        header = json.loads(raw[8 : 8 + hlen])
+        header["version"] = version
+        forged = json.dumps(header).encode()
+        bad = tmp_path / "codec.ckpt"
+        bad.write_bytes(b"AXG1" + struct.pack("<I", len(forged)) + forged + raw[8 + hlen :])
+        with pytest.raises(CheckpointError, match="unsupported checkpoint version"):
+            read_checkpoint(bad)
+        clip_path = next((root / "data" / "clips").glob("*.wav"))
+        out = tmp_path / "o" / "expl.wav"
+        code = main(["--config", str(cfg), "explain", "--codec", str(bad),
+                     "--input", str(clip_path), "--alpha", "0.5", "--out", str(out)])
+        err = capsys.readouterr().err
+        assert code == EXIT_MISSING_CHECKPOINT
+        assert "unsupported checkpoint version" in err and "Traceback" not in err
         assert not out.parent.exists()
 
     def test_bad_magic_checkpoint_exits_2(self, workspace, tmp_path, capsys):
@@ -1765,3 +1788,145 @@ class TestDirectConstruction:
         scratch = tmp_path_factory.mktemp("direct")
         for read in readers:
             assert read(config, scratch) == config
+
+
+STORE = "maps_input-ig.bin"
+EVAL_COMMANDS = ("eval-fidelity", "eval-drop")
+
+
+def _quiet_main(argv) -> tuple:
+    """``main(argv)`` with its output held back: the exit code and what went to stderr."""
+    err = StringIO()
+    with redirect_stderr(err), redirect_stdout(StringIO()):
+        code = main(argv)
+    return code, err.getvalue()
+
+
+def _outputs(out: Path) -> dict:
+    """Every file an eval command wrote into ``out`` but the map store, by name."""
+    return {p.name: p.read_bytes() for p in sorted(out.iterdir()) if p.name != STORE}
+
+
+class TestMapStore:
+    """An eval command keeps its input-IG maps in ``maps_input-ig.bin`` in its ``--out``. The
+    next eval command into that directory reads them back where their size and key hold, and
+    computes and rewrites them where they do not; its files are those of a fresh run."""
+
+    @staticmethod
+    def run(cfg, command, out, *extra) -> int:
+        code, err = _quiet_main(["--config", str(cfg), command, "--methods",
+                                 "input-ig,random-input", "--out", str(out), *extra])
+        assert "Traceback" not in err
+        return code
+
+    def test_each_map_computed_once(self, workspace, tmp_path, monkeypatch):
+        root, cfg = workspace
+        calls = []
+
+        def spy(*args, _ig=le_eval.integrated_gradients_input, **kwargs):
+            calls.append(1)
+            return _ig(*args, **kwargs)
+
+        monkeypatch.setattr(le_eval, "integrated_gradients_input", spy)
+        clips = len(read_manifest(root / "data").test_idx)
+        shared = tmp_path / "shared"
+        for command in EVAL_COMMANDS:
+            assert self.run(cfg, command, shared) == 0
+        assert len(calls) == clips
+        alone = {}
+        for command in EVAL_COMMANDS:
+            assert self.run(cfg, command, tmp_path / command) == 0
+            assert (tmp_path / command / STORE).read_bytes() == (shared / STORE).read_bytes()
+            alone.update(_outputs(tmp_path / command))
+        assert len(calls) == 3 * clips
+        assert _outputs(shared) == alone
+
+    def test_store_bytes_depend_on_neither_the_out_path_nor_jobs(self, workspace, tmp_path):
+        _, cfg = workspace
+        a, b = tmp_path / "a", tmp_path / "deeper" / "b"
+        assert self.run(cfg, "eval-fidelity", a, "--jobs", "1") == 0
+        assert self.run(cfg, "eval-fidelity", b, "--jobs", "2") == 0
+        assert (a / STORE).read_bytes() == (b / STORE).read_bytes()
+
+    @pytest.mark.parametrize("kind", ["directory", "fifo"])
+    def test_store_path_that_is_no_file_exits_0(self, workspace, tmp_path, kind):
+        """The maps are computed and the reports written; a FIFO is never opened."""
+        _, cfg = workspace
+        out = tmp_path / "out"
+        out.mkdir()
+        if kind == "directory":
+            (out / STORE).mkdir()
+            (out / STORE / "inside").write_text("kept")
+        else:
+            os.mkfifo(out / STORE)
+        for command in EVAL_COMMANDS:
+            assert finishes(lambda: self.run(cfg, command, out)) == 0
+            assert self.run(cfg, command, tmp_path / command) == 0
+        assert _outputs(out) == {**_outputs(tmp_path / EVAL_COMMANDS[0]),
+                                 **_outputs(tmp_path / EVAL_COMMANDS[1])}
+        if kind == "directory":
+            assert (out / STORE / "inside").read_text() == "kept"
+        assert not [p for p in out.iterdir() if p.name.endswith(".tmp")]
+
+
+# stores of the same size as the property's own, written from other inputs
+FOREIGN_STORES = ("ig_steps", "noise_seed", "test_subset", "checkpoint")
+
+
+class TestMapStoreFuzz:
+    """``eval-drop`` into a directory whose store was damaged (a bit flipped, the tail cut,
+    bytes appended) or written from other inputs gives a fresh run's files and rewrites the
+    store as a fresh run writes it."""
+
+    @pytest.fixture(scope="class")
+    def stores(self, workspace, tmp_path_factory):
+        root, cfg = workspace
+        scratch = tmp_path_factory.mktemp("storefuzz")
+
+        def config(name, **attribution):
+            raw = json.loads(cfg.read_text())
+            raw["attribution"] = {"ig_steps": 8, **attribution}
+            (scratch / name).write_text(json.dumps(raw))
+            return scratch / name
+
+        def run(cfg_path, command, *extra):
+            out = scratch / f"out{len(list(scratch.iterdir()))}"
+            code, _ = _quiet_main(["--config", str(cfg_path), command, "--methods", "input-ig",
+                                   "--out", str(out), *extra])
+            assert code == 0
+            return out
+
+        cfg8 = config("run8.json")
+        fresh, drop = run(cfg8, "eval-fidelity"), run(cfg8, "eval-drop")
+        blob = (fresh / STORE).read_bytes()
+        assert (drop / STORE).read_bytes() == blob
+        data = scratch / "data"
+        shutil.copytree(root / "data", data)
+        manifest = json.loads((data / "manifest.json").read_text())
+        manifest["test_idx"][0] = manifest["train_idx"][0]
+        (data / "manifest.json").write_text(json.dumps(manifest))
+        head = _rewrite_checkpoint(root / "ckpt" / "classifier.ckpt", scratch / "head.ckpt",
+                                   params=lambda p: {**p, "w0": p["w0"] * np.float32(1.1)})
+        foreign = {"ig_steps": run(config("run9.json", ig_steps=9), "eval-fidelity"),
+                   "noise_seed": run(config("noise.json", noise_seed=8), "eval-fidelity"),
+                   "test_subset": run(cfg8, "eval-fidelity", "--data", str(data)),
+                   "checkpoint": run(cfg8, "eval-fidelity", "--classifier", str(head))}
+        foreign = {k: (out / STORE).read_bytes() for k, out in foreign.items()}
+        assert all(len(b) == len(blob) and b != blob for b in foreign.values())
+        return SimpleNamespace(cfg=cfg8, scratch=scratch, store=blob, foreign=foreign,
+                               drop=_outputs(drop))
+
+    @settings(max_examples=40, derandomize=True, database=None, deadline=None)
+    @given(damage=st.one_of(MUTATIONS, st.sampled_from(FOREIGN_STORES)))
+    def test_recomputed_and_rewritten(self, stores, damage):
+        out = stores.scratch / "out"
+        shutil.rmtree(out, ignore_errors=True)
+        out.mkdir()
+        blob = stores.foreign[damage] if isinstance(damage, str) else _mutated(stores.store,
+                                                                                damage)
+        (out / STORE).write_bytes(blob)
+        code, err = _quiet_main(["--config", str(stores.cfg), "eval-drop", "--methods",
+                                 "input-ig", "--out", str(out)])
+        assert code == 0, err
+        assert (out / STORE).read_bytes() == stores.store
+        assert _outputs(out) == stores.drop

@@ -1,5 +1,7 @@
 """Evaluation harness: sweep bookkeeping, report serialization, boundary identities."""
 
+import json
+
 import numpy as np
 import pytest
 
@@ -46,6 +48,44 @@ class TestReportSerialization:
     def test_version_rejected(self, tmp_path):
         path = tmp_path / "bad.json"
         path.write_text('{"version": 99}')
+        with pytest.raises(ReportError):
+            read_report(path)
+
+    @pytest.mark.parametrize("version", [1.0, True, "1", None])
+    def test_version_must_be_the_json_integer_1(self, tmp_path, version):
+        """1.0 and true equal 1 in Python, yet neither is the version write_report writes."""
+        path = tmp_path / "r.json"
+        write_report(self.make_report(), path)
+        payload = json.loads(path.read_text())
+        payload["version"] = version
+        path.write_text(json.dumps(payload))
+        with pytest.raises(ReportError, match="unsupported report version"):
+            read_report(path)
+
+    @pytest.mark.parametrize("key,value", [
+        ("rows", None), ("rows", "abc"), ("rows", [[0.1, 83.5, 2.25]]), ("rows", [{"ratio": 0.1}]),
+        ("rows", [{"ratio": 0.1, "mean": "83.5", "std": 0.0}]),
+        ("rows", [{"ratio": True, "mean": 83.5, "std": 0.0}]), ("method", None), ("method", 3),
+        ("metric", ["agreement"]), ("dataset_id", None), ("run_count", None),
+        ("run_count", 5.0), ("run_count", True), ("seeds", None), ("seeds", [1234.0]),
+        ("seeds", {"a": 1}), ("config", []),
+    ])
+    def test_malformed_field_is_a_report_error(self, tmp_path, key, value):
+        path = tmp_path / "r.json"
+        write_report(self.make_report(), path)
+        payload = json.loads(path.read_text())
+        if value is None:
+            del payload[key]
+        else:
+            payload[key] = value
+        path.write_text(json.dumps(payload))
+        with pytest.raises(ReportError, match="malformed report"):
+            read_report(path)
+
+    @pytest.mark.parametrize("raw", [b"[1]", b"1", b"\xff\xfe{}"])
+    def test_report_that_is_no_json_object_is_a_report_error(self, tmp_path, raw):
+        path = tmp_path / "r.json"
+        path.write_bytes(raw)
         with pytest.raises(ReportError):
             read_report(path)
 
