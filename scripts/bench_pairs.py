@@ -5,18 +5,20 @@
         --workload sweep-waveform --seeds 27101-27110 --out BENCH_pr<N>.json
 
 Each seed is one pair: both trees run ``bench/run.py --workload W --seed S --seconds N
---trace 0``, one after the other. The parent runs first in the 1st, 3rd, 5th ... pair and
-the change first in the others. Both trees must hold the same cached models
-(``.artifacts/*.ckpt``; the script exits 2 otherwise) and corpora (``.bench_out/corpus/``):
-copy them into a fresh tree before the first pair, or its first run builds its own.
+--trace 0``, N the ``run_seconds`` of ``BENCHMARK.json``, one after the other. The parent
+runs first in the 1st, 3rd, 5th ... pair and the change first in the others. Both trees
+must hold the same cached models (``.artifacts/*.ckpt``; the script exits 2 otherwise) and
+corpora (``.bench_out/corpus/``): copy them into a fresh tree before the first pair, or its
+first run builds its own.
 
 The JSON written to ``--out`` keeps each run's last stdout line: its JSON result, or the
 line as it is where it holds none. An existing file of this shape is extended, and each
-workload's summary covers all of that workload's runs in the file. Per end-to-end metric of
-``BENCHMARK.json``, the summary holds both trees' quartiles, the pairs the change won and
-the verdict of the claim rule: the change is better in at least 9 of every 10 pairs run,
-over at least 10 pairs, the medians differ by more than the parent's interquartile range,
-and the change fails no more units than the parent.
+workload's summary covers all of that workload's runs in the file; a file whose runs used
+other models or another run length is left as it is, and the script exits 2. Per
+end-to-end metric of ``BENCHMARK.json``, the summary holds both trees' quartiles, the pairs
+the change won and the verdict of the claim rule: the change is better in at least 9 of
+every 10 pairs run, over at least 10 pairs, the medians differ by more than the parent's
+interquartile range, and the change fails no more units than the parent.
 A pair in which both trees read worse than the parent's quartile on the worse side (below
 q1 where higher is better, above q3 where lower is better) is flagged as a slow stretch
 of the host; it is kept in every figure.
@@ -39,12 +41,13 @@ ROOT = Path(__file__).resolve().parent.parent
 SIDES = ("parent", "change")
 MIN_PAIRS = 10
 WIN_SHARE = 0.9  # of the pairs the change must win
+SPEC = json.loads((ROOT / "BENCHMARK.json").read_text())
+RUN_SECONDS = SPEC["run_seconds"]
 
 
 def end_to_end() -> list:
     """(name, better) of each end-to-end metric of ``BENCHMARK.json``."""
-    spec = json.loads((ROOT / "BENCHMARK.json").read_text())
-    return [(m["name"], m["better"]) for m in spec["end_to_end"]]
+    return [(m["name"], m["better"]) for m in SPEC["end_to_end"]]
 
 
 def quartiles(values: list) -> dict:
@@ -112,10 +115,10 @@ def print_summary(summary: dict, metrics: list) -> None:
                   f"of {entry['pairs']}: {m['verdict']}{worse}")
 
 
-def run_bench(tree: Path, workload: str, seed: int, seconds: int) -> tuple:
+def run_bench(tree: Path, workload: str, seed: int) -> tuple:
     """``bench/run.py`` in ``tree``: its exit code and its last stdout line."""
     proc = subprocess.run([sys.executable, "bench/run.py", "--workload", workload, "--seed",
-                           str(seed), "--seconds", str(seconds), "--trace", "0"],
+                           str(seed), "--seconds", str(RUN_SECONDS), "--trace", "0"],
                           cwd=tree, capture_output=True, text=True)
     lines = proc.stdout.strip().splitlines()
     return proc.returncode, lines[-1] if lines else ""
@@ -132,8 +135,6 @@ def main(argv=None) -> int:
     p.add_argument("--change", required=True, help="tree of the change")
     p.add_argument("--workload", required=True)
     p.add_argument("--seeds", required=True, help="A-B: one pair per seed from A to B")
-    p.add_argument("--seconds", type=int,
-                   default=json.loads((ROOT / "BENCHMARK.json").read_text())["run_seconds"])
     p.add_argument("--out", required=True, help="JSON file, extended if it exists")
     args = p.parse_args(argv)
     first, _, last = args.seeds.partition("-")
@@ -147,21 +148,26 @@ def main(argv=None) -> int:
         return 2
     out = Path(args.out)
     doc = json.loads(out.read_text()) if out.exists() else {
-        "command": "python3 bench/run.py --workload W --seed S --seconds N --trace 0",
+        "command": f"python3 bench/run.py --workload W --seed S --seconds {RUN_SECONDS} "
+                   "--trace 0",
         "order": "the parent runs first in the 1st, 3rd, 5th ... pair of each batch",
         "host": {"vcpus": os.cpu_count(), "python": platform.python_version(),
                  "machine": platform.machine()},
         "models": caches["parent"], "runs": []}
+    if doc["models"] != caches["parent"] or any(r["seconds"] != RUN_SECONDS
+                                                for r in doc["runs"]):
+        print(f"{out} holds runs on other models or of another length", file=sys.stderr)
+        return 2
     metrics = end_to_end()
     for k, seed in enumerate(range(int(first), int(last) + 1)):
         for side in SIDES if k % 2 == 0 else SIDES[::-1]:
-            code, line = run_bench(trees[side], args.workload, seed, args.seconds)
+            code, line = run_bench(trees[side], args.workload, seed)
             try:
                 result = json.loads(line)
             except json.JSONDecodeError:
                 result = None
             doc["runs"].append({"side": side, "workload": args.workload, "seed": seed,
-                                "seconds": args.seconds, "exit": code, "result": result,
+                                "seconds": RUN_SECONDS, "exit": code, "result": result,
                                 **({} if result else {"line": line})})
             out.write_text(json.dumps(doc, indent=1) + "\n")  # a cut batch keeps its runs
             print(f"{args.workload} seed {seed} {side}: exit {code}", file=sys.stderr)

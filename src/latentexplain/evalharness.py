@@ -71,6 +71,7 @@ ALL_METHODS = (LATENT_IG, RANDOM_LATENT, INPUT_IG, RANDOM_INPUT)
 LATENT_METHODS = (LATENT_IG, RANDOM_LATENT)  # sweeps that mask latents and encode nothing
 _DETERMINISTIC = (LATENT_IG, INPUT_IG)
 STORED_METHODS = (INPUT_IG,)  # kept in a split's store (``_stored_maps``)
+MAPS_VERSION = 1  # in every store key: bump it when a stored method's numbers change
 
 
 class ReportError(ValueError):
@@ -193,16 +194,18 @@ def _attributions(method, split: EncodedSplit, run_seed, jobs):
 
 def _stored_maps(method: str, split: EncodedSplit, compute) -> np.ndarray:
     """The split's ``method`` maps, (M, ...) float32, kept in ``<store>/maps_<method>.bin``
-    as a 32-byte key and the maps in test order. The key is the SHA-256 of both checkpoint
-    hashes, ``ig_steps``, the method, the noise clip, the split's clips and targets, then the
-    maps; no path. A file of another size or key is recomputed by ``compute()`` and rewritten
-    through a writer's own temporary file and a rename; a path that is no readable, writable
-    file leaves the maps unstored. Only input-ig is stored while the bench pins two latent-IG
-    maps per clip on sweep-latent; latent-ig (and confusion's) join when that pin moves."""
+    as a 32-byte key and the maps in test order. The key is the SHA-256 of ``MAPS_VERSION``,
+    both checkpoint hashes, ``ig_steps``, the method, the noise clip, the split's clips and
+    targets, then the maps; no path. A change to the numbers any stored method gives must
+    bump ``MAPS_VERSION``, or an older file would pass as this code's maps. A file of another
+    size or key is recomputed by ``compute()`` and rewritten through a writer's own temporary
+    file and a rename; a path that is no readable, writable file leaves the maps unstored.
+    Only input-ig is stored while the bench pins two latent-IG maps per clip on sweep-latent;
+    latent-ig (and confusion's) join when that pin moves."""
     (directory, checkpoints), models = split.store, split.models
     path = Path(directory) / f"maps_{method}.bin"
-    key = hashlib.sha256(json.dumps([checkpoints, models.ig_steps, method, split.clips.shape],
-                                    sort_keys=True).encode())
+    key = hashlib.sha256(json.dumps([MAPS_VERSION, checkpoints, models.ig_steps, method,
+                                     split.clips.shape], sort_keys=True).encode())
     for arr, dtype in ((models.noise_clip.samples, "<f4"), (split.clips, "<f4"),
                        (split.preds, "<i8")):
         key.update(np.ascontiguousarray(arr, dtype))

@@ -77,7 +77,7 @@ def test_json_holds_every_run(tmp_path, monkeypatch, capsys):
     order, lines = [], iter([json.dumps(result(v)) for v in CLIPS * 2]
                           + ["Traceback", json.dumps(result(9.0))])
 
-    def canned(tree, workload, seed, seconds):
+    def canned(tree, workload, seed):
         order.append((tree.name, seed))
         return 0, next(lines)
 
@@ -97,6 +97,17 @@ def test_json_holds_every_run(tmp_path, monkeypatch, capsys):
     assert doc["runs"][-2]["result"] is None and "line" not in doc["runs"][-1]
     assert doc["summary"]["sweep-waveform"]["pairs"] == 11  # the failed pair counts as run
     assert not doc["summary"]["sweep-waveform"]["all_correct"]
+    kept = out.read_text()
+    for field, value in (("models", {"codec_kw.ckpt": "other"}), ("seconds", 30)):
+        other = json.loads(kept)
+        if field == "models":
+            other["models"] = value
+        else:
+            other["runs"][0]["seconds"] = value
+        out.write_text(json.dumps(other))
+        assert bench_pairs.main(argv + ["--seeds", "16-16"]) == 2  # not pooled with this batch
+        assert json.loads(out.read_text()) == other
+    assert len(order) == 22
 
 
 def test_trees_with_other_models_exit_2(tmp_path):

@@ -1869,8 +1869,9 @@ class TestMapStore:
         assert not [p for p in out.iterdir() if p.name.endswith(".tmp")]
 
 
-# stores of the same size as the property's own, written from other inputs
-FOREIGN_STORES = ("ig_steps", "noise_seed", "test_subset", "checkpoint")
+# stores of the same size as the property's own, written from other inputs or by code of
+# another MAPS_VERSION
+FOREIGN_STORES = ("ig_steps", "noise_seed", "test_subset", "checkpoint", "maps_version")
 
 
 class TestMapStoreFuzz:
@@ -1911,6 +1912,9 @@ class TestMapStoreFuzz:
                    "noise_seed": run(config("noise.json", noise_seed=8), "eval-fidelity"),
                    "test_subset": run(cfg8, "eval-fidelity", "--data", str(data)),
                    "checkpoint": run(cfg8, "eval-fidelity", "--classifier", str(head))}
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(le_eval, "MAPS_VERSION", le_eval.MAPS_VERSION + 1)
+            foreign["maps_version"] = run(cfg8, "eval-fidelity")
         foreign = {k: (out / STORE).read_bytes() for k, out in foreign.items()}
         assert all(len(b) == len(blob) and b != blob for b in foreign.values())
         return SimpleNamespace(cfg=cfg8, scratch=scratch, store=blob, foreign=foreign,
