@@ -18,7 +18,11 @@ other models or another run length is left as it is, and the script exits 2. Per
 end-to-end metric of ``BENCHMARK.json``, the summary holds both trees' quartiles, the pairs
 the change won and the verdict of the claim rule: the change is better in at least 9 of
 every 10 pairs run, over at least 10 pairs, the medians differ by more than the parent's
-interquartile range, and the change fails no more units than the parent.
+interquartile range, and the change fails no more units than the parent. It also holds
+the no-regression verdict against the metric's ``bound``: "worse past bound" when the
+change's median is worse than the parent's by more than that share of it, "unresolved"
+when the parent's own q1-q3 spread is wider than that share of its median and not every
+change run reads better than every parent run, and "within bound" otherwise.
 A pair in which both trees read worse than the parent's quartile on the worse side (below
 q1 where higher is better, above q3 where lower is better) is flagged as a slow stretch
 of the host; it is kept in every figure.
@@ -46,8 +50,8 @@ RUN_SECONDS = SPEC["run_seconds"]
 
 
 def end_to_end() -> list:
-    """(name, better) of each end-to-end metric of ``BENCHMARK.json``."""
-    return [(m["name"], m["better"]) for m in SPEC["end_to_end"]]
+    """(name, better, bound) of each end-to-end metric of ``BENCHMARK.json``."""
+    return [(m["name"], m["better"], m["bound"]) for m in SPEC["end_to_end"]]
 
 
 def quartiles(values: list) -> dict:
@@ -57,7 +61,8 @@ def quartiles(values: list) -> dict:
 
 def summarize(runs: list, metrics: list) -> dict:
     """Per workload of ``runs``: pairs, correctness and, per metric of ``metrics``, both trees'
-    quartiles, the pairs the change won, the pairs both read worse and the claim verdict.
+    quartiles, the pairs the change won, the pairs both read worse, the claim verdict and
+    the no-regression verdict.
 
     A run is a dict with ``side``, ``workload``, ``seed`` and ``result``, the parsed last line
     of ``bench/run.py`` (None when the run printed none). A pair is the two sides' runs of one
@@ -82,7 +87,7 @@ def summarize(runs: list, metrics: list) -> dict:
             "failed_units": sum(failed.values())}
         if len(whole) < 2:
             continue
-        for name, better in metrics:
+        for name, better, limit in metrics:
             value = {side: [p[side]["metrics"][name]["value"] for _, p in whole] for side in SIDES}
             sign = 1 if better == "higher" else -1
             won = sum(sign * (c - p) > 0 for p, c in zip(value["parent"], value["change"]))
@@ -93,8 +98,17 @@ def summarize(runs: list, metrics: list) -> dict:
             gap = sign * (change["median"] - parent["median"])
             claim = (len(pairs) >= MIN_PAIRS and won >= math.ceil(WIN_SHARE * len(pairs))
                      and gap > parent["q3"] - parent["q1"] and failed["change"] <= failed["parent"])
+            if (parent["q3"] - parent["q1"] > limit * abs(parent["median"])
+                    and min(sign * v for v in value["change"])
+                    <= max(sign * v for v in value["parent"])):
+                regression = "unresolved"
+            elif gap < -limit * abs(parent["median"]):
+                regression = "worse past bound"
+            else:
+                regression = "within bound"
             entry[name] = {"parent": parent, "change": change, "change_better_pairs": won,
-                           "both_worse_pairs": worse, "verdict": "claim" if claim else "no claim"}
+                           "both_worse_pairs": worse, "verdict": "claim" if claim else "no claim",
+                           "bound": limit, "regression": regression}
     return summary
 
 
@@ -102,7 +116,7 @@ def print_summary(summary: dict, metrics: list) -> None:
     for workload, entry in summary.items():
         print(f"{workload}: {entry['pairs']} pairs, seeds {entry['seeds']}, all correct "
               f"{entry['all_correct']}, {entry['failed_units']} failed units")
-        for name, _better in metrics:
+        for name, *_ in metrics:
             if name not in entry:
                 continue
             m = entry[name]
@@ -112,7 +126,8 @@ def print_summary(summary: dict, metrics: list) -> None:
             print(f"  {name}: median {p['median']:.4g} -> {c['median']:.4g} "
                   f"({100 * (c['median'] / p['median'] - 1):+.1f} %), parent q1-q3 "
                   f"{p['q1']:.4g}-{p['q3']:.4g}, change better in {m['change_better_pairs']} "
-                  f"of {entry['pairs']}: {m['verdict']}{worse}")
+                  f"of {entry['pairs']}: {m['verdict']}, {m['regression']} "
+                  f"({100 * m['bound']:g} %){worse}")
 
 
 def run_bench(tree: Path, workload: str, seed: int) -> tuple:

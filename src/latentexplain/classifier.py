@@ -38,7 +38,7 @@ from . import autodiff as ad
 from .autodiff import DimensionError
 from .checkpoint import Checkpoint
 from .codec import LatentGrid
-from .data import CLASSES, COUNT, FRACTION, POSITIVE, SIZE, Rule, check_fields, integer
+from .data import CLASSES, COUNT, FRACTION, POSITIVE, SIZE, Checked, Rule, check_fields, integer
 from .optim import AdamConfig, minibatch_adam
 
 
@@ -49,13 +49,19 @@ POOLING = Rule(lambda v: v in POOLINGS, f"expected one of {POOLINGS}, got {{!r}}
 
 
 @dataclass
-class ClassifierConfig:
-    num_classes: int = CLASSES()
-    latent_channels: int = SIZE(32)
+class HeadSettings(Checked):
+    """The head's width and training, which a run config and a head checkpoint both set."""
+
     hidden: int = SIZE(64)
     lr: float = POSITIVE(1e-3)
     batch_size: int = COUNT(32)
     epochs: int = COUNT(150)
+
+
+@dataclass(kw_only=True)
+class ClassifierConfig(HeadSettings):
+    num_classes: int = CLASSES()
+    latent_channels: int = SIZE(32)
     pooling: str = POOLING("mean")
     # anchor-class substitution augmentation; active only when train_classifier
     # is also given a substitution base grid
@@ -116,27 +122,26 @@ def _pool_gate(params: dict) -> float:
 _TILE_CELLS = 1 << 17
 
 
-def _head_from_preact(pre: np.ndarray | None, params: dict, grad: bool = True,
-                      latents: np.ndarray | None = None):
+def _head_from_preact(pre: np.ndarray | None, params: dict, latents: np.ndarray | None = None):
     """The head after its first affine layer, on (B, T, H) frame pre-activations.
 
     Works through ``pre`` in place, in tiles of whole rows of about ``_TILE_CELLS``
     cells, with one tile-sized scratch in ``pre``'s memory layout. Per tile: the ELU,
-    the time mean and, when a pool gate adds the max term, each channel's max. With
-    ``grad``, the max is gathered at each channel's first-argmax frame, and the tile is
-    then overwritten with elu'(pre) = expm1(min(pre, 0)) + 1 from the ELU's negative
-    part, which equals min(elu(pre), 0) + 1 bit for bit. Without it (inference), the
-    max comes from ``max`` and ``pre`` is left holding elu(pre).
+    the time mean and, when a pool gate adds the max term, each channel's max. The max
+    is gathered at each channel's first-argmax frame, and the tile is then overwritten
+    with elu'(pre) = expm1(min(pre, 0)) + 1 from the ELU's negative part, which equals
+    min(elu(pre), 0) + 1 bit for bit.
 
-    Inference may pass (B, T, L) ``latents`` and no ``pre``: each tile's pre-activations
+    Inference passes (B, T, L) ``latents`` and no ``pre``: each tile's pre-activations
     ``latents @ w0 + b0`` are then built in one tile-sized buffer, so no (B, T, H) array
-    is held, and the first value returned is None.
+    is held, the max comes from ``max``, and the first value returned is None.
 
     Returns ``pre``, each channel's first-argmax frame (B, H) (None without a gate or
-    without ``grad``), the pooled embedding (B, H), the pre-activation of the hidden
+    for inference), the pooled embedding (B, H), the pre-activation of the hidden
     layer (B, H), its ELU and the logits (B, C): everything ``_head_vjp`` reads.
     """
-    if latents is None:
+    grad = latents is None
+    if grad:
         b, t, h = pre.shape
         dtype = pre.dtype
     else:
@@ -146,13 +151,13 @@ def _head_from_preact(pre: np.ndarray | None, params: dict, grad: bool = True,
     pooled = np.empty((b, h), dtype=dtype)
     arg = np.empty((b, h), dtype=np.intp) if gate and grad else None
     rows = max(1, _TILE_CELLS // max(1, t * h))
-    if latents is None:
+    if grad:
         scratch = np.empty_like(pre[:rows])
     else:
         scratch, built = np.empty((2, min(rows, b), t, h), dtype=dtype)
     for r in range(0, b, rows):
         pool = pooled[r : r + rows]
-        if latents is None:
+        if grad:
             tile = pre[r : r + rows]
         else:
             tile = np.matmul(latents[r : r + rows], params["w0"], out=built[: len(pool)])
@@ -214,7 +219,7 @@ def _onehot(target: int, rows: int, classes: int) -> np.ndarray:
 
 
 def _logits_np(latents: np.ndarray, params: dict) -> np.ndarray:
-    return _head_from_preact(None, params, grad=False, latents=latents)[-1]
+    return _head_from_preact(None, params, latents)[-1]
 
 
 def classify(z: LatentGrid, params: dict) -> np.ndarray:

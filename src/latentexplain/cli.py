@@ -11,7 +11,8 @@ corpus holds, 3 malformed config or arguments (an argument argparse rejects; a
 path of the wrong kind; any config value of the wrong type or out of range, by the rules
 its dataclass declares: every value and the output path are checked before any input is
 read; an ``ig_steps`` that, with the head's ``hidden``, asks latent IG's step buffer for
-over 2^24 cells, once both checkpoints are read), 4 data error (including a clip shorter
+over 2^24 cells, or a codec whose encoder asks the workspace of the command's largest pass
+for over 2^26, once both checkpoints are read), 4 data error (including a clip shorter
 than one latent frame, audio at another sample rate than the codec's, and a split the
 command cannot use).
 Clip length and sample rate come from the corpus, not the config's ``dataset`` section.
@@ -26,24 +27,27 @@ import json
 import sys
 from dataclasses import asdict, dataclass, field, fields, replace
 from pathlib import Path
-from types import SimpleNamespace
 
 from . import __version__
 from .audio import LengthError, NonFiniteError, WavFormatError, wav_read, wav_write
 from .checkpoint import CheckpointError, file_sha256, read_checkpoint, write_checkpoint
-from .classifier import (POOL_GATES, POOLING, POOLINGS, ClassifierConfig, classifier_param_shapes,
-                         evaluate_accuracy, predict_batch, train_classifier)
-from .codec import (CodecConfig, CodecTrainConfig, codec_param_shapes, decode, encode, encode_batch,
-                    run_pair, train_autoencoder)
-from .data import (COUNT, DECAY, FRACTION, FRACTIONS, LAYERS, POSITIVE, SEED, SIZE, TEXT, Checked,
-                   DatasetError, Rule, SyntheticDatasetSpec, check_fields, generate_dataset,
-                   integer, read_clips, read_manifest, save_dataset)
-from .attribution import integrated_gradients_latent
+from .classifier import (POOL_GATES, POOLING, POOLINGS, ClassifierConfig, HeadSettings,
+                         classifier_param_shapes, evaluate_accuracy, predict_batch,
+                         train_classifier)
+from .codec import (CodecConfig, CodecLayers, CodecTrainConfig, codec_param_shapes, decode, encode,
+                    encode_batch, run_pair, train_autoencoder, workspace_cells)
+from .data import (COUNT, FRACTION, FRACTIONS, SEED, SIZE, TEXT, Checked, DatasetError, Rule,
+                   SyntheticDatasetSpec, generate_dataset, integer, read_clips, read_manifest,
+                   save_dataset)
+from .attribution import DEFAULT_IG_STEPS, ENCODE_ROWS, integrated_gradients_latent
 from .masking import apply_mask_keep, make_base_latent, select_top
 from .evalharness import (
     ALL_METHODS,
     DEFAULT_ALPHAS,
+    DEFAULT_BASE_SEED,
     DEFAULT_BETAS,
+    DEFAULT_NOISE_SEED,
+    DEFAULT_RUNS,
     LATENT_METHODS,
     accuracy_drop,
     build_models,
@@ -87,38 +91,24 @@ class PathsConfig(Checked):
     report_dir: str = TEXT("reports")
 
 
+def _values(config, cls) -> dict:
+    """The values of the fields of ``config`` that ``cls``, one of its bases, declares."""
+    return {f.name: getattr(config, f.name) for f in fields(cls)}
+
+
 @dataclass
-class CodecSection:
-    channels: list = LAYERS([16, 24, 32])
-    kernel_sizes: list = LAYERS([8, 8, 8])
-    strides: list = LAYERS([4, 4, 4])
-    latent_channels: int = SIZE(32)
-    lr: float = POSITIVE(1e-3)
-    beta1: float = DECAY(0.9)
-    beta2: float = DECAY(0.999)
-    batch_size: int = COUNT(16)
-    epochs: int = COUNT(30)
+class CodecSection(CodecTrainConfig, CodecLayers):
     seed: int = SEED(0)
 
-    def __post_init__(self):
-        check_fields(self)
-        self.codec_config(16000)  # the layers' rules across fields, which hold at any rate
-
     def codec_config(self, sample_rate: int) -> CodecConfig:
-        return CodecConfig(sample_rate=sample_rate, channels=self.channels, strides=self.strides,
-                           kernel_sizes=self.kernel_sizes, latent_channels=self.latent_channels)
+        return CodecConfig(sample_rate=sample_rate, **_values(self, CodecLayers))
 
     def train_config(self) -> CodecTrainConfig:
-        return CodecTrainConfig(lr=self.lr, beta1=self.beta1, beta2=self.beta2,
-                                batch_size=self.batch_size, epochs=self.epochs)
+        return CodecTrainConfig(**_values(self, CodecTrainConfig))
 
 
 @dataclass
-class ClassifierSection(Checked):
-    hidden: int = SIZE(64)
-    lr: float = POSITIVE(1e-3)
-    batch_size: int = COUNT(32)
-    epochs: int = COUNT(150)
+class ClassifierSection(HeadSettings):
     seed: int = SEED(0)
     # None: choose by dataset ("mean-max" when a neutral class exists, else "mean")
     pooling: str | None = Rule(lambda v: v is None or POOLING.holds(v),
@@ -127,16 +117,16 @@ class ClassifierSection(Checked):
 
 @dataclass
 class AttributionSection(Checked):
-    ig_steps: int = SIZE(64)
-    noise_seed: int = SEED(7)
+    ig_steps: int = SIZE(DEFAULT_IG_STEPS)
+    noise_seed: int = SEED(DEFAULT_NOISE_SEED)
 
 
 @dataclass
 class EvalSection(Checked):
     alphas: list = FRACTIONS(list(DEFAULT_ALPHAS))
     betas: list = FRACTIONS(list(DEFAULT_BETAS))
-    runs: int = COUNT(5)
-    base_seed: int = SEED(1234)
+    runs: int = COUNT(DEFAULT_RUNS)
+    base_seed: int = SEED(DEFAULT_BASE_SEED)
 
 
 @dataclass
@@ -212,12 +202,11 @@ _CHECKPOINT_KINDS = {"codec": (CodecConfig(), codec_param_shapes),
 def _load_checkpoint(cfg: RunConfig, given, kind: str):
     """The checkpoint at ``given`` (or the default path) and its config, both checked.
 
-    The config must have exactly the fields of the kind's dataclass, and is read as a config
-    section is (``_from_dict``), so that its dataclass checks each value; the tensors must
-    have the names and shapes that the kind's shape function gives for the values, worked
-    out without building a tensor. Where a value breaks its field's rule and the values give
-    other shapes than the tensors have, the tensors are reported. A head's ``pool_max`` gate
-    must be the one its ``pooling`` names. CheckpointError otherwise.
+    The config must have exactly the fields of the kind's dataclass, and is read first, as a
+    config section is (``_from_dict``), so that its dataclass checks each value; then the
+    tensors must have the names and shapes that the kind's shape function gives for the
+    checked config, worked out without building a tensor. A head's ``pool_max`` gate must be
+    the one its ``pooling`` names. CheckpointError otherwise.
     """
     p = _checkpoint_path(cfg, given, kind)
     if not p.is_file():
@@ -229,17 +218,11 @@ def _load_checkpoint(cfg: RunConfig, given, kind: str):
     keys = sorted(f.name for f in fields(default))
     if not isinstance(ckpt.config, dict) or sorted(ckpt.config) != keys:
         raise CheckpointError(f"{p}: the {kind} config must have exactly the keys {keys}")
-    got = {name: t.shape for name, t in ckpt.params.items()}
-    try:  # the shapes that the unchecked values give
-        want = param_shapes(SimpleNamespace(**ckpt.config))
-    except TypeError:
-        want = {}
     try:
         config = _from_dict(default, ckpt.config, "config")
-    except ConfigError as e:  # but a field's value that gives other tensors: report those
-        if not (hasattr(e.__cause__, "field") and want and want != got
-                and all(integer(0).holds(width) for shape in want.values() for width in shape)):
-            raise CheckpointError(f"{p}: bad {kind} config: {e}") from e
+    except ConfigError as e:
+        raise CheckpointError(f"{p}: bad {kind} config: {e}") from e
+    got, want = {name: t.shape for name, t in ckpt.params.items()}, param_shapes(config)
     if got != want:
         raise CheckpointError(f"{p}: tensors {got} do not match its {kind} config's {want}")
     if kind == "classifier":
@@ -297,12 +280,14 @@ def _out_path(path, directory: bool) -> Path:
 
 
 def _load_models(cfg: RunConfig, args, source, sample_rate: int, clip_length: int,
-                 num_classes: int | None = None):
+                 num_classes: int | None = None, rows: int = ENCODE_ROWS):
     """Both checkpoints, checked, and the explainer models for ``source``'s clips.
 
     The clips are at ``sample_rate`` and ``clip_length`` samples long; with
-    ``num_classes``, the head must predict that many classes. Returns the models and the
-    SHA-256 of the two checkpoint files, named as in provenance.
+    ``num_classes``, the head must predict that many classes. ``rows`` are the rows of the
+    command's largest encoder pass: by default waveform IG's chunk of path points, more than
+    any ``encode_batch`` pass holds. Returns the models and the SHA-256 of the two
+    checkpoint files, named as in provenance.
     """
     _, codec_ckpt, codec_cfg = _load_codec(cfg, args.codec, source, sample_rate)
     _, cls_ckpt, head_cfg = _load_checkpoint(cfg, args.classifier, "classifier")
@@ -318,6 +303,12 @@ def _load_models(cfg: RunConfig, args, source, sample_rate: int, clip_length: in
     if cells > 2**24:
         raise ConfigError(f"attribution.ig_steps {steps} and the classifier's hidden {hidden}"
                           f" ask latent IG's step buffer for {cells} cells, past 2^24")
+    # an encoder pass's workspace: at most 2^26 float32 cells, 256 MiB (README)
+    n = codec_cfg.required_input_length(clip_length // codec_cfg.stride_product)
+    cells = workspace_cells(codec_cfg, rows, n)
+    if cells > 2**26:
+        raise ConfigError(f"the codec's encoder asks the workspace of a {rows}-row pass of"
+                          f" {clip_length} samples for {cells} cells, past 2^26")
     models = build_models(
         codec_cfg, codec_ckpt.params, cls_ckpt.params,
         clip_length=clip_length, noise_seed=cfg.attribution.noise_seed,
@@ -366,12 +357,9 @@ def cmd_train_classifier(cfg: RunConfig, args) -> int:
     head_cfg = ClassifierConfig(
         num_classes=len(ds.class_names),
         latent_channels=codec_cfg.latent_channels,
-        hidden=cfg.classifier.hidden,
-        lr=cfg.classifier.lr,
-        batch_size=cfg.classifier.batch_size,
-        epochs=cfg.classifier.epochs,
         pooling=pooling,
         anchor_class=anchor,
+        **_values(cfg.classifier, HeadSettings),
     )
     sub_base = None
     if anchor is not None:
@@ -401,7 +389,7 @@ def cmd_explain(cfg: RunConfig, args) -> int:
     FRACTION.check("--alpha", args.alpha, ConfigError)
     out = _out_path(args.out, directory=False)
     clip = wav_read(args.input)
-    models, ckpt_hashes = _load_models(cfg, args, args.input, clip.sample_rate, len(clip))
+    models, ckpt_hashes = _load_models(cfg, args, args.input, clip.sample_rate, len(clip), rows=1)
     codec_cfg = models.codec_config
     z = encode(clip, models.codec_params, codec_cfg)
     target = int(predict_batch(z.values[None], models.cls_params)[0])

@@ -75,18 +75,16 @@ class LatentGrid:
 
 
 @dataclass
-class CodecConfig:
-    sample_rate: int = RATE(16000)
-    channels: tuple = LAYERS((16, 24, 32))
-    kernel_sizes: tuple = LAYERS((8, 8, 8))
-    strides: tuple = LAYERS((4, 4, 4))
+class CodecLayers(Checked):
+    """The codec's layers, which a run config's ``codec`` section and a checkpoint both set."""
+
+    channels: list = LAYERS([16, 24, 32])
+    kernel_sizes: list = LAYERS([8, 8, 8])
+    strides: list = LAYERS([4, 4, 4])
     latent_channels: int = SIZE(32)
 
     def __post_init__(self):
         check_fields(self)
-        self.channels = tuple(self.channels)
-        self.kernel_sizes = tuple(self.kernel_sizes)
-        self.strides = tuple(self.strides)
         if not len(self.channels) == len(self.kernel_sizes) == len(self.strides):
             raise ValueError("channels, kernel_sizes, strides must be of equal length")
         if self.channels[-1] != self.latent_channels:
@@ -98,6 +96,16 @@ class CodecConfig:
                                                       self.kernel_sizes, self.strides))
         if n > 2**24:
             raise ValueError(f"the layers' C_in x C_out x (kernel + stride) sum to {n}, past 2^24")
+
+
+@dataclass
+class CodecConfig(CodecLayers):
+    sample_rate: int = RATE(16000)
+
+    def __post_init__(self):
+        super().__post_init__()
+        self.channels, self.kernel_sizes, self.strides = map(
+            tuple, (self.channels, self.kernel_sizes, self.strides))
 
     @property
     def stride_product(self) -> int:
@@ -131,13 +139,14 @@ class CodecTrainConfig(Checked):
 
 
 def codec_param_shapes(config: CodecConfig) -> dict:
-    """Name -> shape of every codec tensor, in the order ``init_codec_params`` draws them."""
+    """Name -> shape of every codec tensor, in the order ``init_codec_params`` draws them, from
+    the checked config alone: ``cli`` checks a checkpoint's tensors by it, building none."""
     shapes = {}
     cin = 1
     for i, (c, k) in enumerate(zip(config.channels, config.kernel_sizes)):
         shapes[f"enc{i}_w"], shapes[f"enc{i}_b"] = (c, cin, k), (c,)
         cin = c
-    dec_channels = [1, *config.channels][-2::-1]  # of any sequence: cli reads it unchecked
+    dec_channels = [1, *config.channels][-2::-1]
     cin = config.latent_channels
     for i, (c, k) in enumerate(zip(dec_channels, reversed(config.kernel_sizes))):
         shapes[f"dec{i}_w"], shapes[f"dec{i}_b"] = (cin, c, k), (c,)
@@ -179,6 +188,28 @@ def encoder_input_length(samples: np.ndarray, config: CodecConfig) -> int:
     return config.required_input_length(frames)
 
 
+def encoder_buffer_shapes(config: CodecConfig, rows: int, n: int) -> tuple:
+    """The shapes of the buffers of an encoder pass over ``rows`` waveforms of input length
+    n, per layer i: its output (rows, T_i, C_i), and the block gradient and tap product of
+    its ``_conv_t``, over the layer's ceil(K / S) taps (``_taps``)."""
+    outs, gbs, gprods = [], [], []
+    cin = 1
+    for c, k, s in zip(config.channels, config.kernel_sizes, config.strides):
+        n = (n - k) // s + 1
+        outs.append((rows, n, c))
+        gbs.append((rows, n + -(-k // s) - 1, s * cin))
+        gprods.append((rows, n, s * cin))
+        cin = c
+    return outs, gbs, gprods
+
+
+def workspace_cells(config: CodecConfig, rows: int, n: int) -> int:
+    """The cells an ``EncoderWorkspace`` for ``rows`` rows of input length n holds: every
+    layer's output, and one flat buffer for each other kind, sized for its largest layer."""
+    outs, *flat = encoder_buffer_shapes(config, rows, n)
+    return sum(map(math.prod, outs)) + sum(max(map(math.prod, kind)) for kind in (outs, *flat))
+
+
 class EncoderWorkspace:
     """The encoder's taps and biases in ``dtype``, and the buffers of its passes over up to
     ``rows`` waveforms of input length ``n``; a pass of b rows uses their first b rows.
@@ -186,24 +217,19 @@ class EncoderWorkspace:
     Per layer i: ``out[i]`` its output, which holds the acts until the next pass; ``scratch[i]``,
     of the same shape, for its tap products, its ELU's negative part and ``elu_vjp``'s
     factor; and ``gb[i]`` and ``gprod[i]``, the block gradient and tap product of its
-    ``_conv_t``. A layer is done with the last three before the next layer starts, so each
-    kind is a view of one flat buffer sized for the largest layer.
+    ``_conv_t`` (``encoder_buffer_shapes``). A layer is done with the last three before the
+    next layer starts, so each kind is a view of one flat buffer sized for the largest layer.
     """
 
     def __init__(self, params: dict, config: CodecConfig, dtype, rows: int, n: int):
-        self.taps, self.bias, self._row_shapes = [], [], []
-        cin = 1
-        for i, (c, k, s) in enumerate(zip(config.channels, config.kernel_sizes, config.strides)):
-            self.taps.append(_taps(params[f"enc{i}_w"], s, dtype))
-            self.bias.append(params[f"enc{i}_b"].astype(dtype))
-            n = (n - k) // s + 1
-            self._row_shapes.append(((n, c), (n + len(self.taps[i]) - 1, s * cin), (n, s * cin)))
-            cin = c
+        self.taps = [_taps(params[f"enc{i}_w"], s, dtype) for i, s in enumerate(config.strides)]
+        self.bias = [params[f"enc{i}_b"].astype(dtype) for i in range(len(config.strides))]
+        self._config, self._n = config, n
         self._buffers(rows)
 
     def _buffers(self, rows: int) -> None:
         dtype = self.bias[0].dtype
-        outs, gbs, gprods = ([(rows,) + shape for shape in kind] for kind in zip(*self._row_shapes))
+        outs, gbs, gprods = encoder_buffer_shapes(self._config, rows, self._n)
         self.out = [np.empty(shape, dtype=dtype) for shape in outs]
         self.scratch, self.gb, self.gprod = (_views(kind, dtype) for kind in (outs, gbs, gprods))
 

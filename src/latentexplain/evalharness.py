@@ -34,6 +34,7 @@ from pathlib import Path
 import numpy as np
 
 from .attribution import (
+    DEFAULT_IG_STEPS,
     INPUT_IG,
     LATENT_IG,
     RANDOM_INPUT,
@@ -66,6 +67,9 @@ POST_REMOVAL_ACCURACY = "post-removal-accuracy"
 
 DEFAULT_ALPHAS = (0.1, 0.2, 0.4, 0.6, 0.8)
 DEFAULT_BETAS = (0.01, 0.1, 0.2, 0.4, 0.6, 0.8)
+DEFAULT_RUNS = 5
+DEFAULT_BASE_SEED = 1234
+DEFAULT_NOISE_SEED = 7
 
 ALL_METHODS = (LATENT_IG, RANDOM_LATENT, INPUT_IG, RANDOM_INPUT)
 LATENT_METHODS = (LATENT_IG, RANDOM_LATENT)  # sweeps that mask latents and encode nothing
@@ -114,7 +118,7 @@ class ExplainerModels:
     cls_params: dict
     base_latent: LatentGrid
     noise_clip: AudioClip
-    ig_steps: int = 64
+    ig_steps: int
 
 
 def build_models(
@@ -122,8 +126,8 @@ def build_models(
     codec_params: dict,
     cls_params: dict,
     clip_length: int,
-    noise_seed: int = 7,
-    ig_steps: int = 64,
+    noise_seed: int = DEFAULT_NOISE_SEED,
+    ig_steps: int = DEFAULT_IG_STEPS,
 ) -> ExplainerModels:
     noise, base = noise_baseline(codec_params, codec_config, clip_length, noise_seed)
     return ExplainerModels(codec_config, codec_params, cls_params, base, noise, ig_steps)
@@ -283,8 +287,8 @@ def fidelity_agreement(
     models: ExplainerModels,
     method: str,
     ratios=DEFAULT_ALPHAS,
-    runs: int = 5,
-    base_seed: int = 1234,
+    runs: int = DEFAULT_RUNS,
+    base_seed: int = DEFAULT_BASE_SEED,
     dataset_id: str = "",
     jobs: int = 1,
 ) -> EvalReport:
@@ -302,8 +306,8 @@ def accuracy_drop(
     models: ExplainerModels,
     method: str,
     ratios=DEFAULT_BETAS,
-    runs: int = 5,
-    base_seed: int = 1234,
+    runs: int = DEFAULT_RUNS,
+    base_seed: int = DEFAULT_BASE_SEED,
     dataset_id: str = "",
     jobs: int = 1,
 ) -> EvalReport:

@@ -18,7 +18,7 @@ CLIPS = [10.1, 9.8, 8.6, 10.8, 10.3, 9.1, 10.6, 8.9, 9.9, 10.4]
 def result(clips_per_s: float) -> dict:
     """A canned last line of ``bench/run.py``: every metric reads ``clips_per_s``."""
     return {"correct": True, "attempted": 12, "failed": 0,
-            "metrics": {name: {"value": clips_per_s, "unit": "x"} for name, _ in METRICS}}
+            "metrics": {name: {"value": clips_per_s, "unit": "x"} for name, *_ in METRICS}}
 
 
 def runs(parent: list, change: list, workload="sweep-waveform", first_seed=1) -> list:
@@ -30,7 +30,7 @@ def runs(parent: list, change: list, workload="sweep-waveform", first_seed=1) ->
 def test_two_copies_of_one_series_are_no_claim():
     summary = bench_pairs.summarize(runs(CLIPS, CLIPS), METRICS)["sweep-waveform"]
     assert summary["pairs"] == 10 and summary["all_correct"] and summary["failed_units"] == 0
-    for name, _ in METRICS:
+    for name, *_ in METRICS:
         assert summary[name]["change_better_pairs"] == 0
         assert summary[name]["verdict"] == "no claim"
 
@@ -56,6 +56,27 @@ def test_claim_rule():
     failing[1]["result"] = {**failing[1]["result"], "failed": 1}
     assert bench_pairs.summarize(failing, METRICS)["sweep-waveform"]["clips_per_s"][
         "verdict"] == "no claim"  # more failed units than the parent
+
+
+def test_no_regression_verdicts():
+    """Against each metric's bound: 24 % for the rates and latencies, 10 % for peak RSS. The
+    parent's q1-q3 spread of CLIPS is 11 % of its median; that of WIDE, 44 %."""
+    def regression(parent, change):
+        summary = bench_pairs.summarize(runs(parent, change), METRICS)["sweep-waveform"]
+        return {name: summary[name]["regression"] for name in
+                ("clips_per_s", "latency_p50_ms", "peak_rss_mb")}
+
+    assert regression(CLIPS, CLIPS) == {"clips_per_s": "within bound",
+                                        "latency_p50_ms": "within bound",
+                                        "peak_rss_mb": "unresolved"}
+    assert regression(CLIPS, [v * 0.7 for v in CLIPS]) == {
+        "clips_per_s": "worse past bound", "latency_p50_ms": "within bound",
+        "peak_rss_mb": "within bound"}  # every change run below every parent run
+    wide = [6, 14, 7, 13, 8, 12, 9, 11, 10, 10]
+    assert regression(wide, [v * 0.9 for v in wide])["clips_per_s"] == "unresolved"
+    assert regression(wide, [v * 3 for v in wide]) == {
+        "clips_per_s": "within bound", "latency_p50_ms": "unresolved",
+        "peak_rss_mb": "unresolved"}
 
 
 def test_slow_pairs_are_flagged_and_kept():

@@ -308,6 +308,13 @@ class TestEveryConfigValueChecked:
         got = getattr(RunConfig.from_file(path), section)
         assert {key: getattr(got, key) for key in values} == values
 
+    def test_default_run_config_is_pinned(self):
+        """Its canonical JSON is what every provenance file's ``config_sha256`` hashes, so a
+        moved default changes them all."""
+        blob = json.dumps(asdict(RunConfig()), sort_keys=True, separators=(",", ":"))
+        assert hashlib.sha256(blob.encode()).hexdigest() == (
+            "65832dc85ec9cdc32d7d738f11c63e63d7f4aec4f5a5be5b8202f62bd3d29077")
+
     def test_readme_config_is_accepted(self, tmp_path):
         readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
         blocks = re.findall(r"```json\n(.*?)```", readme, re.DOTALL)
@@ -1279,6 +1286,63 @@ class TestLatentIGBudget:
         assert not (tmp_path / "o").exists()
 
 
+class TestEncoderBudget:
+    """A codec whose encoder asks the workspace of the command's largest pass for over 2^26
+    cells exits 3 once both checkpoints are read, before any model is built. Channels
+    [1,024, 32, 32] are within every rule, yet ask about 17 M cells a row of a 16,384-sample
+    clip: 135 M for waveform IG's 8-row chunk, but one row for ``explain``. The default codec
+    asks about 38 M for that chunk at the longest clip a corpus may have, 2^18 samples."""
+
+    class Built(Exception):
+        pass
+
+    WIDE = [1024, 32, 32]
+
+    @pytest.fixture(scope="class")
+    def corpora(self, workspace, tmp_path_factory):
+        """A corpus of 6 clips of each length; each has one test clip."""
+        root, cfg = workspace
+        made = {}
+        for length in (16384, 2**18):
+            raw = json.loads(cfg.read_text())
+            raw["dataset"].update(clips_per_class=2, clip_length=length)
+            path = tmp_path_factory.mktemp("long") / "run.json"
+            path.write_text(json.dumps(raw))
+            made[length] = path.parent / "data"
+            assert main(["--config", str(path), "synth-data", "--out", str(made[length])]) == 0
+        return made
+
+    @pytest.mark.parametrize("command,length,channels,past", [
+        ("eval-fidelity", 16384, WIDE, True),
+        ("eval-drop", 16384, WIDE, True),
+        ("explain", 16384, WIDE, False),
+        ("eval-fidelity", 2**18, [16, 24, 32], False),
+    ])
+    def test_exits_3_past_the_budget(self, workspace, corpora, tmp_path, capsys, monkeypatch,
+                                     command, length, channels, past):
+        root, cfg = workspace
+        codec = _rewrite_checkpoint(root / "ckpt" / "codec.ckpt", tmp_path / "codec.ckpt",
+                                    lambda c: {**c, "channels": channels},
+                                    lambda p: _codec_tensors(channels=channels))
+
+        def built(*args, **kwargs):
+            raise self.Built
+
+        monkeypatch.setattr(cli, "build_models", built)
+        out = tmp_path / "o" / "out"
+        extra = (["--input", str(next((corpora[length] / "clips").glob("*.wav"))), "--alpha",
+                  "0.5"] if command == "explain" else ["--data", str(corpora[length])])
+        argv = ["--config", str(cfg), command, "--codec", str(codec), *extra, "--out", str(out)]
+        if not past:
+            with pytest.raises(self.Built):
+                main(argv)
+            return
+        assert main(argv) == EXIT_BAD_CONFIG
+        err = capsys.readouterr().err
+        assert re.fullmatch(r"error code=3 msg=[^\n]+ past 2\^26\n", err)
+        assert not out.parent.exists()
+
+
 class TestCheckpointShapesBuildNoTensor:
     """Checkpoint checks compare shapes from the config alone: no init function runs."""
 
@@ -1310,7 +1374,7 @@ class TestCheckpointShapesBuildNoTensor:
         assert main(["--config", str(cfg), "explain", "--codec", str(bad), "--input",
                      str(clip_path), "--alpha", "0.5", "--out", str(out)]) == EXIT_MISSING_CHECKPOINT
         err = capsys.readouterr().err
-        assert "do not match" in err and "Traceback" not in err
+        assert "config.channels: expected" in err and "<= 1024" in err and "Traceback" not in err
         assert not out.parent.exists()
 
 

@@ -38,6 +38,7 @@ from latentexplain.codec import (
     init_codec_params,
     run_pass,
     train_autoencoder,
+    workspace_cells,
 )
 from conftest import finishes
 from tape_reference import (decode_tensor, encode_tensor, one_thread_encode_batch, pad_for_encode,
@@ -450,6 +451,18 @@ class TestEncodeBatchOnTwoThreads:
             "        raise SystemExit('the forked child hung')\n"
             "    time.sleep(0.05)\n"
             "assert os.waitstatus_to_exitcode(done[1]) == 0, done\n")
+
+
+@pytest.mark.parametrize("rows,n", [(1, 500), (3, 1234), (8, 4116)])
+def test_workspace_cells_count_the_workspace_buffers(rows, n):
+    """``workspace_cells``, the CLI's encoder budget, counts every cell an ``EncoderWorkspace``
+    allocates; a kernel of 4 over stride 3 has two taps."""
+    cfg = CodecConfig(channels=(4, 6, 8), kernel_sizes=(8, 6, 4), strides=(4, 2, 3),
+                      latent_channels=8)
+    ws = EncoderWorkspace(init_codec_params(cfg, 0), cfg, np.float32, rows, n)
+    owners = {id(a if a.base is None else a.base): (a if a.base is None else a.base).size
+              for a in ws.out + ws.scratch + ws.gb + ws.gprod}
+    assert sum(owners.values()) == workspace_cells(cfg, rows, n)
 
 
 class TestNonFiniteSamples:
