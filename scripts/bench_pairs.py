@@ -18,7 +18,9 @@ other models or another run length is left as it is, and the script exits 2. Per
 end-to-end metric of ``BENCHMARK.json``, the summary holds both trees' quartiles, the pairs
 the change won and the verdict of the claim rule: the change is better in at least 9 of
 every 10 pairs run, over at least 10 pairs, the medians differ by more than the parent's
-interquartile range, and the change fails no more units than the parent. It also holds
+interquartile range and by more than the metric's ``bound`` times the parent's median, and
+the change fails no more units than the parent. Its ``gain_over_bound`` is the medians'
+gap as a share of that bound times the parent's median. It also holds
 the no-regression verdict against the metric's ``bound``: "worse past bound" when the
 change's median is worse than the parent's by more than that share of it, "unresolved"
 when the parent's own q1-q3 spread is wider than that share of its median and not every
@@ -96,8 +98,10 @@ def summarize(runs: list, metrics: list) -> dict:
             worse = [seed for (seed, _), p, c in zip(whole, value["parent"], value["change"])
                      if sign * (p - bound) < 0 and sign * (c - bound) < 0]
             gap = sign * (change["median"] - parent["median"])
+            share = gap / (limit * abs(parent["median"]))
             claim = (len(pairs) >= MIN_PAIRS and won >= math.ceil(WIN_SHARE * len(pairs))
-                     and gap > parent["q3"] - parent["q1"] and failed["change"] <= failed["parent"])
+                     and gap > parent["q3"] - parent["q1"] and share > 1
+                     and failed["change"] <= failed["parent"])
             if (parent["q3"] - parent["q1"] > limit * abs(parent["median"])
                     and min(sign * v for v in value["change"])
                     <= max(sign * v for v in value["parent"])):
@@ -108,7 +112,7 @@ def summarize(runs: list, metrics: list) -> dict:
                 regression = "within bound"
             entry[name] = {"parent": parent, "change": change, "change_better_pairs": won,
                            "both_worse_pairs": worse, "verdict": "claim" if claim else "no claim",
-                           "bound": limit, "regression": regression}
+                           "bound": limit, "gain_over_bound": share, "regression": regression}
     return summary
 
 
@@ -125,9 +129,9 @@ def print_summary(summary: dict, metrics: list) -> None:
             worse = f"; both worse than the parent's quartile in seeds {worse}" if worse else ""
             print(f"  {name}: median {p['median']:.4g} -> {c['median']:.4g} "
                   f"({100 * (c['median'] / p['median'] - 1):+.1f} %), parent q1-q3 "
-                  f"{p['q1']:.4g}-{p['q3']:.4g}, change better in {m['change_better_pairs']} "
-                  f"of {entry['pairs']}: {m['verdict']}, {m['regression']} "
-                  f"({100 * m['bound']:g} %){worse}")
+                  f"{p['q1']:.4g}-{p['q3']:.4g}, gain {m['gain_over_bound']:.2f} of the "
+                  f"{100 * m['bound']:g} % bound, change better in {m['change_better_pairs']} "
+                  f"of {entry['pairs']}: {m['verdict']}, {m['regression']}{worse}")
 
 
 def run_bench(tree: Path, workload: str, seed: int) -> tuple:

@@ -6,9 +6,17 @@ a fresh node; ``backward()`` on a scalar walks the graph in reverse topological 
 Its ``conv1d`` and ``conv1d_transpose`` nodes run the same conv kernels, so the gradcheck
 covers the convs the runtime runs. float32 by default; float64 inputs are respected
 (the gradcheck helper relies on this).
+
+ELU takes its min and max against a zero array with the input's shape and strides
+(``_zeros_as``), not against the scalar 0.0: numpy runs its SIMD loops for two array
+operands of one layout, and gives the same bits. A C-ordered zero array against a
+transposed head tile would make numpy iterate both in a layout one of them lacks, which
+is slower than the scalar form.
 """
 
 from __future__ import annotations
+
+import threading
 
 import numpy as np
 
@@ -196,6 +204,25 @@ def relu(x: Tensor) -> Tensor:
     return Tensor(out_data, _parents=(x,), _backward=bwd, _op="relu")
 
 
+_zero_bytes = b""  # all zero, so +0.0 in every float dtype; replaced by a longer one as needed
+_zero_grow = threading.Lock()
+
+
+def _zeros_as(x: np.ndarray) -> np.ndarray:
+    """A read-only zero array with the shape, dtype and strides of ``x``: a view of one
+    module-level zero buffer, which grows when ``x`` spans more bytes than it holds."""
+    global _zero_bytes
+    lo = sum(s * (n - 1) for n, s in zip(x.shape, x.strides) if s < 0 and n)
+    hi = sum(s * (n - 1) for n, s in zip(x.shape, x.strides) if s > 0 and n) + x.itemsize
+    buf = _zero_bytes
+    if len(buf) < hi - lo:
+        with _zero_grow:
+            if len(_zero_bytes) < hi - lo:  # bytes(n) is calloc'd: untouched pages hold no RAM
+                _zero_bytes = bytes(max(hi - lo, 2 * len(_zero_bytes)))
+            buf = _zero_bytes
+    return np.ndarray(x.shape, x.dtype, buffer=buf, offset=-lo, strides=x.strides)
+
+
 def elu_array(x: np.ndarray, out: np.ndarray | None = None,
               neg: np.ndarray | None = None) -> np.ndarray:
     """ELU of a plain array, in the array's dtype; ``out=x`` computes it in place.
@@ -204,16 +231,17 @@ def elu_array(x: np.ndarray, out: np.ndarray | None = None,
     except that -0.0 comes out as +0.0, and is several times faster: a where over a
     mask that is half true branches badly. ``neg``, if given, holds the negative part.
     """
-    neg = np.minimum(x, 0.0, out=neg)
+    zero = _zeros_as(x)
+    neg = np.minimum(x, zero, out=neg)
     np.expm1(neg, out=neg)
-    out = np.maximum(x, 0.0, out=out)
+    out = np.maximum(x, zero, out=out)
     out += neg
     return out
 
 
 def elu_vjp(out: np.ndarray, g: np.ndarray, d: np.ndarray | None = None) -> np.ndarray:
     """g * elu'(x), from the ELU's output: elu'(x) = min(elu(x), 0) + 1; into ``d`` if given."""
-    d = np.minimum(out, 0.0, out=d)
+    d = np.minimum(out, _zeros_as(out), out=d)
     d += 1.0
     return np.multiply(d, g, out=d)
 

@@ -26,7 +26,7 @@ class Checkpoint:
     config: dict
     params: dict  # name -> np.float32 ndarray
     metadata: dict = field(default_factory=dict)
-    sha256: str = ""  # of the file bytes read_checkpoint parsed; empty when built in memory
+    sha256: str = ""  # of the file bytes parsed; empty when built in memory
 
 
 def write_checkpoint(ckpt: Checkpoint, path) -> None:
@@ -54,8 +54,18 @@ def write_checkpoint(ckpt: Checkpoint, path) -> None:
 
 
 def read_checkpoint(path) -> Checkpoint:
+    return parse_checkpoint(*read_checkpoint_file(path))
+
+
+def read_checkpoint_file(path) -> tuple[bytes, str]:
+    """A checkpoint file's bytes and their SHA-256, from one read of the file."""
     with open(path, "rb") as f:
         raw = f.read()
+    return raw, hashlib.sha256(raw).hexdigest()
+
+
+def parse_checkpoint(raw: bytes, sha256: str) -> Checkpoint:
+    """The checkpoint that a file's bytes ``raw``, of SHA-256 ``sha256``, hold."""
     if raw[:4] != MAGIC:
         raise CheckpointError(f"bad magic {raw[:4]!r}")
     if len(raw) < 8:
@@ -94,8 +104,7 @@ def read_checkpoint(path) -> Checkpoint:
         end += 4 * count
     if end != len(raw):
         raise CheckpointError(f"checkpoint has {len(raw) - end} bytes after its last tensor")
-    return Checkpoint(kind, config, params, header.get("metadata", {}),
-                      hashlib.sha256(raw).hexdigest())
+    return Checkpoint(kind, config, params, header.get("metadata", {}), sha256)
 
 
 def file_sha256(path) -> str:

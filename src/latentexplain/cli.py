@@ -12,10 +12,14 @@ path of the wrong kind; any config value of the wrong type or out of range, by t
 its dataclass declares: every value and the output path are checked before any input is
 read; an ``ig_steps`` that, with the head's ``hidden``, asks latent IG's step buffer for
 over 2^24 cells, or a codec whose encoder asks the workspace of the command's largest pass
-for over 2^26, once both checkpoints are read), 4 data error (including a clip shorter
+for over 2^26, once its checkpoints are read), 4 data error (including a clip shorter
 than one latent frame, audio at another sample rate than the codec's, and a split the
 command cannot use).
 Clip length and sample rate come from the corpus, not the config's ``dataset`` section.
+
+One process keeps the models of the last ``MODELS_KEPT`` checkpoint pairs it loaded
+(``_load_models``), so that in-process callers such as a benchmark or a notebook parse and
+check each pair once.
 """
 
 from __future__ import annotations
@@ -25,17 +29,20 @@ import functools
 import hashlib
 import json
 import sys
+import threading
+from collections import OrderedDict
 from dataclasses import asdict, dataclass, field, fields, replace
 from pathlib import Path
 
 from . import __version__
 from .audio import LengthError, NonFiniteError, WavFormatError, wav_read, wav_write
-from .checkpoint import CheckpointError, file_sha256, read_checkpoint, write_checkpoint
+from .checkpoint import (CheckpointError, file_sha256, parse_checkpoint, read_checkpoint_file,
+                         write_checkpoint)
 from .classifier import (POOL_GATES, POOLING, POOLINGS, ClassifierConfig, HeadSettings,
                          classifier_param_shapes, evaluate_accuracy, predict_batch,
                          train_classifier)
-from .codec import (CodecConfig, CodecLayers, CodecTrainConfig, codec_param_shapes, decode, encode,
-                    encode_batch, run_pair, train_autoencoder, workspace_cells)
+from .codec import (SPLIT_ROWS, CodecConfig, CodecLayers, CodecTrainConfig, codec_param_shapes,
+                    decode, encode, encode_batch, run_pair, train_autoencoder, workspace_cells)
 from .data import (COUNT, FRACTION, FRACTIONS, SEED, SIZE, TEXT, Checked, DatasetError, Rule,
                    SyntheticDatasetSpec, generate_dataset, integer, read_clips, read_manifest,
                    save_dataset)
@@ -65,6 +72,7 @@ EXIT_BAD_CONFIG = 3
 EXIT_DATA_ERROR = 4
 
 MAX_JOBS = 64  # each eval thread holds IG workspaces of its own (README)
+MODELS_KEPT = 4  # loaded model pairs one process keeps (README)
 
 
 class ConfigError(ValueError):
@@ -99,6 +107,11 @@ def _values(config, cls) -> dict:
 @dataclass
 class CodecSection(CodecTrainConfig, CodecLayers):
     seed: int = SEED(0)
+
+    def __post_init__(self):  # lists, as its JSON holds them; ``CodecConfig`` keeps tuples
+        super().__post_init__()
+        self.channels, self.kernel_sizes, self.strides = map(
+            list, (self.channels, self.kernel_sizes, self.strides))
 
     def codec_config(self, sample_rate: int) -> CodecConfig:
         return CodecConfig(sample_rate=sample_rate, **_values(self, CodecLayers))
@@ -199,8 +212,24 @@ _CHECKPOINT_KINDS = {"codec": (CodecConfig(), codec_param_shapes),
                      "classifier": (ClassifierConfig(num_classes=2), classifier_param_shapes)}
 
 
+def _checkpoint_file(cfg: RunConfig, given, kind: str) -> tuple:
+    """The path of the checkpoint at ``given`` (or the default path), and the file's bytes and
+    their SHA-256 from its one read; CheckpointError if there is no such file."""
+    p = _checkpoint_path(cfg, given, kind)
+    if not p.is_file():
+        raise CheckpointError(f"missing {kind} checkpoint: {p}")
+    return (p, *read_checkpoint_file(p))
+
+
 def _load_checkpoint(cfg: RunConfig, given, kind: str):
-    """The checkpoint at ``given`` (or the default path) and its config, both checked.
+    """The path of the checkpoint at ``given`` (or the default path), the checkpoint and its
+    config, both checked (``_checked``)."""
+    file = _checkpoint_file(cfg, given, kind)
+    return (file[0], *_checked(file, kind))
+
+
+def _checked(file: tuple, kind: str):
+    """The checkpoint that ``file`` (``_checkpoint_file``) holds, and its config, both checked.
 
     The config must have exactly the fields of the kind's dataclass, and is read first, as a
     config section is (``_from_dict``), so that its dataclass checks each value; then the
@@ -208,10 +237,8 @@ def _load_checkpoint(cfg: RunConfig, given, kind: str):
     checked config, worked out without building a tensor. A head's ``pool_max`` gate must be
     the one its ``pooling`` names. CheckpointError otherwise.
     """
-    p = _checkpoint_path(cfg, given, kind)
-    if not p.is_file():
-        raise CheckpointError(f"missing {kind} checkpoint: {p}")
-    ckpt = read_checkpoint(p)
+    p, raw, sha = file
+    ckpt = parse_checkpoint(raw, sha)
     if ckpt.kind != kind:
         raise CheckpointError(f"{p} holds a {ckpt.kind!r} checkpoint, expected {kind!r}")
     default, param_shapes = _CHECKPOINT_KINDS[kind]
@@ -230,19 +257,24 @@ def _load_checkpoint(cfg: RunConfig, given, kind: str):
         if gate != POOL_GATES[pooling]:
             raise CheckpointError(f"{p}: bad classifier config: pool_max {gate} is not the"
                                   f" {pooling!r} pooling's gate {POOL_GATES[pooling]}")
-    return p, ckpt, config
+    return ckpt, config
 
 
-def _load_codec(cfg: RunConfig, given, source, sample_rate: int):
-    """``_load_checkpoint`` of the codec, for audio from ``source`` at ``sample_rate``.
-
-    Audio at another rate than the codec's raises DatasetError.
-    """
-    p, ckpt, codec_cfg = _load_checkpoint(cfg, given, "codec")
+def _check_rate(codec_cfg: CodecConfig, source, sample_rate: int) -> None:
+    """Audio from ``source`` at ``sample_rate`` Hz must be at the codec's rate: DatasetError."""
     if sample_rate != codec_cfg.sample_rate:
         raise DatasetError(f"{source}: sample rate {sample_rate} Hz, "
                            f"the codec expects {codec_cfg.sample_rate} Hz")
-    return p, ckpt, codec_cfg
+
+
+def _check_encoder_budget(codec_cfg: CodecConfig, rows: int, clip_length: int) -> None:
+    """An encoder pass of ``rows`` clips of ``clip_length`` samples must ask its workspace for
+    at most 2^26 float32 cells, 256 MiB (README): ConfigError otherwise."""
+    n = codec_cfg.required_input_length(clip_length // codec_cfg.stride_product)
+    cells = workspace_cells(codec_cfg, rows, n)
+    if cells > 2**26:
+        raise ConfigError(f"the codec's encoder asks the workspace of a {rows}-row pass of"
+                          f" {clip_length} samples for {cells} cells, past 2^26")
 
 
 def _corpus(path, **least_classes):
@@ -279,6 +311,12 @@ def _out_path(path, directory: bool) -> Path:
     return p
 
 
+# (codec SHA-256, head SHA-256, clip length, noise seed) -> (read-only models, head config),
+# least recently loaded first
+_kept_models = OrderedDict()
+_kept_lock = threading.Lock()
+
+
 def _load_models(cfg: RunConfig, args, source, sample_rate: int, clip_length: int,
                  num_classes: int | None = None, rows: int = ENCODE_ROWS):
     """Both checkpoints, checked, and the explainer models for ``source``'s clips.
@@ -288,9 +326,27 @@ def _load_models(cfg: RunConfig, args, source, sample_rate: int, clip_length: in
     command's largest encoder pass: by default waveform IG's chunk of path points, more than
     any ``encode_batch`` pass holds. Returns the models and the SHA-256 of the two
     checkpoint files, named as in provenance.
+
+    Each file is read once. The models of the last ``MODELS_KEPT`` loads that passed every
+    check are kept, their arrays read-only, by both files' SHA-256, the clip length and the
+    noise seed: a load of a kept key parses and checks no checkpoint and encodes no noise
+    base, yet runs every check that depends on the input or the run config.
     """
-    _, codec_ckpt, codec_cfg = _load_codec(cfg, args.codec, source, sample_rate)
-    _, cls_ckpt, head_cfg = _load_checkpoint(cfg, args.classifier, "classifier")
+    codec_file = _checkpoint_file(cfg, args.codec, "codec")
+    head_file = _checkpoint_file(cfg, args.classifier, "classifier")
+    key = (codec_file[2], head_file[2], clip_length, cfg.attribution.noise_seed)
+    with _kept_lock:
+        kept = _kept_models.get(key)
+        if kept is not None:
+            _kept_models.move_to_end(key)
+    if kept is None:
+        codec_ckpt, codec_cfg = _checked(codec_file, "codec")
+        _check_rate(codec_cfg, source, sample_rate)
+        cls_ckpt, head_cfg = _checked(head_file, "classifier")
+    else:
+        models, head_cfg = kept
+        codec_cfg = models.codec_config
+        _check_rate(codec_cfg, source, sample_rate)
     if head_cfg.latent_channels != codec_cfg.latent_channels:
         raise CheckpointError(f"the classifier reads {head_cfg.latent_channels} latent channels,"
                               f" the codec writes {codec_cfg.latent_channels}")
@@ -303,18 +359,23 @@ def _load_models(cfg: RunConfig, args, source, sample_rate: int, clip_length: in
     if cells > 2**24:
         raise ConfigError(f"attribution.ig_steps {steps} and the classifier's hidden {hidden}"
                           f" ask latent IG's step buffer for {cells} cells, past 2^24")
-    # an encoder pass's workspace: at most 2^26 float32 cells, 256 MiB (README)
-    n = codec_cfg.required_input_length(clip_length // codec_cfg.stride_product)
-    cells = workspace_cells(codec_cfg, rows, n)
-    if cells > 2**26:
-        raise ConfigError(f"the codec's encoder asks the workspace of a {rows}-row pass of"
-                          f" {clip_length} samples for {cells} cells, past 2^26")
+    _check_encoder_budget(codec_cfg, rows, clip_length)
+    hashes = {"codec": codec_file[2], "classifier": head_file[2]}
+    if kept is not None:
+        return replace(models, ig_steps=cfg.attribution.ig_steps), hashes
     models = build_models(
         codec_cfg, codec_ckpt.params, cls_ckpt.params,
         clip_length=clip_length, noise_seed=cfg.attribution.noise_seed,
         ig_steps=cfg.attribution.ig_steps,
     )
-    return models, {"codec": codec_ckpt.sha256, "classifier": cls_ckpt.sha256}
+    for a in (*models.codec_params.values(), *models.cls_params.values(),
+              models.base_latent.values, models.noise_clip.samples):
+        a.flags.writeable = False
+    with _kept_lock:
+        _kept_models[key] = (models, head_cfg)
+        while len(_kept_models) > MODELS_KEPT:
+            _kept_models.popitem(last=False)
+    return models, hashes
 
 
 def cmd_synth_data(cfg: RunConfig, args) -> int:
@@ -345,7 +406,10 @@ def cmd_train_codec(cfg: RunConfig, args) -> int:
 def cmd_train_classifier(cfg: RunConfig, args) -> int:
     out = _out_path(_checkpoint_path(cfg, args.out, "classifier"), directory=False)
     p, ds = _corpus(args.data or cfg.paths.data_dir, train_idx=2, test_idx=1)
-    codec_path, codec_ckpt, codec_cfg = _load_codec(cfg, args.codec, p, ds.spec.sample_rate)
+    codec_path, codec_ckpt, codec_cfg = _load_checkpoint(cfg, args.codec, "codec")
+    _check_rate(codec_cfg, p, ds.spec.sample_rate)
+    # encode_batch's passes hold at most 2 * SPLIT_ROWS - 1 clips
+    _check_encoder_budget(codec_cfg, min(len(ds.labels), 2 * SPLIT_ROWS - 1), ds.spec.clip_length)
     latents = encode_batch(read_clips(p, ds.spec, range(len(ds.labels))), codec_ckpt.params,
                            codec_cfg)
     # datasets with a neutral class get neutral-anchored base substitution so

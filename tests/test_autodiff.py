@@ -1,3 +1,5 @@
+import sys
+import threading
 import zlib
 
 import numpy as np
@@ -170,6 +172,93 @@ class TestEluMatchesWhereForm:
         x = np.array([-2.0, 0.5])
         assert ad.elu_array(x).dtype == np.float64
         assert np.array_equal(ad.elu_array(x), np.where(x > 0, x, np.expm1(x)))
+
+
+def _elu_inputs(dtype, shape, seed=0):
+    """Values of ``dtype`` in ``shape``: +-0, +-inf, +-NaN, subnormals and huge values among
+    normal ones, in shuffled places."""
+    info = np.finfo(dtype)
+    special = [-0.0, 0.0, np.inf, -np.inf, np.nan, -np.nan, info.smallest_subnormal,
+               -info.smallest_subnormal, -float(info.tiny) / 3, float(info.max), -float(info.max)]
+    rng = np.random.default_rng(seed)
+    n = int(np.prod(shape))
+    flat = np.concatenate([np.array(special, dtype=dtype),
+                           (rng.standard_normal(n) * 8).astype(dtype)])[:n]
+    return rng.permutation(flat).reshape(shape)
+
+
+# the layouts the runtime hands ELU: a buffer -> the array ELU reads
+ELU_LAYOUTS = {
+    "contiguous": lambda a: a,
+    "row-slice": lambda a: a[1:3],
+    # latent IG's (S, H, T) step buffer seen as (S, T, H), one head tile of its rows
+    "ig-tile": lambda a: np.ascontiguousarray(a.transpose(0, 2, 1)).transpose(0, 2, 1)[1:3],
+    "encoder-out": lambda a: a[:2],  # ``out[:b]`` of a workspace's (rows, T, C) buffer
+    "reversed": lambda a: a[:, ::-1, ::-3],
+}
+
+
+class TestEluZeroOperand:
+    """ELU's min and max run against a read-only zero array with the input's strides (a view
+    of one zero buffer), and give the bits of the where form and of the scalar-operand VJP."""
+
+    @pytest.mark.parametrize("layout", list(ELU_LAYOUTS))
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_bits_in_every_layout(self, dtype, layout):
+        x = ELU_LAYOUTS[layout](_elu_inputs(dtype, (4, 37, 6)))
+        with np.errstate(over="ignore", invalid="ignore"):
+            where = np.where(x > 0, x, np.expm1(x)) + dtype(0)  # -0.0 comes out as +0.0
+            got = ad.elu_array(x)
+            buf = x.copy(order="K")  # in place, with a negative part in the input's layout
+            ad.elu_array(buf, out=buf, neg=np.empty_like(buf))
+            g = _elu_inputs(dtype, x.shape, seed=1)
+            scalar = np.minimum(got, 0.0)
+            scalar += 1.0
+            scalar = np.multiply(scalar, g, out=scalar)
+            vjp = ad.elu_vjp(got, g)
+        assert got.dtype == buf.dtype == vjp.dtype == dtype
+        assert got.tobytes() == where.tobytes() and buf.tobytes() == where.tobytes()
+        assert vjp.tobytes() == scalar.tobytes()
+
+    @pytest.mark.parametrize("layout", list(ELU_LAYOUTS))
+    def test_zero_view_has_the_input_layout_and_is_never_writeable(self, layout):
+        x = ELU_LAYOUTS[layout](np.ones((4, 37, 6), dtype=np.float32))
+        zero = ad._zeros_as(x)
+        assert (zero.shape, zero.strides, zero.dtype) == (x.shape, x.strides, x.dtype)
+        assert not zero.flags.writeable and not np.any(zero)
+        with pytest.raises(ValueError):
+            zero.flags.writeable = True
+        assert isinstance(ad._zero_bytes, bytes) and ad._zero_bytes.count(0) == len(ad._zero_bytes)
+
+    def test_two_threads_growing_the_buffer(self, monkeypatch):
+        monkeypatch.setattr(ad, "_zero_bytes", b"")
+        errors, start = [], threading.Barrier(2)
+
+        def work(seed):
+            try:
+                start.wait(10)
+                for k in range(1, 40):
+                    x = _elu_inputs(np.float32, (k, 97, 3), seed=seed + k).transpose(2, 1, 0)
+                    with np.errstate(over="ignore", invalid="ignore"):
+                        want = np.where(x > 0, x, np.expm1(x)) + np.float32(0)
+                    if ad.elu_array(x).tobytes() != want.tobytes():
+                        errors.append(f"thread {seed}, size {k}")
+            except Exception as e:  # reported by the assertion below
+                errors.append(repr(e))
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=work, args=(seed,)) for seed in (0, 100)]
+            for th in threads:
+                th.start()
+            for th in threads:
+                th.join(60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(th.is_alive() for th in threads)
+        assert errors == []
+        assert len(ad._zero_bytes) >= 39 * 97 * 3 * 4
 
 
 class TestSoftmaxCrossEntropy:

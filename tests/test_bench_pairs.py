@@ -58,6 +58,19 @@ def test_claim_rule():
         "verdict"] == "no claim"  # more failed units than the parent
 
 
+@pytest.mark.parametrize("gain,verdict", [(1.18, "no claim"), (1.30, "claim")])
+def test_claim_needs_a_gain_past_the_bound(gain, verdict):
+    """+18 % wins 10 of 10 pairs by more than the parent's q1-q3 spread, yet is short of the
+    24 % bound of ``clips_per_s``; +30 % is past it."""
+    m = bench_pairs.summarize(runs(CLIPS, [v * gain for v in CLIPS]), METRICS)[
+        "sweep-waveform"]["clips_per_s"]
+    parent = m["parent"]
+    assert m["change_better_pairs"] == 10
+    assert m["change"]["median"] - parent["median"] > parent["q3"] - parent["q1"]
+    assert m["gain_over_bound"] == pytest.approx((gain - 1) / m["bound"])
+    assert m["verdict"] == verdict
+
+
 def test_no_regression_verdicts():
     """Against each metric's bound: 24 % for the rates and latencies, 10 % for peak RSS. The
     parent's q1-q3 spread of CLIPS is 11 % of its median; that of WIDE, 44 %."""

@@ -9,6 +9,7 @@ import shutil
 import struct
 import threading
 import tracemalloc
+from collections import OrderedDict
 from contextlib import redirect_stderr, redirect_stdout
 from dataclasses import asdict, fields, replace
 from io import StringIO
@@ -22,6 +23,7 @@ from hypothesis import example, given, settings, strategies as st
 from latentexplain import cli
 from latentexplain import codec as le_codec
 from latentexplain import evalharness as le_eval
+from latentexplain import masking as le_masking
 from latentexplain.audio import AudioClip, NonFiniteError, wav_read, wav_write
 from latentexplain.checkpoint import (Checkpoint, CheckpointError, file_sha256, read_checkpoint,
                                      write_checkpoint)
@@ -868,6 +870,128 @@ class TestExplain:
         assert code == EXIT_DATA_ERROR
 
 
+class TestModelsKeptPerProcess:
+    """One process keeps the checked models of its last ``MODELS_KEPT`` loads, by both files'
+    SHA-256, the clip length and the noise seed."""
+
+    @pytest.fixture
+    def run(self, workspace, tmp_path, monkeypatch):
+        """explain on copies of the workspace's checkpoints, with an empty cache; counts the
+        checkpoint parses and noise-base encodes of each call."""
+        root, cfg = workspace
+        monkeypatch.setattr(cli, "_kept_models", OrderedDict())
+        for kind in ("codec", "classifier"):
+            shutil.copy(root / "ckpt" / f"{kind}.ckpt", tmp_path / f"{kind}.ckpt")
+        counts = {"parse": 0, "noise": 0}
+
+        def spy(name, real):
+            def counted(*args, **kwargs):
+                counts[name] += 1
+                return real(*args, **kwargs)
+            return counted
+
+        monkeypatch.setattr(cli, "parse_checkpoint", spy("parse", cli.parse_checkpoint))
+        monkeypatch.setattr(le_masking, "encode", spy("noise", le_masking.encode))
+        calls = []
+
+        def explain(clip=None, noise_seed=None, out=None):
+            path = cfg
+            if noise_seed is not None:
+                raw = json.loads(cfg.read_text())
+                raw["attribution"] = {"noise_seed": noise_seed}
+                path = tmp_path / f"run{noise_seed}.json"
+                path.write_text(json.dumps(raw))
+            out = out or tmp_path / f"call{len(calls)}" / "expl.wav"
+            before = dict(counts)
+            code = main(["--config", str(path), "explain", "--codec", str(tmp_path / "codec.ckpt"),
+                         "--classifier", str(tmp_path / "classifier.ckpt"), "--input",
+                         str(clip or next((root / "data" / "clips").glob("*.wav"))),
+                         "--alpha", "0.5", "--out", str(out)])
+            calls.append({k: counts[k] - before[k] for k in counts})
+            return code, out
+
+        return explain, calls, tmp_path
+
+    def test_second_call_parses_and_encodes_no_base(self, run):
+        explain, calls, _ = run
+        (code1, out1), (code2, out2) = explain(), explain()
+        assert code1 == code2 == 0
+        assert calls == [{"parse": 2, "noise": 1}, {"parse": 0, "noise": 0}]
+        assert out1.read_bytes() == out2.read_bytes()
+        assert ((out1.parent / "provenance_explain.json").read_bytes()
+                == (out2.parent / "provenance_explain.json").read_bytes())
+
+    def test_kept_arrays_are_read_only(self, run):
+        explain, _, _ = run
+        assert explain()[0] == 0
+        (models, _), = cli._kept_models.values()
+        arrays = [*models.codec_params.values(), *models.cls_params.values(),
+                  models.base_latent.values, models.noise_clip.samples]
+        assert not any(a.flags.writeable for a in arrays)
+
+    def test_checkpoint_rewritten_in_place_is_seen(self, run):
+        explain, calls, tmp_path = run
+        code, first = explain()
+        codec = read_checkpoint(tmp_path / "codec.ckpt")
+        params = {k: v + np.float32(0.01) if k == "enc0_b" else v for k, v in codec.params.items()}
+        write_checkpoint(replace(codec, params=params), tmp_path / "codec.ckpt")
+        code2, second = explain()
+        assert code == code2 == 0 and calls[1] == {"parse": 2, "noise": 1}  # a pair is kept whole
+        rec = json.loads((second.parent / "provenance_explain.json").read_text())
+        assert rec["checkpoint_sha256"]["codec"] == file_sha256(tmp_path / "codec.ckpt")
+        cli._kept_models.clear()
+        code3, fresh = explain()
+        assert code3 == 0 and second.read_bytes() == fresh.read_bytes()
+        assert second.read_bytes() != first.read_bytes()
+
+    def test_checkpoint_truncated_after_a_good_load_exits_2(self, run, capsys):
+        explain, _, tmp_path = run
+        assert explain()[0] == 0
+        path = tmp_path / "codec.ckpt"
+        path.write_bytes(path.read_bytes()[:-100])
+        with pytest.raises(CheckpointError) as e:
+            read_checkpoint(path)
+        capsys.readouterr()
+        code, out = explain()
+        assert code == EXIT_MISSING_CHECKPOINT
+        assert capsys.readouterr().err == f"error code=2 msg={e.value}\n"
+        assert not out.exists()
+        assert len(cli._kept_models) == 1  # the failed load keeps nothing
+
+    def test_kept_models_still_check_the_sample_rate(self, run, workspace, capsys):
+        explain, _, tmp_path = run
+        root, _ = workspace
+        clip = wav_read(next((root / "data" / "clips").glob("*.wav")))
+        slow = tmp_path / "8k.wav"
+        wav_write(AudioClip(clip.samples, 8000), slow)
+        assert explain()[0] == 0
+        capsys.readouterr()
+        code, out = explain(clip=slow)
+        assert code == EXIT_DATA_ERROR and "sample rate 8000" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_another_noise_seed_or_clip_length_misses(self, run, workspace):
+        explain, calls, tmp_path = run
+        root, _ = workspace
+        clip = wav_read(next((root / "data" / "clips").glob("*.wav")))
+        short = tmp_path / "short.wav"
+        wav_write(AudioClip(clip.samples[:2048], clip.sample_rate), short)
+        for kwargs in ({}, {}, {"noise_seed": 8}, {"clip": short}, {"noise_seed": 8}):
+            assert explain(**kwargs)[0] == 0
+        assert [c["noise"] for c in calls] == [1, 0, 1, 1, 0]
+
+    def test_at_most_the_bound_kept(self, run):
+        explain, calls, _ = run
+        seeds = list(range(cli.MODELS_KEPT + 1))
+        for seed in seeds:
+            assert explain(noise_seed=seed)[0] == 0
+        assert len(cli._kept_models) == cli.MODELS_KEPT
+        assert explain(noise_seed=seeds[-1])[0] == 0  # the latest load is kept ...
+        assert explain(noise_seed=seeds[0])[0] == 0  # ... the least recent one is not
+        assert [c["noise"] for c in calls] == [1] * len(seeds) + [0, 1]
+        assert len(cli._kept_models) == cli.MODELS_KEPT
+
+
 class TestEvalCommands:
     def test_fidelity_reports_and_rerun_determinism(self, workspace, tmp_path):
         root, cfg = workspace
@@ -1342,6 +1466,32 @@ class TestEncoderBudget:
         assert re.fullmatch(r"error code=3 msg=[^\n]+ past 2\^26\n", err)
         assert not out.parent.exists()
 
+    @pytest.mark.parametrize("channels,past", [(WIDE, True), ([16, 24, 32], False)])
+    def test_train_classifier_exits_3_before_reading_a_clip(
+            self, workspace, corpora, tmp_path, capsys, monkeypatch, channels, past):
+        """``train-classifier`` encodes its 6 clips in one 6-row pass: about 101 M cells for
+        the wide codec."""
+        root, cfg = workspace
+        codec = _rewrite_checkpoint(root / "ckpt" / "codec.ckpt", tmp_path / "codec.ckpt",
+                                    lambda c: {**c, "channels": channels},
+                                    lambda p: _codec_tensors(channels=channels))
+
+        def read(*args, **kwargs):
+            raise self.Built
+
+        monkeypatch.setattr(cli, "read_clips", read)
+        out = tmp_path / "o" / "classifier.ckpt"
+        argv = ["--config", str(cfg), "train-classifier", "--codec", str(codec), "--data",
+                str(corpora[16384]), "--out", str(out)]
+        if not past:
+            with pytest.raises(self.Built):
+                main(argv)
+            return
+        assert main(argv) == EXIT_BAD_CONFIG
+        err = capsys.readouterr().err
+        assert re.fullmatch(r"error code=3 msg=[^\n]+ a 6-row pass [^\n]+ past 2\^26\n", err)
+        assert not out.parent.exists()
+
 
 class TestCheckpointShapesBuildNoTensor:
     """Checkpoint checks compare shapes from the config alone: no init function runs."""
@@ -1407,7 +1557,7 @@ class TestDegenerateSplits:
             raise AssertionError(f"read {args[0]} before the split was checked")
 
         monkeypatch.setattr(cli, "read_clips", no_read)
-        monkeypatch.setattr(cli, "read_checkpoint", no_read)
+        monkeypatch.setattr(cli, "read_checkpoint_file", no_read)
         out = tmp_path / "out"
         code = main(["--config", str(cfg), command, "--data", str(data),
                      "--out", str(out if command.startswith("eval") else out / "o")])
@@ -1494,7 +1644,7 @@ class TestOutputPathCheckedFirst:
         def no_read(*args):
             raise AssertionError(f"read {args[0]} before --out was checked")
 
-        for name in ("read_manifest", "read_clips", "read_checkpoint", "wav_read",
+        for name in ("read_manifest", "read_clips", "read_checkpoint_file", "wav_read",
                      "generate_dataset"):
             monkeypatch.setattr(cli, name, no_read)
         clip = str(next((root / "data" / "clips").glob("*.wav")))
@@ -1852,6 +2002,13 @@ class TestDirectConstruction:
         scratch = tmp_path_factory.mktemp("direct")
         for read in readers:
             assert read(config, scratch) == config
+
+    @pytest.mark.parametrize("key", ["channels", "kernel_sizes", "strides"])
+    def test_codec_section_keeps_layer_lists(self, tmp_path, key):
+        """Built from a tuple, a section holds a list, as its JSON form reads back."""
+        config = cli.CodecSection(**{key: tuple(getattr(cli.CodecSection(), key))})
+        assert type(getattr(config, key)) is list
+        assert _section_reader("codec")(config, tmp_path) == config
 
 
 STORE = "maps_input-ig.bin"
